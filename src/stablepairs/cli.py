@@ -38,7 +38,7 @@ from pathlib import Path
 from . import numeric, stability
 from .degeneration import DegenerationProblem, find_degeneration
 from .lattice import InputError, LatticeContext
-from .polytope import RationalPolytope, includes
+from .polytope import RationalPolytope
 from .stability import FrameFamily, PairInstance, StabilityVerdict, WeightSupport
 
 EXIT_STABLE = 0
@@ -407,6 +407,13 @@ def _identity_points(shape: str, dim: int) -> list[tuple[int, ...]]:
     return points
 
 
+def _free_q(shape: str, weights) -> int:
+    """Least q >= 1 with every weight inside q times the unit box (max
+    absolute coordinate) or the unit diamond (l1 norm)."""
+    norm = max if shape == "box" else sum
+    return max([1] + [norm(abs(c) for c in a) for a in weights])
+
+
 def _random_support(rng: random.Random, dim: int, max_coord: int) -> list:
     size = rng.randint(1, 4)
     return [tuple(rng.randint(-max_coord, max_coord) for _ in range(dim))
@@ -433,22 +440,14 @@ def random_instance_dict(rng: random.Random, dim: int, max_coord: int,
         })
 
     if mode == "free":
-        ctx = LatticeContext.free(dim)
         shape = rng.choice(_IDENTITY_SHAPES)
-        identity = RationalPolytope(_identity_points(shape, dim))
-        q = 1
-        while not all(
-            includes(identity.scaled(q),
-                     RationalPolytope(WeightSupport(v, ctx).geometry_points()))
-            for v, _ in supports
-        ):
-            q += 1
+        q = _free_q(shape, [a for v, _ in supports for a in v])
         return {
             "mode": "free",
             "rank": str(dim),
             "q": str(q),
             "identity_polytope": [[str(c) for c in pt]
-                                  for pt in identity.vertices],
+                                  for pt in sorted(_identity_points(shape, dim))],
             "frames": frames,
         }
 

@@ -29,41 +29,65 @@ def _check_common_dim(points: Sequence[RatVec]) -> int:
     return d
 
 
+def _convex_weight_rows(k: int, num_vars: int) -> list:
+    """Rows making the first k of num_vars variables convex weights."""
+    cons = []
+    for i in range(k):
+        row = [Fraction(0)] * num_vars
+        row[i] = Fraction(1)
+        cons.append((row, lp.GEQ, 0))
+    cons.append(([Fraction(1)] * k + [Fraction(0)] * (num_vars - k), lp.EQ, 1))
+    return cons
+
+
 def _in_hull(points: Sequence[RatVec], y: RatVec) -> bool:
     """Exact test: is y a convex combination of the given points?"""
     if len(points) == 1:
         return points[0] == y
     k = len(points)
-    d = len(y)
-    cons = []
-    for i in range(k):
-        row = [Fraction(0)] * k
-        row[i] = Fraction(1)
-        cons.append((row, lp.GEQ, 0))
-    cons.append(([Fraction(1)] * k, lp.EQ, 1))
-    for c in range(d):
+    cons = _convex_weight_rows(k, k)
+    for c in range(len(y)):
         cons.append(([p[c] for p in points], lp.EQ, y[c]))
     result = lp.solve(lp.linear_program(k, cons))
     return result.status == lp.OPTIMAL
+
+
+def _segment_reach(points: Sequence[RatVec], a: RatVec, b: RatVec) -> Fraction:
+    """Largest t in [0, 1] with a + t*(b - a) in the hull of the points.
+
+    The hull must contain a.  One exact LP: maximize t over convex weights
+    on the points whose combination equals a + t*(b - a).
+    """
+    k = len(points)
+    cons = _convex_weight_rows(k, k + 1)
+    for c in range(len(a)):
+        cons.append(([p[c] for p in points] + [a[c] - b[c]], lp.EQ, a[c]))
+    cons.append(([Fraction(0)] * k + [Fraction(1)], lp.LEQ, 1))
+    objective = [Fraction(0)] * k + [Fraction(1)]
+    result = lp.solve(lp.linear_program(k + 1, cons, objective))
+    if result.status != lp.OPTIMAL:
+        raise RuntimeError("internal: segment start lies outside the hull")
+    return result.value
 
 
 def hull_vertices(points: Iterable[Sequence]) -> tuple[RatVec, ...]:
     """Extreme points of the convex hull, in lexicographic order.
 
     Duplicates are removed first; a point is a vertex exactly when it is not
-    a convex combination of the remaining points (decided by exact LP).
+    a convex combination of the remaining points (decided by exact LP).  The
+    lexicographically least and greatest points need no LP: lexicographic
+    order is preserved by addition and positive scaling, so a convex
+    combination of points all above (below) a point is itself above (below)
+    it, and the extreme points of the order are never such combinations.
     """
     pts = [as_rat_vec(p) for p in points]
     _check_common_dim(pts)
     uniq = sorted(set(pts))
-    if len(uniq) == 1:
-        return (uniq[0],)
-    verts = []
-    for i, p in enumerate(uniq):
-        others = uniq[:i] + uniq[i + 1:]
-        if not _in_hull(others, p):
-            verts.append(p)
-    return tuple(verts)
+    if len(uniq) <= 2:
+        return tuple(uniq)
+    inner = [p for i, p in enumerate(uniq[1:-1], 1)
+             if not _in_hull(uniq[:i] + uniq[i + 1:], p)]
+    return (uniq[0], *inner, uniq[-1])
 
 
 class RationalPolytope:
@@ -117,10 +141,21 @@ class RationalPolytope:
         return _in_hull(self.vertices, point)
 
     def scaled(self, s) -> "RationalPolytope":
+        """The polytope s*P for a rational s >= 0, built without an LP.
+
+        For s > 0 the scaled vertices are exactly the vertices of s*P, in the
+        same lexicographic order; for s = 0 they all collapse to the origin.
+        """
         factor = Fraction(s)
         if factor < 0:
             raise InputError("scaling factor must be nonnegative")
-        return RationalPolytope([tuple(factor * c for c in v) for v in self.vertices])
+        verts = tuple(tuple(factor * c for c in v) for v in self.vertices)
+        if factor == 0:
+            verts = verts[:1]
+        out = object.__new__(RationalPolytope)
+        out.dim = self.dim
+        out.points = out.vertices = verts
+        return out
 
 
 def support_value(P: RationalPolytope, x: Sequence) -> Fraction:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 from typing import Iterable, Sequence
 
 from . import lp
@@ -38,15 +39,12 @@ from .lattice import (
 )
 from .polytope import (
     RationalPolytope,
+    _segment_reach,
     first_outside_vertex,
     includes,
-    minkowski_combine,
+    minkowski_combine,  # noqa: F401  (bench/tracing.py wraps it by this name)
     simplex_contains,
 )
-
-# Doubling past this means the instance was not actually stable, i.e. an
-# internal bug -- Theorem-level arguments guarantee a finite m exists.
-_M_SEARCH_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -288,11 +286,13 @@ def _stability_violation(p: PairInstance) -> IntVec | None:
     d = ctx.ambient_dim
     q_identity = p.identity_geom.scaled(p.q)
     for u in p.hull_v.vertices:
+        # Row order is frame, v-argmin, p_hat-argmin, w-argmin: ties in the
+        # min-l1 stage are broken by the pivot path, so it fixes witnesses.
+        head = _direction_frame_constraints(ctx, d)
+        head += _argmin_constraints(u, p.hull_v.vertices, d)
+        tail = _argmin_constraints(u, p.hull_w.vertices, d)
         for p_hat in q_identity.vertices:
-            cons = _direction_frame_constraints(ctx, d)
-            cons += _argmin_constraints(u, p.hull_v.vertices, d)
-            cons += _argmin_constraints(p_hat, q_identity.vertices, d)
-            cons += _argmin_constraints(u, p.hull_w.vertices, d)
+            cons = head + _argmin_constraints(p_hat, q_identity.vertices, d) + tail
             objective = [u[i] - p_hat[i] for i in range(d)]
             result = lp.solve_min_l1(lp.linear_program(d, cons, objective), range(d))
             if result.status != lp.OPTIMAL:
@@ -323,43 +323,27 @@ def is_stable(p: PairInstance) -> tuple[bool, IntVec | None]:
     return True, None
 
 
-def _combination_included(p: PairInstance, m: int) -> bool:
-    comb = minkowski_combine(
-        p.hull_v,
-        p.identity_geom.scaled(p.q),
-        Fraction(m - 1, m),
-        Fraction(1, m),
-    )
-    return includes(p.hull_w, comb)
-
-
 def _minimal_m_of_stable(p: PairInstance) -> int:
-    if _combination_included(p, 1):
-        return 1
-    lo = 1  # largest m known to fail
-    hi = 2
-    while not _combination_included(p, hi):
-        lo = hi
-        hi *= 2
-        if hi > _M_SEARCH_CAP:
-            raise RuntimeError(
-                "internal: no uniform margin below 2^20 on a stable instance"
-            )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _combination_included(p, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    q_identity = p.identity_geom.scaled(p.q)
+    reach = min(
+        _segment_reach(p.hull_w.vertices, a, b)
+        for a in p.hull_v.vertices
+        for b in q_identity.vertices
+    )
+    if reach == 0:
+        raise RuntimeError("internal: no uniform margin on a stable instance")
+    return ceil(1 / reach)
 
 
 def minimal_uniform_m(p: PairInstance) -> int | None:
     """Least m >= 1 with (1 - 1/m) N(v) + (1/m) q N(I) inside N(w), or None
     when the instance is not stable.
 
-    Containment is monotone in m (a consequence of N(v) being inside
-    q*N(I)), so doubling followed by binary search finds the threshold.
+    Computed in one pass.  The combination is the hull of the points
+    a + (1/m)(b - a) over vertices a of N(v) and b of q*N(I).  Each a lies in
+    the convex N(w), so the t with a + t(b - a) in N(w) form an interval
+    [0, t_ab], found by one exact LP; the combination fits exactly when
+    1/m <= t_ab for every pair, so m is the ceiling of 1 / min t_ab.
     """
     stable, _ = is_stable(p)
     if not stable:

@@ -8,7 +8,6 @@ of the unstable-dominated mix plain uniform sampling produces.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
@@ -19,8 +18,8 @@ from stablepairs import (
     RationalPolytope,
     WeightSupport,
     deg_of_V,
-    includes,
 )
+from stablepairs.cli import _free_q, _identity_points
 
 FREE2 = LatticeContext.free(2)
 SL2 = LatticeContext.sl(2)
@@ -82,17 +81,7 @@ def fix_d():
 
 
 def identity_polytope(shape: str, dim: int) -> RationalPolytope:
-    if shape == "box":
-        return RationalPolytope(list(itertools.product((-1, 1), repeat=dim)))
-    points = []
-    for i in range(dim):
-        e = [0] * dim
-        e[i] = 1
-        points.append(tuple(e))
-        e = [0] * dim
-        e[i] = -1
-        points.append(tuple(e))
-    return RationalPolytope(points)
+    return RationalPolytope(_identity_points(shape, dim))
 
 
 def random_support(rng: random.Random, dim: int, lo: int, hi: int) -> list:
@@ -120,12 +109,7 @@ def random_pair_instance(rng: random.Random, dim: int, mode: str,
     Aw = WeightSupport(w_list, ctx)
     # Keep dimension-3 identity spreads small so oracle boxes stay tractable.
     shape = "box" if dim == 3 else rng.choice(("box", "diamond"))
-    identity = identity_polytope(shape, dim)
-    hull_v = RationalPolytope(Av.geometry_points())
-    q = 1
-    while not includes(identity.scaled(q), hull_v):
-        q += 1
-    return PairInstance(Av, Aw, q, identity)
+    return PairInstance(Av, Aw, _free_q(shape, v_list), identity_polytope(shape, dim))
 
 
 def build_corpus(seed: int = 20260810) -> list[PairInstance]:

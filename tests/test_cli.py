@@ -206,6 +206,14 @@ def test_check_determinism_through_real_process(tmp_path):
     assert runs[0].stdout.strip()
 
 
+def test_import_does_not_load_numpy():
+    # numpy is the optional [oracle] extra; only the oracle module needs it
+    code = "import sys, stablepairs, stablepairs.cli; print('numpy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
 def test_multi_frame_verdict(tmp_path, capsys):
     data = json.loads(json.dumps(FIX_C))
     data["frames"] = [

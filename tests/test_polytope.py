@@ -19,6 +19,7 @@ from stablepairs import (
     standard_simplex,
     support_value,
 )
+from stablepairs.polytope import _in_hull
 
 SL2 = LatticeContext.sl(2)
 SL3 = LatticeContext.sl(3)
@@ -155,6 +156,36 @@ small_points = st.lists(
 def test_hull_idempotence(points):
     verts = hull_vertices(points)
     assert hull_vertices(verts) == verts
+
+
+# Collinear sets (with repeats) exercise the lexicographic shortcut on
+# segments, including vertical ones where the first coordinate ties.
+collinear_points = st.builds(
+    lambda base, step, ks: [tuple(b + k * c for b, c in zip(base, step)) for k in ks],
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=6),
+)
+point_sets = st.one_of(small_points, collinear_points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets, st.fractions(min_value=0, max_value=5, max_denominator=4))
+def test_scaled_matches_hull_of_scaled_vertices(points, s):
+    P = RationalPolytope(points)
+    assert P.scaled(s).vertices == hull_vertices(
+        [tuple(s * c for c in v) for v in P.vertices])
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets)
+def test_hull_keeps_exactly_the_extreme_points(points):
+    kept = hull_vertices(points)
+    for p in set(F(*p) for p in points) - set(kept):
+        assert _in_hull(kept, p)
+    if len(kept) > 1:
+        for i, v in enumerate(kept):
+            assert not _in_hull(kept[:i] + kept[i + 1:], v)
 
 
 @settings(max_examples=40, deadline=None)

@@ -145,6 +145,25 @@ def test_minimal_m_inclusion_is_tight(fix_b):
     assert not includes(fix_b.hull_w, comb1)
 
 
+def included_at(p, k):
+    """Is (1 - 1/k) N(v) + (1/k) q N(I) inside N(w), by hull and inclusion?"""
+    comb = minkowski_combine(p.hull_v, p.identity_geom.scaled(p.q),
+                             Fraction(k - 1, k), Fraction(1, k))
+    return includes(p.hull_w, comb)
+
+
+@pytest.mark.parametrize("r,m", [(1, 300), (7, 43)])
+def test_minimal_m_at_large_margin(r, m):
+    # The reach from the origin towards the box corner (150, 150) is r/300;
+    # at r = 1 its reciprocal is an integer, so the combination at m touches
+    # the boundary of N(w).
+    diamond = [(r, 0), (-r, 0), (0, r), (0, -r)]
+    p = PairInstance(WeightSupport([(0, 0)], FREE2), WeightSupport(diamond, FREE2),
+                     150, BOX2)
+    assert minimal_uniform_m(p) == m
+    assert included_at(p, m) and not included_at(p, m - 1)
+
+
 def test_check_tian0_examples(fix_b, fix_a):
     assert check_tian0(fix_b, 2, (0, -1))
     # at m=1 the direction (1,1) violates: 1*(0-(-1)) = 1 < 2 = 0 - 1*(-2)
@@ -240,12 +259,6 @@ def test_minkowski_monotonicity_around_threshold():
         if m is None:
             continue
         found += 1
-        qI = p.identity_geom.scaled(p.q)
-
-        def inc(k):
-            comb = minkowski_combine(p.hull_v, qI, Fraction(k - 1, k), Fraction(1, k))
-            return includes(p.hull_w, comb)
-
-        assert inc(m) and inc(m + 1) and inc(2 * m)
+        assert included_at(p, m) and included_at(p, m + 1) and included_at(p, 2 * m)
         if m > 1:
-            assert not inc(m - 1)
+            assert not included_at(p, m - 1)
