@@ -243,6 +243,9 @@ def load_instance(path: str) -> Instance:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, nested too deeply, or an integer past the digit limit
+        raise SchemaError(f"{path}: unreadable JSON: {exc}") from exc
     return instance_from_dict(data)
 
 

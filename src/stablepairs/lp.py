@@ -265,16 +265,20 @@ def solve(lp: LinearProgram) -> LpResult:
 
 def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
     """Solve, then pick the optimal point of least l1 norm over the given
-    variable indices.
+    variable indices, when the optimum is positive.
 
     Two-stage and fully exact: the first optimum becomes an equality
     constraint, then the sum of absolute values of the chosen variables is
     minimized through the usual t_i >= +/- x_i envelope.  Keeps witnesses
     canonical instead of whatever vertex of a degenerate optimal face the
     pivot order happens to visit first.
+
+    Only a positive optimum is refined: every caller discards a
+    non-positive optimum without reading its point, so such a result is
+    ``solve(prog)`` unchanged.
     """
     first = solve(prog)
-    if first.status != OPTIMAL:
+    if first.status != OPTIMAL or first.value <= 0:
         return first
     n = prog.num_vars
     k = len(over)

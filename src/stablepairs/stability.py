@@ -11,6 +11,13 @@ polytope geometry on the weight polytopes:
 * uniformly stable with margin m  <=>
                    (1 - 1/m) N(v) + (1/m) q N(I)  is contained in  N(w).
 
+For a semistable pair the last two are one question.  With t_ab the reach
+of the segment from a vertex a of N(v) towards a vertex b of q*N(I) inside
+N(w), the pair is stable exactly when every t_ab is positive, and then the
+least margin is m = ceil(1 / min t_ab).  So one pass of reach LPs decides
+stability and fixes m; a direction LP runs only to extract the witness of
+an unstable pair.
+
 In sl mode the geometry happens on the trace-zero projections of the
 integer weights, while every weight evaluation stays on the integer
 representatives (the two agree on trace-zero directions, which is all a
@@ -24,6 +31,7 @@ standalone machine-checkable certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import ceil
 from typing import Iterable, Sequence
@@ -110,6 +118,16 @@ def deg_of_V(all_rep_weights: WeightSupport, ctx: LatticeContext) -> int:
     return k
 
 
+@lru_cache(maxsize=64)
+def _sl_identity(ctx: LatticeContext, q: int) -> tuple[RationalPolytope, ...]:
+    """N(I) in sl mode: the standard simplex, its trace-zero projection and q
+    times that projection.  They depend on the context and q alone and are
+    immutable, so instances share them instead of each holding a copy."""
+    identity = standard_simplex(ctx, 1)
+    geom = RationalPolytope([ctx.project_sl(v) for v in identity.vertices])
+    return identity, geom, geom.scaled(q)
+
+
 class PairInstance:
     """A (v, w, q, N(I)) problem statement, validated at construction.
 
@@ -120,7 +138,7 @@ class PairInstance:
 
     __slots__ = (
         "Av", "Aw", "q", "context", "identity",
-        "hull_v", "hull_w", "identity_geom",
+        "hull_v", "hull_w", "identity_geom", "q_identity",
     )
 
     def __init__(self, Av: WeightSupport, Aw: WeightSupport, q: int,
@@ -134,16 +152,13 @@ class PairInstance:
         if ctx.mode == "sl":
             if identity is not None:
                 raise InputError("sl mode fixes the identity polytope; do not pass one")
-            identity = standard_simplex(ctx, 1)
             for a in Av.weights:
                 if not simplex_contains(a, q, ctx):
                     raise InputError(
                         f"weight {a} of A(v) escapes {q} times the standard simplex; "
                         f"q is too small"
                     )
-            identity_geom = RationalPolytope(
-                [ctx.project_sl(v) for v in identity.vertices]
-            )
+            identity, identity_geom, q_identity = _sl_identity(ctx, q)
         else:
             if identity is None:
                 raise InputError("free mode requires an explicit identity polytope")
@@ -153,6 +168,7 @@ class PairInstance:
             if not identity.contains_point(origin):
                 raise InputError("identity polytope must contain the origin")
             identity_geom = identity
+            q_identity = identity.scaled(q)
 
         self.Av = Av
         self.Aw = Aw
@@ -160,10 +176,11 @@ class PairInstance:
         self.context = ctx
         self.identity = identity
         self.identity_geom = identity_geom
+        self.q_identity = q_identity
         self.hull_v = RationalPolytope(Av.geometry_points())
         self.hull_w = RationalPolytope(Aw.geometry_points())
 
-        if ctx.mode == "free" and not includes(identity.scaled(q), self.hull_v):
+        if ctx.mode == "free" and not includes(self.q_identity, self.hull_v):
             raise InputError("N(v) is not contained in q times the identity polytope")
 
     def __repr__(self):
@@ -273,82 +290,88 @@ def is_semistable(p: PairInstance) -> tuple[bool, IntVec | None]:
     return False, _semistability_witness(p, outside)
 
 
-def _stability_violation(p: PairInstance) -> IntVec | None:
-    """Assuming semistability, search for lam with w_lam(v) = w_lam(w) and
-    q*w_lam(I) < w_lam(v).
+def _stability_witness(p: PairInstance, u, start: int) -> IntVec:
+    """Integral lam with w_lam(v) = w_lam(w) and q*w_lam(I) < w_lam(v), for
+    a vertex u of N(v) whose segment towards the start-th vertex of q*N(I)
+    leaves N(w) at once.
 
-    One LP per (vertex u of N(v), vertex p_hat of q*N(I)): constrain u and
+    One LP per vertex p_hat of q*N(I) from the start-th on: constrain u and
     p_hat to be the argmin vertices, force w_lam(w) >= w_lam(v) (equality
     then follows from semistability), and maximize the strictness margin
-    <lam, u - p_hat>.
+    <lam, u - p_hat>.  The first positive optimum gives the witness; an
+    optimum is positive only where the reach from u to p_hat is zero, so the
+    vertices before the start-th need no LP.
     """
     ctx = p.context
     d = ctx.ambient_dim
-    q_identity = p.identity_geom.scaled(p.q)
-    for u in p.hull_v.vertices:
-        # Row order is frame, v-argmin, p_hat-argmin, w-argmin: ties in the
-        # min-l1 stage are broken by the pivot path, so it fixes witnesses.
-        head = _direction_frame_constraints(ctx, d)
-        head += _argmin_constraints(u, p.hull_v.vertices, d)
-        tail = _argmin_constraints(u, p.hull_w.vertices, d)
-        for p_hat in q_identity.vertices:
-            cons = head + _argmin_constraints(p_hat, q_identity.vertices, d) + tail
-            objective = [u[i] - p_hat[i] for i in range(d)]
-            result = lp.solve_min_l1(lp.linear_program(d, cons, objective), range(d))
-            if result.status != lp.OPTIMAL:
-                raise RuntimeError("internal: stability LP must be bounded on the box")
-            if result.value > 0:
-                lam = lp.rationalize_direction(result.point)
-                wv = weight(lam, p.Av)
-                ww = weight(lam, p.Aw)
-                wq = p.q * p.identity_weight(lam)
-                if ww != wv or wq >= wv:
-                    raise RuntimeError(
-                        "internal: stability witness failed re-verification"
-                    )
-                return lam
-    return None
+    q_vertices = p.q_identity.vertices
+    # Row order is frame, v-argmin, p_hat-argmin, w-argmin: ties in the
+    # min-l1 stage are broken by the pivot path, so it fixes witnesses.
+    head = _direction_frame_constraints(ctx, d)
+    head += _argmin_constraints(u, p.hull_v.vertices, d)
+    tail = _argmin_constraints(u, p.hull_w.vertices, d)
+    for p_hat in q_vertices[start:]:
+        cons = head + _argmin_constraints(p_hat, q_vertices, d) + tail
+        objective = [u[i] - p_hat[i] for i in range(d)]
+        result = lp.solve_min_l1(lp.linear_program(d, cons, objective), range(d))
+        if result.status != lp.OPTIMAL:
+            raise RuntimeError("internal: stability LP must be bounded on the box")
+        if result.value > 0:
+            lam = lp.rationalize_direction(result.point)
+            wv = weight(lam, p.Av)
+            ww = weight(lam, p.Aw)
+            wq = p.q * p.identity_weight(lam)
+            if ww != wv or wq >= wv:
+                raise RuntimeError(
+                    "internal: stability witness failed re-verification"
+                )
+            return lam
+    raise RuntimeError("internal: zero segment reach without a stability witness")
+
+
+def _margin_or_witness(p: PairInstance) -> tuple[int | None, IntVec | None]:
+    """Decide stability of a semistable frame together with its margin:
+    (m, None) when stable, (None, lam) with a stability witness otherwise.
+
+    For vertices a of N(v) and b of q*N(I), t_ab is the largest t in [0, 1]
+    with a + t(b - a) in N(w); each a lies in the convex N(w), so those t
+    form the interval [0, t_ab], found by one exact LP.  The combination
+    (1 - 1/m) N(v) + (1/m) q N(I) is the hull of the points a + (1/m)(b - a),
+    so it fits in N(w) exactly when 1/m <= t_ab for every pair, and m is the
+    ceiling of 1 / min t_ab.
+
+    The frame is stable exactly when every t_ab is positive.  t_ab = 0 means
+    b - a leaves the tangent cone of N(w) at a, i.e. some lam in the normal
+    cone of N(w) at a has <lam, b - a> < 0; that lam attains equal minima
+    on N(v) and N(w) at a and a strictly smaller minimum on q*N(I), which is
+    a violation.  Conversely a violation's argmins u, p_hat give
+    t_{u p_hat} = 0.  In sl mode the same holds inside the trace-zero
+    hyperplane, where all the projected points lie.
+    """
+    least = Fraction(1)
+    for a in p.hull_v.vertices:
+        for k, b in enumerate(p.q_identity.vertices):
+            reach = _segment_reach(p.hull_w.vertices, a, b)
+            if reach == 0:
+                return None, _stability_witness(p, a, k)
+            least = min(least, reach)
+    return ceil(1 / least), None
 
 
 def is_stable(p: PairInstance) -> tuple[bool, IntVec | None]:
     """Decide K-stability.  On failure the witness certifies whichever clause
     broke: either w_lam(w) > w_lam(v), or equality together with
-    q*w_lam(I) < w_lam(v)."""
-    semi, witness = is_semistable(p)
-    if not semi:
-        return False, witness
-    violation = _stability_violation(p)
-    if violation is not None:
-        return False, violation
-    return True, None
-
-
-def _minimal_m_of_stable(p: PairInstance) -> int:
-    q_identity = p.identity_geom.scaled(p.q)
-    reach = min(
-        _segment_reach(p.hull_w.vertices, a, b)
-        for a in p.hull_v.vertices
-        for b in q_identity.vertices
-    )
-    if reach == 0:
-        raise RuntimeError("internal: no uniform margin on a stable instance")
-    return ceil(1 / reach)
+    q*w_lam(I) < w_lam(v).  A view of ``verdict`` on the single frame."""
+    v = verdict(FrameFamily([p]))
+    return v.stable, v.witness
 
 
 def minimal_uniform_m(p: PairInstance) -> int | None:
     """Least m >= 1 with (1 - 1/m) N(v) + (1/m) q N(I) inside N(w), or None
-    when the instance is not stable.
-
-    Computed in one pass.  The combination is the hull of the points
-    a + (1/m)(b - a) over vertices a of N(v) and b of q*N(I).  Each a lies in
-    the convex N(w), so the t with a + t(b - a) in N(w) form an interval
-    [0, t_ab], found by one exact LP; the combination fits exactly when
-    1/m <= t_ab for every pair, so m is the ceiling of 1 / min t_ab.
-    """
-    stable, _ = is_stable(p)
-    if not stable:
-        return None
-    return _minimal_m_of_stable(p)
+    when the instance is not stable.  A view of ``verdict`` on the single
+    frame; the margin comes from the same segment reaches that decide
+    stability (see ``_margin_or_witness``)."""
+    return verdict(FrameFamily([p])).uniform_m
 
 
 def check_tian0(p: PairInstance, m: int, lam: Sequence[int]) -> bool:
@@ -364,20 +387,25 @@ def check_tian0(p: PairInstance, m: int, lam: Sequence[int]) -> bool:
 
 def verdict(family: FrameFamily) -> StabilityVerdict:
     """Conjoin per-frame decisions; witness and frame index come from the
-    first failing frame, and the uniform margin is the max over frames."""
-    semis = []
+    first failing frame, and the uniform margin is the max over frames.
+
+    Semistability is decided first on every frame.  Then one pass of
+    segment reaches per frame decides stability and gives that frame's
+    margin; the per-(u, p_hat) stability LP runs only to extract the
+    witness of the first frame found unstable.
+    """
     for idx, frame in enumerate(family.frames):
         ok, wit = is_semistable(frame)
         if not ok:
             return StabilityVerdict(
                 semistable=False, stable=False, witness=wit, frame_index=idx
             )
-        semis.append(frame)
-    for idx, frame in enumerate(semis):
-        wit = _stability_violation(frame)
+    margins = []
+    for idx, frame in enumerate(family.frames):
+        m, wit = _margin_or_witness(frame)
         if wit is not None:
             return StabilityVerdict(
                 semistable=True, stable=False, witness=wit, frame_index=idx
             )
-    m = max(_minimal_m_of_stable(frame) for frame in family.frames)
-    return StabilityVerdict(semistable=True, stable=True, uniform_m=m)
+        margins.append(m)
+    return StabilityVerdict(semistable=True, stable=True, uniform_m=max(margins))

@@ -78,6 +78,15 @@ def test_schema_violations_exit_2(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
     assert "line" in capsys.readouterr().err
 
+    # not UTF-8, nested past the recursion limit, an over-long integer literal
+    for name, content in [("utf16.json", b"\xff\xfe{\x00}\x00"),
+                          ("deep.json", b"[" * 100_000),
+                          ("bigint.json", b'{"rank": ' + b"1" * 5000 + b"}")]:
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(["check", str(path)]) == 2
+        assert "unreadable JSON" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("mangle,field", [
     (lambda d: d.pop("mode"), "mode"),

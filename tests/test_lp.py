@@ -154,6 +154,13 @@ def test_solve_min_l1_prefers_sparse_optimum():
     assert sum(abs(c) for c in refined.point[:2]) <= \
         sum(abs(c) for c in plain.point[:2])
 
+    # a zero optimum is not refined: the whole box in (x1, x2) is optimal
+    # and the plain pivot lands on the corner (-1, -1), which comes back as is
+    zero = lp.linear_program(3, cons, [0, 0, 1])
+    plain = lp.solve(zero)
+    assert plain.value == 0 and plain.point[:2] == (Fraction(-1), Fraction(-1))
+    assert lp.solve_min_l1(zero, range(2)) == plain
+
 
 def test_rationalize_direction_examples():
     assert lp.rationalize_direction([Fraction(1, 2), Fraction(-1, 2)]) == (1, -1)

@@ -24,7 +24,10 @@ from stablepairs import (
     verdict,
     weight,
 )
-from conftest import random_pair_instance
+from stablepairs import lp
+from stablepairs.cli import _free_q
+from stablepairs.stability import _argmin_constraints, _direction_frame_constraints
+from conftest import identity_polytope, random_pair_instance
 
 FREE2 = LatticeContext.free(2)
 SL2 = LatticeContext.sl(2)
@@ -94,6 +97,17 @@ def test_pair_instance_construction_guards():
     with pytest.raises(InputError):
         PairInstance(WeightSupport([(1, 0)], SL2),
                      WeightSupport([(1, 0)], FREE2), 1)
+
+
+def test_q_identity_is_built_once_per_instance(fix_a, fix_b):
+    assert fix_b.q_identity == fix_b.identity.scaled(fix_b.q)
+    assert fix_a.q_identity == fix_a.identity_geom.scaled(fix_a.q)
+    # sl-mode identity polytopes depend only on the context and q
+    first = PairInstance(fix_a.Av, fix_a.Aw, fix_a.q)
+    again = PairInstance(fix_a.Av, fix_a.Aw, fix_a.q)
+    assert again.identity is first.identity
+    assert again.identity_geom is first.identity_geom
+    assert again.q_identity is first.q_identity
 
 
 def test_is_semistable_nested_sl_segments(fix_a):
@@ -262,3 +276,97 @@ def test_minkowski_monotonicity_around_threshold():
         assert included_at(p, m) and included_at(p, m + 1) and included_at(p, 2 * m)
         if m > 1:
             assert not included_at(p, m - 1)
+
+
+def reference_violation(p):
+    """Stability witness by the scan over every (vertex u of N(v), vertex
+    p_hat of q*N(I)): the first positive stability LP's direction, or None
+    when no LP is positive.  Kept as the reference the reach-based decision
+    in ``verdict`` must reproduce, witness for witness."""
+    ctx, d = p.context, p.context.ambient_dim
+    q_vertices = p.identity_geom.scaled(p.q).vertices
+    for u in p.hull_v.vertices:
+        head = _direction_frame_constraints(ctx, d)
+        head += _argmin_constraints(u, p.hull_v.vertices, d)
+        tail = _argmin_constraints(u, p.hull_w.vertices, d)
+        for p_hat in q_vertices:
+            cons = head + _argmin_constraints(p_hat, q_vertices, d) + tail
+            objective = [u[i] - p_hat[i] for i in range(d)]
+            result = lp.solve_min_l1(lp.linear_program(d, cons, objective), range(d))
+            assert result.status == lp.OPTIMAL
+            if result.value > 0:
+                return lp.rationalize_direction(result.point)
+    return None
+
+
+def matches_reference(p) -> bool:
+    """On a semistable instance, check verdict's stable flag and witness
+    against the reference scan and return True; return False otherwise."""
+    if not is_semistable(p)[0]:
+        return False
+    v = verdict(FrameFamily([p]))
+    expected = reference_violation(p)
+    assert v.semistable
+    assert v.stable == (expected is None)
+    assert v.witness == expected
+    assert (v.uniform_m is None) == (expected is not None)
+    return True
+
+
+def test_verdict_matches_reference_scan_on_corpus(corpus):
+    assert sum(matches_reference(p) for p in corpus) == 131
+
+
+@st.composite
+def degenerate_support(draw, dim):
+    """A few small integer weights that are collinear, duplicated, a single
+    point, or unstructured."""
+    coord = st.integers(-2, 2)
+    point = st.tuples(*[coord] * dim)
+    kind = draw(st.sampled_from(("single", "collinear", "duplicates", "plain")))
+    if kind == "single":
+        return [draw(point)]
+    if kind == "collinear":
+        base = draw(point)
+        step = draw(st.tuples(*[st.integers(-1, 1)] * dim))
+        ks = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=4))
+        return [tuple(b + k * s for b, s in zip(base, step)) for k in ks]
+    pts = draw(st.lists(point, min_size=1, max_size=4))
+    if kind == "duplicates":
+        pts = pts + pts[:1]
+    return pts
+
+
+@st.composite
+def nested_degenerate_instances(draw):
+    """Semistable instances with degenerate supports: A(w) contains A(v).
+    Free rank 2 with a box or diamond identity, or sl(2), or sl(3).  Half
+    the draws also surround each weight of A(v) by its lattice neighbours in
+    A(w), which puts N(v) inside the relative interior of N(w), so stable
+    verdicts are drawn as well as unstable ones."""
+    mode, dim = draw(st.sampled_from((("free", 2), ("sl", 2), ("sl", 3))))
+    v_list = draw(degenerate_support(dim))
+    w_list = v_list + draw(degenerate_support(dim))
+    if draw(st.booleans()):
+        unit = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+        if mode == "sl":
+            steps = [tuple(a - b for a, b in zip(e, f))
+                     for e in unit for f in unit if e != f]
+        else:
+            steps = unit + [tuple(-c for c in e) for e in unit]
+        w_list += [tuple(a + s for a, s in zip(v, step)) for v in v_list for step in steps]
+    if mode == "sl":
+        ctx = LatticeContext.sl(dim)
+        Av, Aw = WeightSupport(v_list, ctx), WeightSupport(w_list, ctx)
+        q = deg_of_V(WeightSupport(Av.weights + Aw.weights, ctx), ctx)
+        return PairInstance(Av, Aw, q)
+    shape = draw(st.sampled_from(("box", "diamond")))
+    q = _free_q(shape, v_list) + draw(st.integers(0, 2))
+    return PairInstance(WeightSupport(v_list, FREE2), WeightSupport(w_list, FREE2),
+                        q, identity_polytope(shape, dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_degenerate_instances())
+def test_verdict_matches_reference_scan_on_degenerate_supports(p):
+    assert matches_reference(p)
