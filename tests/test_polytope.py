@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablepairs import (
@@ -19,6 +19,7 @@ from stablepairs import (
     standard_simplex,
     support_value,
 )
+from stablepairs import lp
 from stablepairs.polytope import _in_hull
 
 SL2 = LatticeContext.sl(2)
@@ -103,6 +104,38 @@ def test_contains_point_examples():
     assert not contains_point(single, (2, 3))
 
 
+def test_vertices_need_no_membership_lp(monkeypatch):
+    pentagon = RationalPolytope([(2, 0), (0, 2), (-2, 1), (-1, -2), (1, -2), (0, 0)])
+    solves = []
+    solve = lp.solve
+
+    def counting(prog):
+        solves.append(prog)
+        return solve(prog)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    assert includes(pentagon, pentagon)
+    assert solves == []
+    assert contains_point(pentagon, (0, 0))
+    assert len(solves) == 1
+
+
+def test_equal_vertices_are_shared():
+    P = RationalPolytope([(0, 0), (2, 0), (0, 2), (1, 1)])
+    Q = RationalPolytope([(2, 0), (5, 5), (Fraction(0), 0)])
+    assert P.vertices[0] is Q.vertices[0]
+    assert P.vertices[-1] is Q.vertices[1]
+    half = Q.scaled(Fraction(1, 2))
+    assert half.vertices[1] is RationalPolytope([(1, 0)]).vertices[0]
+    # whole vertex tuples too, however the hull was reached
+    assert RationalPolytope([(1, 1), (0, 2), (2, 0), (0, 0)]).vertices is P.vertices
+    assert RationalPolytope([(0, 0), (1, 0)]).scaled(2).vertices is \
+        RationalPolytope([(2, 0), (1, 0), (0, 0)]).vertices
+    # int input must not leak into the shared vectors: (0, 0) == (F(0), F(0))
+    R = RationalPolytope([(0, 0)])
+    assert all(type(c) is Fraction for p in (P, Q, half, R) for v in p.vertices for c in v)
+
+
 def test_includes_examples():
     big = RationalPolytope([(2, 0), (0, 2), (-2, -2)])
     small = RationalPolytope([(1, 0), (0, 1), (-1, -1)])
@@ -171,6 +204,10 @@ point_sets = st.one_of(small_points, collinear_points)
 
 @settings(max_examples=60, deadline=None)
 @given(point_sets, st.fractions(min_value=0, max_value=5, max_denominator=4))
+# Fractional scaling makes the hull LPs fractional.  An integer tableau whose
+# common denominator starts at the lcm of the data, not at 1, divides
+# inexactly on this one.
+@example([(0, 0), (1, 0), (-1, 1)], Fraction(1, 2))
 def test_scaled_matches_hull_of_scaled_vertices(points, s):
     P = RationalPolytope(points)
     assert P.scaled(s).vertices == hull_vertices(

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,7 @@ from stablepairs import (
 from stablepairs import lp
 from stablepairs.cli import _free_q
 from stablepairs.stability import _argmin_constraints, _direction_frame_constraints
-from conftest import identity_polytope, random_pair_instance
+from conftest import build_corpus, identity_polytope, random_pair_instance
 
 FREE2 = LatticeContext.free(2)
 SL2 = LatticeContext.sl(2)
@@ -108,6 +110,34 @@ def test_q_identity_is_built_once_per_instance(fix_a, fix_b):
     assert again.identity is first.identity
     assert again.identity_geom is first.identity_geom
     assert again.q_identity is first.q_identity
+
+
+def test_value_objects_have_no_instance_dict(fix_b):
+    family = FrameFamily([fix_b])
+    for obj in (fix_b.Av, family, verdict(family), fix_b.context):
+        assert not hasattr(obj, "__dict__"), type(obj)
+
+
+def test_retained_bytes_per_instance(corpus):
+    # The corpus fixture has filled the shared caches; a corpus from another
+    # seed shares with it only what small lattice weights make recur.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        other = build_corpus(seed=7)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(other) == len(corpus)
+    assert retained / len(other) < 1536
+
+
+def test_equal_verdicts_are_shared(fix_b):
+    first = verdict(FrameFamily([fix_b]))
+    again = verdict(FrameFamily([fix_b]))
+    assert again is first
 
 
 def test_is_semistable_nested_sl_segments(fix_a):
