@@ -130,8 +130,8 @@ class _Tableau:
         self.n = n
         self.m = m
         self.art_start = width
-        scale = lcm(*(c.denominator for con in lp.constraints
-                      for c in (*con.coeffs, con.rhs)))
+        scale = lcm(*[c.denominator for con in lp.constraints
+                      for c in (*con.coeffs, con.rhs)])
 
         rows: list[list[int]] = []
         slack_at = 2 * n
@@ -259,7 +259,7 @@ def solve(lp: LinearProgram) -> LpResult:
                     break
 
     # Phase 2: the real objective on the split variables.
-    cost_scale = lcm(*(c.denominator for c in lp.objective))
+    cost_scale = lcm(*[c.denominator for c in lp.objective])
     costs = [0] * width
     for j, c in enumerate(lp.objective):
         costs[j] = c.numerator * (cost_scale // c.denominator)
@@ -333,7 +333,7 @@ def rationalize_direction(point: Sequence) -> tuple[int, ...]:
     vec = as_rat_vec(point)
     if not vec or not any(vec):
         raise InputError("cannot rationalize the zero vector")
-    scale = lcm(*(f.denominator for f in vec))
+    scale = lcm(*[f.denominator for f in vec])
     ints = [int(f * scale) for f in vec]
     g = gcd(*ints)
     return tuple([c // g for c in ints])

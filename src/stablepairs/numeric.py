@@ -9,12 +9,20 @@ coefficients never enter any of the norms below, so inputs carry positive
 magnitudes.  Norm evaluations factor out the dominant exponent and sum in
 log-domain; at the slope sample points (2^-20, 2^-24) a naive product would
 underflow double precision long before the weights get interesting.
+
+Each :class:`CoefficientVector` builds the per-weight pieces of those
+exponents once, at construction, and one helper evaluates them at both
+secant sample points in a single pass over the support.  Every exponent is
+still formed as 2 log|c_a| + sum_i (2 a_i) * log|t_i|, added left to right
+over the nonzero coordinates, and the terms are summed in support order, so
+``norm_sq``, ``p_value`` and ``slope_along`` return the same floats, bit for
+bit, as evaluating each sample point on its own in that order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .lattice import InputError, IntVec
@@ -23,6 +31,7 @@ from .stability import WeightSupport
 _LOG2 = math.log(2.0)
 _SLOPE_LOG_T1 = -20.0 * _LOG2
 _SLOPE_LOG_T2 = -24.0 * _LOG2
+_SLOPE_DENOM = 2.0 * (_SLOPE_LOG_T2 - _SLOPE_LOG_T1)
 
 
 @dataclass(frozen=True)
@@ -32,10 +41,18 @@ class CoefficientVector:
     ``magnitudes`` is aligned with ``support.weights``.  Weights listed more
     than once by a caller combine by root-sum-square, since only the summed
     squared magnitude per weight enters any norm.
+
+    Construction also precomputes, per weight a, the pieces of its norm
+    exponent: ``2.0 * log(magnitude)`` and the pairs ``(i, 2.0 * a_i)`` over
+    the nonzero coordinates.  They live in a private field that takes no
+    part in equality, hashing or repr, and they are exactly the values a
+    direct evaluation would form first, so precomputing them changes no
+    result.
     """
 
     support: WeightSupport
     magnitudes: tuple[float, ...]
+    _terms: tuple = field(init=False, compare=False, repr=False)
 
     def __init__(self, support: WeightSupport, magnitudes: Sequence[float]):
         mags = tuple(float(m) for m in magnitudes)
@@ -46,8 +63,13 @@ class CoefficientVector:
         for m in mags:
             if not m > 0 or math.isinf(m):
                 raise InputError("coefficient magnitudes must be positive and finite")
+        terms = []
+        for a, mag in zip(support.weights, mags):
+            coeffs = tuple([(i, 2.0 * ai) for i, ai in enumerate(a) if ai])
+            terms.append((2.0 * math.log(mag), coeffs))
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "magnitudes", mags)
+        object.__setattr__(self, "_terms", tuple(terms))
 
     @classmethod
     def units(cls, support: WeightSupport) -> "CoefficientVector":
@@ -82,17 +104,26 @@ class TorusPoint:
         object.__setattr__(self, "moduli", mods)
 
 
-def _log_norm_sq(log_moduli: Sequence[float], v: CoefficientVector) -> float:
-    """log of sum_a |c_a|^2 * prod_i |t_i|^(2 a_i), dominant term factored."""
-    terms = []
-    for a, mag in zip(v.support.weights, v.magnitudes):
-        e = 2.0 * math.log(mag)
-        for ai, li in zip(a, log_moduli):
-            if ai:
-                e += 2.0 * ai * li
-        terms.append(e)
-    top = max(terms)
-    return top + math.log(sum(math.exp(t - top) for t in terms))
+def _log_norms_sq(v: CoefficientVector, logs1: Sequence[float],
+                  logs2: Sequence[float]) -> tuple[float, float]:
+    """log of sum_a |c_a|^2 * prod_i |t_i|^(2 a_i) at two points, given by
+    their log-moduli, in one pass over the support; dominant term factored.
+
+    Single-point callers pass the same point twice.
+    """
+    exps1 = []
+    exps2 = []
+    for base, coeffs in v._terms:
+        e1 = e2 = base
+        for i, ca in coeffs:
+            e1 += ca * logs1[i]
+            e2 += ca * logs2[i]
+        exps1.append(e1)
+        exps2.append(e2)
+    top1 = max(exps1)
+    top2 = max(exps2)
+    return (top1 + math.log(sum([math.exp(e - top1) for e in exps1])),
+            top2 + math.log(sum([math.exp(e - top2) for e in exps2])))
 
 
 def _require_matching(v: CoefficientVector, w: CoefficientVector):
@@ -104,7 +135,8 @@ def norm_sq(t: TorusPoint, v: CoefficientVector) -> float:
     """Squared norm of the torus translate of v."""
     if len(t.moduli) != v.support.context.ambient_dim:
         raise InputError("torus point dimension mismatch")
-    return math.exp(_log_norm_sq([math.log(m) for m in t.moduli], v))
+    logs = [math.log(m) for m in t.moduli]
+    return math.exp(_log_norms_sq(v, logs, logs)[0])
 
 
 def p_value(t: TorusPoint, v: CoefficientVector, w: CoefficientVector) -> float:
@@ -113,7 +145,7 @@ def p_value(t: TorusPoint, v: CoefficientVector, w: CoefficientVector) -> float:
     if len(t.moduli) != v.support.context.ambient_dim:
         raise InputError("torus point dimension mismatch")
     logs = [math.log(m) for m in t.moduli]
-    return _log_norm_sq(logs, w) - _log_norm_sq(logs, v)
+    return _log_norms_sq(w, logs, logs)[0] - _log_norms_sq(v, logs, logs)[0]
 
 
 def slope_along(lam: Sequence[int], v: CoefficientVector,
@@ -125,14 +157,11 @@ def slope_along(lam: Sequence[int], v: CoefficientVector,
     """
     _require_matching(v, w)
     vec = v.support.context.check_one_param(lam)
-
-    def p_at(log_t: float) -> float:
-        logs = [c * log_t for c in vec]
-        return _log_norm_sq(logs, w) - _log_norm_sq(logs, v)
-
-    p1 = p_at(_SLOPE_LOG_T1)
-    p2 = p_at(_SLOPE_LOG_T2)
-    return (p2 - p1) / (2.0 * (_SLOPE_LOG_T2 - _SLOPE_LOG_T1))
+    logs1 = [c * _SLOPE_LOG_T1 for c in vec]
+    logs2 = [c * _SLOPE_LOG_T2 for c in vec]
+    w1, w2 = _log_norms_sq(w, logs1, logs2)
+    v1, v2 = _log_norms_sq(v, logs1, logs2)
+    return ((w2 - v2) - (w1 - v1)) / _SLOPE_DENOM
 
 
 def f_energy(theta: Sequence[float], Av: WeightSupport, Aw: WeightSupport) -> float:

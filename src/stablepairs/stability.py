@@ -129,6 +129,14 @@ def _sl_identity(ctx: LatticeContext, q: int) -> tuple[RationalPolytope, ...]:
     return identity, geom, geom.scaled(q)
 
 
+@lru_cache(maxsize=64)
+def _contains_origin(identity: RationalPolytope) -> bool:
+    """The free-mode origin check, one membership LP per equal identity
+    polytope: polytopes hash and compare by their vertices, and instances
+    mostly reuse a few identity shapes."""
+    return identity.contains_point((Fraction(0),) * identity.dim)
+
+
 class PairInstance:
     """A (v, w, q, N(I)) problem statement, validated at construction.
 
@@ -166,8 +174,7 @@ class PairInstance:
                 raise InputError("free mode requires an explicit identity polytope")
             if identity.dim != ctx.ambient_dim:
                 raise InputError("identity polytope dimension mismatch")
-            origin = (Fraction(0),) * ctx.ambient_dim
-            if not identity.contains_point(origin):
+            if not _contains_origin(identity):
                 raise InputError("identity polytope must contain the origin")
             identity = identity_geom = _shared(identity)
             q_identity = _shared(identity.scaled(q))

@@ -184,8 +184,8 @@ def test_criterion_5_slope_bridge(decisions):
         cw = CoefficientVector.units(p.Aw)
         grid = oracle.enumerate_directions(d.box, p.context)
         worst = -float("inf")
-        for row in grid:
-            s = slope_along(tuple(int(c) for c in row), cv, cw)
+        for row in grid.tolist():
+            s = slope_along(row, cv, cw)
             if s > worst:
                 worst = s
         if d.semistable != (worst <= 1e-6):

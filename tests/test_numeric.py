@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablepairs import (
     CoefficientVector,
@@ -16,6 +18,7 @@ from stablepairs import (
     slope_along,
     weight,
 )
+from stablepairs import oracle
 from conftest import build_corpus
 
 FREE2 = LatticeContext.free(2)
@@ -160,3 +163,184 @@ def test_f_energy_nonnegative_on_semistable_instances():
         for _ in range(1000 // len(semistable) + 5):
             theta = tuple(rng.uniform(-3, 3) for _ in range(dim))
             assert f_energy(theta, p.Av, p.Aw) >= -1e-12
+
+
+# -- bit-identity against a direct evaluation ---------------------------
+#
+# The reference below evaluates every norm exponent from the weights and
+# magnitudes at each sample point on its own, as the library did before it
+# precomputed per-weight terms.  The library must return the same floats,
+# bit for bit, not merely close ones.
+
+_REF_LOG_T1 = -20.0 * math.log(2.0)
+_REF_LOG_T2 = -24.0 * math.log(2.0)
+
+
+def _reference_log_norm_sq(log_moduli, v):
+    terms = []
+    for a, mag in zip(v.support.weights, v.magnitudes):
+        e = 2.0 * math.log(mag)
+        for ai, li in zip(a, log_moduli):
+            if ai:
+                e += 2.0 * ai * li
+        terms.append(e)
+    top = max(terms)
+    return top + math.log(sum(math.exp(t - top) for t in terms))
+
+
+def reference_norm_sq(t, v):
+    return math.exp(_reference_log_norm_sq([math.log(m) for m in t.moduli], v))
+
+
+def reference_p_value(t, v, w):
+    logs = [math.log(m) for m in t.moduli]
+    return _reference_log_norm_sq(logs, w) - _reference_log_norm_sq(logs, v)
+
+
+def reference_slope_along(lam, v, w):
+    vec = v.support.context.check_one_param(lam)
+
+    def p_at(log_t):
+        logs = [c * log_t for c in vec]
+        return _reference_log_norm_sq(logs, w) - _reference_log_norm_sq(logs, v)
+
+    p1 = p_at(_REF_LOG_T1)
+    p2 = p_at(_REF_LOG_T2)
+    return (p2 - p1) / (2.0 * (_REF_LOG_T2 - _REF_LOG_T1))
+
+
+def assert_same_float(got, ref):
+    # hex() also tells 0.0 from -0.0
+    assert got.hex() == ref.hex(), (got, ref)
+
+
+def test_slopes_match_reference_on_every_grid_direction(corpus):
+    # every fifth dimension-2 instance (free and sl(2) alternate), every
+    # fourth sl(3) instance and one free rank-3 instance, whole oracle grids
+    sample = corpus[0:200:5] + corpus[200:240:4] + corpus[240:241]
+    assert {(p.context.mode, p.context.ambient_dim) for p in sample} == {
+        ("free", 2), ("sl", 2), ("sl", 3), ("free", 3)}
+    directions = 0
+    for p in sample:
+        cv = CoefficientVector.units(p.Av)
+        cw = CoefficientVector.units(p.Aw)
+        grid = oracle.enumerate_directions(oracle.box_for(p), p.context)
+        for lam in grid.tolist():
+            assert_same_float(slope_along(lam, cv, cw),
+                              reference_slope_along(lam, cv, cw))
+        directions += len(grid)
+    assert directions > 100_000
+
+
+@st.composite
+def numeric_cases(draw):
+    """A context (free rank 1-3, sl(2) or sl(3)), two coefficient vectors
+    with non-unit magnitudes, a nonzero admissible direction and a torus
+    point.  Half the vectors come from from_pairs with repeated weights,
+    which combine by root-sum-square."""
+    mode, dim = draw(st.sampled_from(
+        [("free", 1), ("free", 2), ("free", 3), ("sl", 2), ("sl", 3)]))
+    ctx = LatticeContext.free(dim) if mode == "free" else LatticeContext.sl(dim)
+    coord = st.integers(-4, 4)
+    magnitude = st.floats(min_value=1e-3, max_value=1e3)
+    weights = st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=5)
+
+    def vector():
+        pts = draw(weights)
+        if draw(st.booleans()):
+            pts = pts + draw(st.lists(st.sampled_from(pts), min_size=1, max_size=3))
+            mags = draw(st.lists(magnitude, min_size=len(pts), max_size=len(pts)))
+            return CoefficientVector.from_pairs(zip(pts, mags), ctx)
+        support = WeightSupport(pts, ctx)
+        mags = draw(st.lists(magnitude, min_size=len(support.weights),
+                             max_size=len(support.weights)))
+        return CoefficientVector(support, mags)
+
+    cv, cw = vector(), vector()
+    lam = list(draw(st.tuples(*[coord] * dim)))
+    if mode == "sl":
+        lam[-1] = -sum(lam[:-1])
+    if not any(lam):
+        lam[0] = 1
+        if mode == "sl":
+            lam[-1] = -1
+    t = TorusPoint(draw(st.lists(magnitude, min_size=dim, max_size=dim)))
+    return lam, cv, cw, t
+
+
+@settings(max_examples=400, deadline=None)
+@given(numeric_cases())
+def test_numeric_layer_matches_reference(case):
+    lam, cv, cw, t = case
+    assert_same_float(slope_along(lam, cv, cw), reference_slope_along(lam, cv, cw))
+    assert slope_along(lam, cw, cw) == 0.0
+    assert_same_float(p_value(t, cv, cw), reference_p_value(t, cv, cw))
+    assert_same_float(norm_sq(t, cv), reference_norm_sq(t, cv))
+    assert_same_float(norm_sq(t, cw), reference_norm_sq(t, cw))
+
+
+def test_numeric_layer_matches_reference_on_generic_floats():
+    # hypothesis favours round magnitudes; seeded generic ones make the
+    # order of every addition and of the final sum show in the last bit
+    rng = random.Random(4242)
+    contexts = [LatticeContext.free(1), LatticeContext.free(2),
+                LatticeContext.free(3), LatticeContext.sl(2), LatticeContext.sl(3)]
+    for _ in range(1500):
+        ctx = rng.choice(contexts)
+        dim = ctx.ambient_dim
+        cv, cw = (
+            CoefficientVector(s, [10 ** rng.uniform(-2, 2) for _ in s.weights])
+            for s in (_random_support(rng, ctx, dim), _random_support(rng, ctx, dim))
+        )
+        lam = [0] * dim
+        while not any(lam):
+            lam = [rng.randint(-3, 3) for _ in range(dim)]
+            if ctx.mode == "sl":
+                lam[-1] = -sum(lam[:-1])
+        t = TorusPoint([10 ** rng.uniform(-1, 1) for _ in range(dim)])
+        assert_same_float(slope_along(lam, cv, cw), reference_slope_along(lam, cv, cw))
+        assert_same_float(p_value(t, cv, cw), reference_p_value(t, cv, cw))
+        assert_same_float(norm_sq(t, cw), reference_norm_sq(t, cw))
+    # Several weights of pairing 0 with lam tie for the dominant term at both
+    # sample points, so the order of the final sum shows in the slope too.
+    for _ in range(500):
+        lam = (0, 0)
+        while not any(lam):
+            lam = (rng.randint(-3, 3), rng.randint(-3, 3))
+        perp = (-lam[1], lam[0])
+
+        def tied_support():
+            pts = [(k * perp[0] + j * lam[0], k * perp[1] + j * lam[1])
+                   for k in rng.sample(range(-2, 3), rng.randint(3, 5))
+                   for j in range(rng.randint(1, 2))]
+            support = WeightSupport(pts, FREE2)
+            return CoefficientVector(
+                support, [10 ** rng.uniform(-2, 2) for _ in support.weights])
+
+        cv, cw = tied_support(), tied_support()
+        assert_same_float(slope_along(lam, cv, cw), reference_slope_along(lam, cv, cw))
+
+
+def test_precomputed_terms_leave_equality_hash_and_repr_alone():
+    a = CoefficientVector(DIAMOND, (1.0, 2.0, 3.0, 4.0))
+    b = CoefficientVector.from_pairs(
+        zip(DIAMOND.weights, (1.0, 2.0, 3.0, 4.0)), FREE2)
+    assert a == b and hash(a) == hash(b)
+    assert a != CoefficientVector.units(DIAMOND)
+    assert repr(a) == (f"CoefficientVector(support={DIAMOND!r}, "
+                       f"magnitudes=(1.0, 2.0, 3.0, 4.0))")
+
+
+def test_slope_validation_is_kept():
+    cv = CoefficientVector.units(WeightSupport([(0, 0)], SL2))
+    cw = CoefficientVector.units(WeightSupport([(1, 0), (0, 1)], SL2))
+    with pytest.raises(InputError):
+        slope_along((1, 1), cv, cw)  # sl direction with nonzero sum
+    with pytest.raises(InputError):
+        slope_along((1, -1, 0), cv, cw)  # wrong length
+    with pytest.raises(InputError):
+        slope_along((True, -1), cv, cw)  # bool coordinate
+    with pytest.raises(InputError):
+        slope_along((1, -1), CoefficientVector.units(DIAMOND), cw)  # contexts differ
+    with pytest.raises(InputError):
+        p_value(TorusPoint((1.0, 2.0)), CoefficientVector.units(DIAMOND), cw)

@@ -28,7 +28,11 @@ from stablepairs import (
 )
 from stablepairs import lp
 from stablepairs.cli import _free_q
-from stablepairs.stability import _argmin_constraints, _direction_frame_constraints
+from stablepairs.stability import (
+    _argmin_constraints,
+    _contains_origin,
+    _direction_frame_constraints,
+)
 from conftest import build_corpus, identity_polytope, random_pair_instance
 
 FREE2 = LatticeContext.free(2)
@@ -110,6 +114,41 @@ def test_q_identity_is_built_once_per_instance(fix_a, fix_b):
     assert again.identity is first.identity
     assert again.identity_geom is first.identity_geom
     assert again.q_identity is first.q_identity
+
+
+def test_origin_check_runs_once_per_identity_polytope(monkeypatch):
+    # The origin is interior to the pentagon, so the check needs an LP.
+    points = [(2, 0), (0, 2), (-2, 1), (-1, -2), (1, -2)]
+    first_identity = RationalPolytope(points)
+    equal_identity = RationalPolytope(points)
+    assert equal_identity == first_identity and equal_identity is not first_identity
+    Av = WeightSupport([(1, 0), (0, 1)], FREE2)
+    Aw = WeightSupport([(1, 1), (-1, -1), (1, -1), (-1, 1)], FREE2)
+    solves = []
+    solve = lp.solve
+
+    def counting(prog):
+        solves.append(prog)
+        return solve(prog)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    first_identity.contains_point((0, 0))
+    (origin_lp,) = solves
+    _contains_origin.cache_clear()
+    solves.clear()
+    PairInstance(Av, Aw, 1, first_identity)
+    assert solves.count(origin_lp) == 1
+    built_first = len(solves)
+    solves.clear()
+    PairInstance(Av, Aw, 1, equal_identity)
+    assert origin_lp not in solves
+    assert len(solves) == built_first - 1
+    # a cached negative answer still rejects the instance, every time
+    offset = RationalPolytope([(1, 1), (3, 1), (1, 3), (2, 2)])
+    for _ in range(2):
+        with pytest.raises(InputError):
+            PairInstance(WeightSupport([(1, 1)], FREE2),
+                         WeightSupport([(1, 1)], FREE2), 2, offset)
 
 
 def test_value_objects_have_no_instance_dict(fix_b):
