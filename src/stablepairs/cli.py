@@ -379,13 +379,19 @@ def _cmd_corpus(args) -> int:
     if args.count < 1:
         raise SchemaError("--count must be positive")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SchemaError(f"cannot create --out directory {out_dir}: {exc}") from exc
     rng = random.Random(args.seed)
     for i in range(args.count):
         data = random_instance_dict(rng, args.dim, args.max_coord)
         path = out_dir / f"corpus-{args.seed}-{i:03d}.json"
-        path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n",
-                        encoding="utf-8")
+        try:
+            path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n",
+                            encoding="utf-8")
+        except OSError as exc:
+            raise SchemaError(f"cannot write {path}: {exc}") from exc
         print(path)
     return 0
 

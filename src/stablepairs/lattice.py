@@ -43,9 +43,10 @@ def as_int_vec(coords: Iterable[int]) -> IntVec:
 
 
 def as_rat_vec(coords: Iterable) -> RatVec:
-    """Coordinates as a tuple of Fractions; such a tuple comes back as is."""
-    if type(coords) is tuple and all(type(c) is Fraction for c in coords):
-        return coords
+    """Coordinates as a tuple of Fractions; such a tuple comes back as is,
+    and a list of Fractions is copied without re-wrapping each entry."""
+    if type(coords) in (tuple, list) and all(type(c) is Fraction for c in coords):
+        return coords if type(coords) is tuple else tuple(coords)
     # Short-lived tuples in this package are built from lists, not
     # generators: tuple() sizes a list's tuple exactly, but over-allocates a
     # generator's and shrinks it, and such tuples, once freed, pile up in

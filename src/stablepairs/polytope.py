@@ -1,18 +1,36 @@
-"""Exact rational convex polytopes given by point sets (V-representation).
+"""Exact rational convex polytopes given by their vertices.
 
-Membership, inclusion, and support values are all decided from vertex sets
-alone, either by exact maximization over vertices or by rational LP
-feasibility.  No facet enumeration anywhere: the dimensions in play are
-small and weight polytopes of single vectors are routinely degenerate
-(points, segments, lower-dimensional hulls), so every operation here treats
-those as first-class citizens.
+A polytope is kept as its vertex tuple alone.  Support values are exact
+maxima over the vertices.  Membership and segment reaches come from an exact
+integer facet description (an H-representation), built once per vertex
+tuple and cached:
+
+* the vertices are scaled to integers by the lcm of their denominators;
+* the equations of the affine hull (primitive integer normals and offsets)
+  come from exact row reduction of the vertex differences;
+* the facets are the hyperplanes of the affine hull, in its r pivot
+  coordinates (r the affine rank), that r vertices span with every vertex
+  on one side.
+
+Weight polytopes of single vectors are routinely degenerate (points,
+segments, lower-dimensional hulls), and this treats them as first-class
+citizens: inside its affine hull every polytope is full-dimensional.  The
+affine ranks in play are small, so enumerating r-subsets of vertices stays
+cheap.
+
+Hull vertices need no LP up to affine rank 2: the lexicographic extremes of
+a collinear set, and Andrew's monotone chain in the plane.  From rank 3 on,
+one exact LP per candidate point decides whether it is a vertex.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import combinations
+from math import gcd, lcm
+from operator import mul
+from typing import Iterable, NamedTuple, Sequence
 
 from . import lp
 from .lattice import InputError, LatticeContext, ModeError, RatVec, as_rat_vec, dot
@@ -53,29 +71,177 @@ def _in_hull(points: Sequence[RatVec], y: RatVec) -> bool:
     return result.status == lp.OPTIMAL
 
 
-def _segment_reach(points: Sequence[RatVec], a: RatVec, b: RatVec) -> Fraction:
-    """Largest t in [0, 1] with a + t*(b - a) in the hull of the points.
+def _int_rows(points: Sequence[RatVec]) -> tuple[list[list[int]], int]:
+    """The points times the lcm L of all their denominators, and L."""
+    scale = lcm(*[c.denominator for p in points for c in p])
+    return [[c.numerator * (scale // c.denominator) for c in p] for p in points], scale
 
-    The hull must contain a.  One exact LP: maximize t over convex weights
-    on the points whose combination equals a + t*(b - a).
+
+def _affine_pivots(ints: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Integer Gauss-Jordan elimination on the differences from the first
+    point.
+
+    Returns rows spanning the direction space of the affine hull and their
+    pivot columns, in increasing order: the k-th row is nonzero at the k-th
+    pivot column and every other row is zero there.  The pivot columns are
+    affine coordinates on the affine hull.
     """
-    k = len(points)
-    cons = _convex_weight_rows(k, k + 1)
-    for c in range(len(a)):
-        cons.append(([p[c] for p in points] + [a[c] - b[c]], lp.EQ, a[c]))
-    cons.append(([Fraction(0)] * k + [Fraction(1)], lp.LEQ, 1))
-    objective = [Fraction(0)] * k + [Fraction(1)]
-    result = lp.solve(lp.linear_program(k + 1, cons, objective))
-    if result.status != lp.OPTIMAL:
-        raise RuntimeError("internal: segment start lies outside the hull")
-    return result.value
+    base = ints[0]
+    rows = [[x - y for x, y in zip(v, base)] for v in ints[1:]]
+    rows = [r for r in rows if any(r)]
+    pivots: list[int] = []
+    for col in range(len(base)):
+        k = len(pivots)
+        found = next((i for i in range(k, len(rows)) if rows[i][col]), None)
+        if found is None:
+            continue
+        rows[k], rows[found] = rows[found], rows[k]
+        prow = rows[k]
+        p = prow[col]
+        for i, row in enumerate(rows):
+            a = row[col]
+            if a and i != k:
+                new = [p * x - a * y for x, y in zip(row, prow)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
 
 
-@lru_cache(maxsize=4096)
+def _kernel(reduced: list[list[int]], pivots: list[int], d: int) -> list[list[int]]:
+    """Integer basis of the vectors orthogonal to the rows from
+    ``_affine_pivots``: one per free column f, lcm(pivot entries) at f, zero
+    at the other free columns, and cancelling each row at its pivot."""
+    size = lcm(*[row[c] for row, c in zip(reduced, pivots)])
+    basis = []
+    for f in range(d):
+        if f not in pivots:
+            normal = [0] * d
+            normal[f] = size
+            for row, c in zip(reduced, pivots):
+                normal[c] = -row[f] * (size // row[c])
+            basis.append(normal)
+    return basis
+
+
+def _primitive(normal: Sequence[int], offset: int) -> tuple[tuple[int, ...], int]:
+    """Divide a nonzero integer normal and its offset by the normal's
+    content; the offset is a value of the normal at an integer point, so
+    the division is exact."""
+    g = gcd(*normal)
+    return tuple([x // g for x in normal]), offset // g
+
+
+class _Facets(NamedTuple):
+    """Integer H-representation of the hull of a vertex tuple.
+
+    With L = ``scale``, a point y lies in the hull exactly when
+    <e, L*y> = c for every (e, c) in ``equations`` and <n, (L*y)_P> <= h for
+    every (n, h) in ``facets``, where (.)_P keeps the ``pivots``
+    coordinates.  The equations cut out the affine hull, on which the pivot
+    coordinates are affine coordinates; every normal is primitive.
+    """
+
+    scale: int
+    pivots: tuple[int, ...]
+    equations: tuple[tuple[tuple[int, ...], int], ...]
+    facets: tuple[tuple[tuple[int, ...], int], ...]
+
+    def contains(self, y: RatVec) -> bool:
+        (Y,), m = _int_rows((y,))
+        L = self.scale
+        for e, c in self.equations:
+            if sum(map(mul, e, Y)) * L != c * m:
+                return False
+        YP = [Y[c] for c in self.pivots]
+        for n, h in self.facets:
+            if sum(map(mul, n, YP)) * L > h * m:
+                return False
+        return True
+
+    def reach(self, a: RatVec, b: RatVec) -> Fraction:
+        """Largest t in [0, 1] with a + t(b - a) in the hull, for a in it.
+
+        0 when b - a leaves the direction space of the affine hull;
+        otherwise the least t at which the segment crosses a facet it
+        rises towards, capped at 1.
+        """
+        (A,), ma = _int_rows((a,))
+        (B,), mb = _int_rows((b,))
+        step = [x * ma - y * mb for x, y in zip(B, A)]  # ma*mb*(b - a)
+        for e, _ in self.equations:
+            if sum(map(mul, e, step)):
+                return Fraction(0)
+        L = self.scale
+        AP = [A[c] for c in self.pivots]
+        SP = [step[c] for c in self.pivots]
+        num, den = 1, 1
+        for n, h in self.facets:
+            rise = sum(map(mul, n, SP))
+            if rise > 0:
+                # <n, L(a + t(b - a))_P> = h at t = (h*ma - L<n, A_P>) mb / (L rise)
+                slack = (h * ma - L * sum(map(mul, n, AP))) * mb
+                if slack * den < num * L * rise:
+                    num, den = slack, L * rise
+        return Fraction(num, den)
+
+
+@lru_cache(maxsize=512)
+def _facets(vertices: tuple[RatVec, ...]) -> _Facets:
+    """The H-representation of the hull of a polytope's vertex tuple.
+
+    Keyed by the shared vertex tuple, so equal polytopes hit one entry.  A
+    hyperplane of the affine hull spanned by r vertices with every vertex
+    on one side meets the hull in r affinely independent points, so it is a
+    facet; every facet contains r such vertices, so none is missed.
+    """
+    ints, scale = _int_rows(vertices)
+    reduced, pivots = _affine_pivots(ints)
+    equations = [_primitive(e, sum(map(mul, e, ints[0])))
+                 for e in _kernel(reduced, pivots, len(ints[0]))]
+    r = len(pivots)
+    points = [[v[c] for c in pivots] for v in ints]
+    facets = set()
+    for subset in combinations(points, r) if r else ():
+        spans, spanned = _affine_pivots(subset)
+        if len(spanned) < r - 1:
+            continue
+        (normal,) = _kernel(spans, spanned, r)
+        h = sum(map(mul, normal, subset[0]))
+        levels = [sum(map(mul, normal, v)) for v in points]
+        if max(levels) <= h:
+            facets.add(_primitive(normal, h))
+        elif min(levels) >= h:
+            facets.add(_primitive([-x for x in normal], -h))
+    return _Facets(scale, tuple(pivots), tuple(equations), tuple(sorted(facets)))
+
+
+def _monotone_chain(points: list[tuple[int, int]]) -> list[int]:
+    """Indices of the hull vertices of distinct planar integer points that
+    are not all collinear, in increasing order (Andrew 1979).  Only strict
+    turns are kept, so points inside a hull edge drop."""
+    order = sorted(range(len(points)), key=points.__getitem__)
+    hull: list[int] = []
+    for chain in (order, order[::-1]):
+        part: list[int] = []
+        for k in chain:
+            x, y = points[k]
+            while len(part) > 1:
+                ox, oy = points[part[-2]]
+                ax, ay = points[part[-1]]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                    break
+                part.pop()
+            part.append(k)
+        hull += part[:-1]
+    return sorted(hull)
+
+
+@lru_cache(maxsize=8192)
 def _shared(value):
     """One shared copy of each recently seen immutable value: vertex vectors
-    and vertex tuples here, free-mode identity polytopes and verdicts in
-    ``stability``.
+    and vertex tuples here; weight supports, their hulls, free-mode identity
+    polytopes and verdicts in ``stability``.
 
     Small lattice weights make equal ones recur across polytopes and
     instances, so those hold these copies instead of their own.  Nothing is
@@ -90,20 +256,34 @@ def _shared(value):
 def hull_vertices(points: Iterable[Sequence]) -> tuple[RatVec, ...]:
     """Extreme points of the convex hull, in lexicographic order.
 
-    Duplicates are removed first; a point is a vertex exactly when it is not
-    a convex combination of the remaining points (decided by exact LP).  The
-    lexicographically least and greatest points need no LP: lexicographic
-    order is preserved by addition and positive scaling, so a convex
-    combination of points all above (below) a point is itself above (below)
-    it, and the extreme points of the order are never such combinations.
+    Duplicates are removed first.  Then, by the affine rank r of the points:
+
+    * r <= 1: the lexicographically least and greatest points.  On a line,
+      lexicographic order is the order along it.
+    * r = 2: Andrew's monotone chain on the two pivot coordinates of the
+      affine hull, with exact integer cross products.  Turns are strict, so
+      points inside a boundary edge drop.
+    * r >= 3: a point is a vertex exactly when it is not a convex
+      combination of the remaining points, decided by exact LP.  The
+      lexicographic extremes need no LP: lexicographic order is preserved by
+      addition and positive scaling, so a convex combination of points all
+      above (below) a point is itself above (below) it.
     """
     pts = [as_rat_vec(p) for p in points]
     _check_common_dim(pts)
     uniq = sorted(set(pts))
     if len(uniq) > 2:
-        inner = [p for i, p in enumerate(uniq[1:-1], 1)
-                 if not _in_hull(uniq[:i] + uniq[i + 1:], p)]
-        uniq = [uniq[0], *inner, uniq[-1]]
+        ints, _ = _int_rows(uniq)
+        _, pivots = _affine_pivots(ints)
+        if len(pivots) <= 1:
+            uniq = [uniq[0], uniq[-1]]
+        elif len(pivots) == 2:
+            i, j = pivots
+            uniq = [uniq[k] for k in _monotone_chain([(v[i], v[j]) for v in ints])]
+        else:
+            inner = [p for i, p in enumerate(uniq[1:-1], 1)
+                     if not _in_hull(uniq[:i] + uniq[i + 1:], p)]
+            uniq = [uniq[0], *inner, uniq[-1]]
     return _shared(tuple([_shared(v) for v in uniq]))
 
 
@@ -149,13 +329,20 @@ class RationalPolytope:
         return min(dot(direction, v) for v in self.vertices)
 
     def contains_point(self, y: Sequence) -> bool:
-        """Exact membership; a vertex of the polytope needs no LP."""
+        """Exact membership: a vertex is found among the vertices, any other
+        point is checked against the cached facet description."""
         point = as_rat_vec(y)
         if len(point) != self.dim:
             raise InputError(
                 f"point has dimension {len(point)}, polytope has {self.dim}"
             )
-        return point in self.vertices or _in_hull(self.vertices, point)
+        return point in self.vertices or _facets(self.vertices).contains(point)
+
+    def reach(self, a: RatVec, b: RatVec) -> Fraction:
+        """Largest t in [0, 1] with a + t*(b - a) in the polytope.  The
+        polytope must contain a; both points must be Fraction tuples of its
+        dimension."""
+        return _facets(self.vertices).reach(a, b)
 
     def scaled(self, s) -> "RationalPolytope":
         """The polytope s*P for a rational s >= 0, built without an LP.

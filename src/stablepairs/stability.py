@@ -14,9 +14,10 @@ polytope geometry on the weight polytopes:
 For a semistable pair the last two are one question.  With t_ab the reach
 of the segment from a vertex a of N(v) towards a vertex b of q*N(I) inside
 N(w), the pair is stable exactly when every t_ab is positive, and then the
-least margin is m = ceil(1 / min t_ab).  So one pass of reach LPs decides
-stability and fixes m; a direction LP runs only to extract the witness of
-an unstable pair.
+least margin is m = ceil(1 / min t_ab).  So one pass of segment reaches,
+read off the facet description of N(w) without an LP, decides stability
+and fixes m; a direction LP runs only to extract the witness of an
+unstable pair.
 
 In sl mode the geometry happens on the trace-zero projections of the
 integer weights, while every weight evaluation stays on the integer
@@ -47,7 +48,6 @@ from .lattice import (
 )
 from .polytope import (
     RationalPolytope,
-    _segment_reach,
     _shared,
     first_outside_vertex,
     includes,
@@ -131,9 +131,9 @@ def _sl_identity(ctx: LatticeContext, q: int) -> tuple[RationalPolytope, ...]:
 
 @lru_cache(maxsize=64)
 def _contains_origin(identity: RationalPolytope) -> bool:
-    """The free-mode origin check, one membership LP per equal identity
-    polytope: polytopes hash and compare by their vertices, and instances
-    mostly reuse a few identity shapes."""
+    """The free-mode origin check, run once per equal identity polytope:
+    polytopes hash and compare by their vertices, and instances mostly
+    reuse a few identity shapes."""
     return identity.contains_point((Fraction(0),) * identity.dim)
 
 
@@ -142,8 +142,9 @@ class PairInstance:
 
     Rejected unless N(v) is contained in q*N(I) and (in free mode) the
     identity polytope contains the origin.  sl-mode instances always use the
-    standard simplex as identity; a free-mode instance may keep an equal
-    identity polytope built earlier in place of the one passed.
+    standard simplex as identity.  An instance may keep equal supports,
+    hulls and (in free mode) an equal identity polytope built earlier in
+    place of its own.
     """
 
     __slots__ = (
@@ -179,15 +180,15 @@ class PairInstance:
             identity = identity_geom = _shared(identity)
             q_identity = _shared(identity.scaled(q))
 
-        self.Av = Av
-        self.Aw = Aw
+        self.Av = _shared(Av)
+        self.Aw = _shared(Aw)
         self.q = q
         self.context = ctx
         self.identity = identity
         self.identity_geom = identity_geom
         self.q_identity = q_identity
-        self.hull_v = RationalPolytope(Av.geometry_points())
-        self.hull_w = RationalPolytope(Aw.geometry_points())
+        self.hull_v = _shared(RationalPolytope(Av.geometry_points()))
+        self.hull_w = _shared(RationalPolytope(Aw.geometry_points()))
 
         if ctx.mode == "free" and not includes(self.q_identity, self.hull_v):
             raise InputError("N(v) is not contained in q times the identity polytope")
@@ -344,10 +345,12 @@ def _margin_or_witness(p: PairInstance) -> tuple[int | None, IntVec | None]:
 
     For vertices a of N(v) and b of q*N(I), t_ab is the largest t in [0, 1]
     with a + t(b - a) in N(w); each a lies in the convex N(w), so those t
-    form the interval [0, t_ab], found by one exact LP.  The combination
-    (1 - 1/m) N(v) + (1/m) q N(I) is the hull of the points a + (1/m)(b - a),
-    so it fits in N(w) exactly when 1/m <= t_ab for every pair, and m is the
-    ceiling of 1 / min t_ab.
+    form the interval [0, t_ab].  t_ab is read off the facet description of
+    N(w): 0 when b - a leaves the direction space of its affine hull, else
+    the least t at which the segment crosses a facet, capped at 1.  The
+    combination (1 - 1/m) N(v) + (1/m) q N(I) is the hull of the points
+    a + (1/m)(b - a), so it fits in N(w) exactly when 1/m <= t_ab for every
+    pair, and m is the ceiling of 1 / min t_ab.
 
     The frame is stable exactly when every t_ab is positive.  t_ab = 0 means
     b - a leaves the tangent cone of N(w) at a, i.e. some lam in the normal
@@ -360,7 +363,7 @@ def _margin_or_witness(p: PairInstance) -> tuple[int | None, IntVec | None]:
     least = Fraction(1)
     for a in p.hull_v.vertices:
         for k, b in enumerate(p.q_identity.vertices):
-            reach = _segment_reach(p.hull_w.vertices, a, b)
+            reach = p.hull_w.reach(a, b)
             if reach == 0:
                 return None, _stability_witness(p, a, k)
             least = min(least, reach)

@@ -192,6 +192,20 @@ def test_corpus_round_trip_and_determinism(tmp_path, capsys):
         assert inst.family.frames
 
 
+def test_corpus_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    blocked = tmp_path / "blocked"
+    (blocked / "corpus-11-000.json").mkdir(parents=True)
+    for out, message in ((taken, "cannot create --out directory"),
+                         (taken / "below", "cannot create --out directory"),
+                         (blocked, "cannot write")):
+        assert main(["corpus", "--dim", "2", "--max-coord", "3", "--count", "1",
+                     "--seed", "11", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}"), err
+
+
 def test_random_instances_round_trip_both_modes():
     rng = random.Random(4)
     for _ in range(30):

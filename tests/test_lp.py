@@ -364,7 +364,8 @@ def test_replay_of_corpus_decisions_matches_reference(corpus, monkeypatch):
     for p in corpus:
         verdict(FrameFamily([p]))
     monkeypatch.undo()
-    assert len(recorded) > 500
+    # The witness LPs: membership and segment reaches solve none.
+    assert len(recorded) == 448
     for prog in recorded:
         assert_same_as_reference(prog)
 

@@ -20,10 +20,50 @@ from stablepairs import (
     support_value,
 )
 from stablepairs import lp
-from stablepairs.polytope import _in_hull
+from stablepairs.polytope import _convex_weight_rows, _in_hull
 
 SL2 = LatticeContext.sl(2)
 SL3 = LatticeContext.sl(3)
+
+
+# LP references for the facet path: membership is ``_in_hull``, and these
+# are the segment reach and the hull the decisions used before it.
+
+def reference_reach(points, a, b) -> Fraction:
+    """Largest t in [0, 1] with a + t*(b - a) in the hull of the points, by
+    one exact LP over convex weights on the points; a must be in the hull."""
+    k = len(points)
+    cons = _convex_weight_rows(k, k + 1)
+    for c in range(len(a)):
+        cons.append(([p[c] for p in points] + [a[c] - b[c]], lp.EQ, a[c]))
+    cons.append(([Fraction(0)] * k + [Fraction(1)], lp.LEQ, 1))
+    objective = [Fraction(0)] * k + [Fraction(1)]
+    result = lp.solve(lp.linear_program(k + 1, cons, objective))
+    assert result.status == lp.OPTIMAL
+    return result.value
+
+
+def reference_hull(points):
+    """Sorted distinct points that are not in the hull of the others."""
+    uniq = sorted(set(tuple(Fraction(c) for c in p) for p in points))
+    if len(uniq) <= 2:
+        return tuple(uniq)
+    return tuple(p for i, p in enumerate(uniq) if not _in_hull(uniq[:i] + uniq[i + 1:], p))
+
+
+def assert_facet_path_matches_lp(points, probes):
+    """hull_vertices, contains_point and reach of the hull of the points
+    against the LP references, at every probe, and from every probe inside
+    the hull towards every probe."""
+    P = RationalPolytope(points)
+    assert P.vertices == reference_hull(points)
+    probes = [tuple(Fraction(c) for c in y) for y in probes]
+    inside = [y for y in probes if P.contains_point(y)]
+    for y in probes:
+        assert (y in inside) == _in_hull(P.vertices, y), (P, y)
+    for a in inside:
+        for b in probes:
+            assert P.reach(a, b) == reference_reach(P.vertices, a, b), (P, a, b)
 
 
 def F(*xs):
@@ -117,7 +157,8 @@ def test_vertices_need_no_membership_lp(monkeypatch):
     assert includes(pentagon, pentagon)
     assert solves == []
     assert contains_point(pentagon, (0, 0))
-    assert len(solves) == 1
+    assert not contains_point(pentagon, (2, 1))
+    assert solves == []
 
 
 def test_equal_vertices_are_shared():
@@ -257,3 +298,84 @@ def test_vertex_order_is_lexicographic_and_stable():
     P = RationalPolytope(pts)
     assert P.vertices == tuple(sorted(P.vertices))
     assert RationalPolytope(list(reversed(pts))).vertices == P.vertices
+
+
+def test_facet_path_matches_lp_on_corpus(corpus):
+    # The questions the decisions ask: the hulls of the supports, membership
+    # in N(w) and q*N(I) of the points of A(v) (and in N(w) of the
+    # midpoints from N(v) towards q*N(I)), and the reach inside N(w) from
+    # each vertex of N(v) it holds towards each vertex of q*N(I).
+    memberships = reaches = 0
+    for p in corpus:
+        v_points, w_points = p.Av.geometry_points(), p.Aw.geometry_points()
+        for points in (v_points, w_points, v_points + w_points):
+            assert hull_vertices(points) == reference_hull(points)
+        q_vertices = p.q_identity.vertices
+        probes = set(v_points) | {tuple((x + y) / 2 for x, y in zip(a, b))
+                                  for a in p.hull_v.vertices for b in q_vertices}
+        for P, ys in ((p.hull_w, probes), (p.q_identity, v_points)):
+            for y in ys:
+                assert P.contains_point(y) == _in_hull(P.vertices, y), (P, y)
+            memberships += len(ys)
+        for a in p.hull_v.vertices:
+            if p.hull_w.contains_point(a):
+                for b in q_vertices:
+                    assert p.hull_w.reach(a, b) == reference_reach(p.hull_w.vertices, a, b)
+                    reaches += 1
+    assert (memberships, reaches) == (2678, 909)
+
+
+@st.composite
+def supports_of_low_rank(draw):
+    """Point sets of affine rank 0-4 and probes around them: free rank 1-4
+    (half the draws with rational points, as identity polytopes may have)
+    or sl(2)-sl(5) (projected to the trace-zero hyperplane), as a single
+    point, collinear, coplanar, with duplicates, or unstructured."""
+    mode = draw(st.sampled_from(("free", "sl")))
+    dim = draw(st.integers(1, 4) if mode == "free" else st.integers(2, 5))
+    den = draw(st.sampled_from((1, 1, 2, 3))) if mode == "free" else 1
+    coord = st.integers(-2, 2)
+    point = st.tuples(*[coord] * dim)
+    kind = draw(st.sampled_from(("single", "collinear", "coplanar", "duplicates",
+                                 "plain", "plain")))
+    if kind == "single":
+        pts = [draw(point)]
+    elif kind in ("collinear", "coplanar"):
+        base = draw(point)
+        steps = draw(st.lists(point, min_size=1, max_size=1 if kind == "collinear" else 2))
+        ks = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(steps)),
+                           min_size=2, max_size=6))
+        pts = [tuple(b + sum(k * s[i] for k, s in zip(kk, steps)) for i, b in enumerate(base))
+               for kk in ks]
+    else:
+        pts = draw(st.lists(point, min_size=dim + 1, max_size=dim + 4))
+        if kind == "duplicates":
+            pts += pts[:2]
+    probes = draw(st.lists(point, max_size=4))
+    probes += [tuple(x + y for x, y in zip(a, b)) for a, b in zip(pts, pts[1:] + pts[:1])]
+    probes += pts
+    if mode == "sl":
+        ctx = LatticeContext.sl(dim)
+        projected = [ctx.project_sl(y) for y in probes]
+        # Halved projections add fractional probes; unprojected points leave
+        # the trace-zero hyperplane unless their coordinates sum to zero.
+        projected += [tuple(c / 2 for c in y) for y in projected[:3]]
+        projected += [tuple(Fraction(c) for c in y) for y in probes[:2]]
+        return [ctx.project_sl(a) for a in pts], projected
+
+    def scaled(y, k=den):
+        return tuple(Fraction(c, k) for c in y)
+
+    return [scaled(a) for a in pts], [scaled(y) for y in probes] + [scaled(y, 2 * den) for y in probes]
+
+
+@settings(max_examples=100, deadline=None)
+@given(supports_of_low_rank())
+@example(([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1),
+           (1, 1, 1), (0, 0, 0), (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))],
+          [(Fraction(1, 2), 0, 0), (2, 0, 0), (0, 0, 0), (1, 1, 2), (Fraction(1, 3), 1, 1)]))
+@example(([(0, 0), (2, 0), (4, 0), (0, 2), (0, 4), (2, 2), (1, 1)],
+          [(3, 1), (1, 3), (3, 2), (0, 0), (-1, 0), (4, 4), (2, 0)]))
+def test_facet_path_matches_lp_on_low_rank_supports(case):
+    points, probes = case
+    assert_facet_path_matches_lp(points, probes)

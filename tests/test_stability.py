@@ -117,38 +117,65 @@ def test_q_identity_is_built_once_per_instance(fix_a, fix_b):
 
 
 def test_origin_check_runs_once_per_identity_polytope(monkeypatch):
-    # The origin is interior to the pentagon, so the check needs an LP.
+    # The origin is interior to the pentagon, not a vertex of it.
     points = [(2, 0), (0, 2), (-2, 1), (-1, -2), (1, -2)]
     first_identity = RationalPolytope(points)
     equal_identity = RationalPolytope(points)
     assert equal_identity == first_identity and equal_identity is not first_identity
     Av = WeightSupport([(1, 0), (0, 1)], FREE2)
     Aw = WeightSupport([(1, 1), (-1, -1), (1, -1), (-1, 1)], FREE2)
-    solves = []
-    solve = lp.solve
+    origin = (Fraction(0), Fraction(0))
+    checked = []
+    contains_point = RationalPolytope.contains_point
 
-    def counting(prog):
-        solves.append(prog)
-        return solve(prog)
+    def counting(self, y):
+        checked.append((self, tuple(y)))
+        return contains_point(self, y)
 
-    monkeypatch.setattr(lp, "solve", counting)
-    first_identity.contains_point((0, 0))
-    (origin_lp,) = solves
+    monkeypatch.setattr(RationalPolytope, "contains_point", counting)
     _contains_origin.cache_clear()
-    solves.clear()
     PairInstance(Av, Aw, 1, first_identity)
-    assert solves.count(origin_lp) == 1
-    built_first = len(solves)
-    solves.clear()
+    assert checked.count((first_identity, origin)) == 1
+    checked.clear()
     PairInstance(Av, Aw, 1, equal_identity)
-    assert origin_lp not in solves
-    assert len(solves) == built_first - 1
+    assert checked and (equal_identity, origin) not in checked
     # a cached negative answer still rejects the instance, every time
     offset = RationalPolytope([(1, 1), (3, 1), (1, 3), (2, 2)])
     for _ in range(2):
         with pytest.raises(InputError):
             PairInstance(WeightSupport([(1, 1)], FREE2),
                          WeightSupport([(1, 1)], FREE2), 2, offset)
+
+
+def test_default_round_solves_only_hull_and_witness_lps(monkeypatch):
+    # Building the default-seed corpus solves LPs only for hull vertices of
+    # affine rank 3, deciding it only for witnesses; membership and segment
+    # reaches never solve one.
+    solves = {"build": 0, "decide": 0, "geometry": 0}
+    stage = ["build"]
+    solve = lp.solve
+
+    def counting(prog):
+        solves[stage[-1]] += 1
+        return solve(prog)
+
+    def lp_free(method):
+        def wrapped(*args):
+            stage.append("geometry")
+            try:
+                return method(*args)
+            finally:
+                stage.pop()
+        return wrapped
+
+    monkeypatch.setattr(lp, "solve", counting)
+    for name in ("contains_point", "reach"):
+        monkeypatch.setattr(RationalPolytope, name, lp_free(getattr(RationalPolytope, name)))
+    instances = build_corpus()
+    stage[0] = "decide"
+    for p in instances:
+        verdict(FrameFamily([p]))
+    assert solves == {"build": 64, "decide": 448, "geometry": 0}
 
 
 def test_value_objects_have_no_instance_dict(fix_b):
