@@ -31,13 +31,11 @@ import itertools
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import numeric, stability
-from .degeneration import DegenerationProblem, find_degeneration
-from .lattice import InputError, LatticeContext
+from .lattice import InputError, LatticeContext, _Record
 from .polytope import RationalPolytope
 from .stability import FrameFamily, PairInstance, StabilityVerdict, WeightSupport
 
@@ -110,16 +108,34 @@ def _vector_list(value, where: str, dim: int) -> list[tuple[int, ...]]:
     return [_int_vector(v, f"{where}[{i}]", dim) for i, v in enumerate(value)]
 
 
-@dataclass
-class Instance:
-    """A parsed, fully validated instance file."""
+class Instance(_Record):
+    """A parsed, fully validated instance file.
 
-    context: LatticeContext
-    q: int
-    identity: RationalPolytope | None
-    family: FrameFamily
-    ordered_supports: list[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]
-    coefficients: list[tuple[numeric.CoefficientVector, numeric.CoefficientVector]]
+    Unlike the package's value objects it is mutable and unhashable; it
+    compares and prints by its fields all the same.
+    """
+
+    __slots__ = _fields = ("context", "q", "identity", "family",
+                           "ordered_supports", "coefficients")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        context: LatticeContext,
+        q: int,
+        identity: RationalPolytope | None,
+        family: FrameFamily,
+        ordered_supports: list[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]],
+        coefficients: list[tuple[numeric.CoefficientVector, numeric.CoefficientVector]],
+    ):
+        self.context = context
+        self.q = q
+        self.identity = identity
+        self.family = family
+        self.ordered_supports = ordered_supports
+        self.coefficients = coefficients
 
 
 def instance_from_dict(data) -> Instance:
@@ -331,7 +347,18 @@ def _cmd_witness(args) -> int:
     return 0
 
 
+def find_degeneration(prob):
+    """``degeneration.find_degeneration``, imported on first use: only the
+    degenerate command needs that module.  Looked up by this name at call
+    time, so it can be wrapped here."""
+    from .degeneration import find_degeneration as find
+
+    return find(prob)
+
+
 def _cmd_degenerate(args) -> int:
+    from .degeneration import DegenerationProblem
+
     inst = load_instance(args.path)
     if not 0 <= args.frame < len(inst.family.frames):
         raise SchemaError(f"--frame {args.frame} out of range")
@@ -517,7 +544,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("slope", help="numeric slope along a subgroup vs exact")
     p.add_argument("path")
-    p.add_argument("--lambda", dest="lam", type=int_list, required=True)
+    p.add_argument("--lambda", dest="lam", type=int_list, required=True,
+                   help="comma-separated integer direction; write --lambda=-1,0 "
+                        "when it starts with a minus sign")
     p.add_argument("--frame", type=int, default=0)
     add_format(p)
     p.set_defaults(func=_cmd_slope)

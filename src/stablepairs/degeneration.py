@@ -15,26 +15,22 @@ out every direction, since achieving directions scale into the box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import lp
-from .lattice import InputError, IntVec, LatticeContext, dot
+from .lattice import InputError, IntVec, LatticeContext, _Record, dot
 from .stability import WeightSupport, _direction_frame_constraints
 
 
-@dataclass(frozen=True)
-class DegenerationProblem:
+class DegenerationProblem(_Record):
     """An ordered weight list and the set of positions meant to survive.
 
     Order matters: ``keep`` holds 0-based positions into ``weights`` as
     supplied, so callers can address duplicated weights unambiguously.
     """
 
-    weights: tuple[IntVec, ...]
-    keep: frozenset[int]
-    context: LatticeContext
+    __slots__ = _fields = ("weights", "keep", "context")
 
     def __init__(self, weights: Iterable[Sequence[int]],
                  keep: Iterable[int], context: LatticeContext):

@@ -16,9 +16,9 @@ every test direction is trace-zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 
@@ -62,8 +62,60 @@ def dot(x: Sequence, y: Sequence):
     return sum(a * b for a, b in zip(x, y))
 
 
-@dataclass(frozen=True, slots=True)
-class LatticeContext:
+class _Record:
+    """Immutable value object over the attribute names in ``_fields``.
+
+    Equality, hashing and repr are those of a frozen dataclass with these
+    fields: equal only to an instance of the same class with equal fields,
+    ``hash(tuple of fields)``, and ``Name(field=value, ...)``.  Assigning or
+    deleting an attribute raises AttributeError.  Subclasses declare
+    ``__slots__`` (which may hold more than ``_fields``) and set their slots
+    in ``__init__`` through ``object.__setattr__``.
+
+    It stands in for ``@dataclass`` because that module pulls in inspect,
+    ast, dis and tokenize, which a fresh ``python -m stablepairs.cli`` would
+    otherwise import and compile before doing any work.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        cls._values = staticmethod(get if len(cls._fields) > 1
+                                   else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        # Contexts and supports are shared, so most comparisons are of an
+        # object with itself; a tuple of fields always equals itself.
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        body = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore slots through here, past __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class LatticeContext(_Record):
     """Ambient data shared by weights and one-parameter subgroups.
 
     Construct through :meth:`free` or :meth:`sl`; ``ambient_dim`` is r in
@@ -71,14 +123,15 @@ class LatticeContext:
     per mode and dimension.
     """
 
-    mode: str
-    ambient_dim: int
+    __slots__ = _fields = ("mode", "ambient_dim")
 
-    def __post_init__(self):
-        if self.mode not in ("free", "sl"):
-            raise InputError(f"unknown lattice mode {self.mode!r}")
-        if self.ambient_dim < 1:
+    def __init__(self, mode: str, ambient_dim: int):
+        if mode not in ("free", "sl"):
+            raise InputError(f"unknown lattice mode {mode!r}")
+        if ambient_dim < 1:
             raise InputError("ambient dimension must be positive")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
 
     @classmethod
     @lru_cache(maxsize=64, typed=True)

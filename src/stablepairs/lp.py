@@ -17,12 +17,11 @@ encode strictness as "maximize the slack and test optimum > 0".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .lattice import InputError, as_rat_vec
+from .lattice import InputError, _Record, as_rat_vec
 
 LEQ = "<="
 EQ = "="
@@ -34,11 +33,15 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: tuple[Fraction, ...]
-    relation: str
-    rhs: Fraction
+class Constraint(_Record):
+    """One row ``coeffs . x  relation  rhs``."""
+
+    __slots__ = _fields = ("coeffs", "relation", "rhs")
+
+    def __init__(self, coeffs: tuple[Fraction, ...], relation: str, rhs: Fraction):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "rhs", rhs)
 
 
 def constraint(coeffs: Iterable, relation: str, rhs) -> Constraint:
@@ -47,32 +50,33 @@ def constraint(coeffs: Iterable, relation: str, rhs) -> Constraint:
     return Constraint(as_rat_vec(coeffs), relation, Fraction(rhs))
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(_Record):
     """num_vars free rational variables, linear constraints, linear objective.
 
     ``sense`` is "maximize" or "feasibility"; a feasibility program is solved
     as maximization of the zero objective.
     """
 
-    num_vars: int
-    constraints: tuple[Constraint, ...]
-    objective: tuple[Fraction, ...]
-    sense: str = "maximize"
+    __slots__ = _fields = ("num_vars", "constraints", "objective", "sense")
 
-    def __post_init__(self):
-        if self.num_vars < 1:
+    def __init__(self, num_vars: int, constraints: tuple[Constraint, ...],
+                 objective: tuple[Fraction, ...], sense: str = "maximize"):
+        if num_vars < 1:
             raise InputError("a linear program needs at least one variable")
-        if self.sense not in ("maximize", "feasibility"):
-            raise InputError(f"unknown sense {self.sense!r}")
-        if len(self.objective) != self.num_vars:
+        if sense not in ("maximize", "feasibility"):
+            raise InputError(f"unknown sense {sense!r}")
+        if len(objective) != num_vars:
             raise InputError("objective row length differs from num_vars")
-        for k, con in enumerate(self.constraints):
-            if len(con.coeffs) != self.num_vars:
+        for k, con in enumerate(constraints):
+            if len(con.coeffs) != num_vars:
                 raise InputError(
                     f"constraint {k} has {len(con.coeffs)} coefficients, "
-                    f"expected {self.num_vars}"
+                    f"expected {num_vars}"
                 )
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "sense", sense)
 
 
 def linear_program(num_vars: int, constraints: Iterable, objective=None,
@@ -88,12 +92,18 @@ def linear_program(num_vars: int, constraints: Iterable, objective=None,
     return LinearProgram(num_vars, cons, obj, sense)
 
 
-@dataclass(frozen=True)
-class LpResult:
-    status: str
-    value: Fraction | None = None
-    point: tuple[Fraction, ...] | None = None
-    ray: tuple[Fraction, ...] | None = None
+class LpResult(_Record):
+    """Status, with the optimal value and point or the unbounded ray."""
+
+    __slots__ = _fields = ("status", "value", "point", "ray")
+
+    def __init__(self, status: str, value: Fraction | None = None,
+                 point: tuple[Fraction, ...] | None = None,
+                 ray: tuple[Fraction, ...] | None = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "ray", ray)
 
 
 _ZERO = Fraction(0)

@@ -22,10 +22,9 @@ bit, as evaluating each sample point on its own in that order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .lattice import InputError, IntVec
+from .lattice import InputError, IntVec, _Record
 from .stability import WeightSupport
 
 _LOG2 = math.log(2.0)
@@ -34,8 +33,7 @@ _SLOPE_LOG_T2 = -24.0 * _LOG2
 _SLOPE_DENOM = 2.0 * (_SLOPE_LOG_T2 - _SLOPE_LOG_T1)
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
+class CoefficientVector(_Record):
     """A support together with positive coefficient magnitudes, one per weight.
 
     ``magnitudes`` is aligned with ``support.weights``.  Weights listed more
@@ -50,9 +48,8 @@ class CoefficientVector:
     result.
     """
 
-    support: WeightSupport
-    magnitudes: tuple[float, ...]
-    _terms: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ("support", "magnitudes", "_terms")
+    _fields = ("support", "magnitudes")
 
     def __init__(self, support: WeightSupport, magnitudes: Sequence[float]):
         mags = tuple(float(m) for m in magnitudes)
@@ -79,22 +76,40 @@ class CoefficientVector:
     @classmethod
     def from_pairs(cls, support_weights: Iterable[tuple[IntVec, float]],
                    context) -> "CoefficientVector":
-        squares: dict[IntVec, float] = {}
+        listed: dict[IntVec, list[float]] = {}
         for a, m in support_weights:
             key = context.check_weight(a)
             m = float(m)
             if not m > 0:
                 raise InputError("coefficient magnitudes must be positive")
-            squares[key] = squares.get(key, 0.0) + m * m
-        support = WeightSupport(squares.keys(), context)
-        return cls(support, [math.sqrt(squares[a]) for a in support.weights])
+            listed.setdefault(key, []).append(m)
+        support = WeightSupport(listed.keys(), context)
+        return cls(support, [_root_sum_square(listed[a]) for a in support.weights])
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+def _root_sum_square(mags: list[float]) -> float:
+    """Combined magnitude of one weight listed with the given magnitudes.
+
+    A weight listed once keeps its magnitude as given, so any positive finite
+    float is accepted.  Otherwise the squares are summed in listing order
+    and the root taken, unless that sum overflows to inf or underflows to 0;
+    then ``math.hypot``, which rescales by the largest magnitude, takes its
+    place.
+    """
+    if len(mags) == 1:
+        return mags[0]
+    total = 0.0
+    for m in mags:
+        total += m * m
+    if 0.0 < total < math.inf:
+        return math.sqrt(total)
+    return math.hypot(*mags)
+
+
+class TorusPoint(_Record):
     """Moduli of a diagonal torus element, all positive."""
 
-    moduli: tuple[float, ...]
+    __slots__ = _fields = ("moduli",)
 
     def __init__(self, moduli: Sequence[float]):
         mods = tuple(float(t) for t in moduli)

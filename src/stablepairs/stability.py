@@ -31,7 +31,6 @@ standalone machine-checkable certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import ceil
@@ -43,6 +42,7 @@ from .lattice import (
     IntVec,
     LatticeContext,
     ModeError,
+    _Record,
     dot,
     standard_simplex,
 )
@@ -56,16 +56,14 @@ from .polytope import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class WeightSupport:
+class WeightSupport(_Record):
     """Finite nonempty set of integer weights sharing a context.
 
     Weights are deduplicated and kept in lexicographic order, so equal
     supports compare equal and every downstream iteration is deterministic.
     """
 
-    weights: tuple[IntVec, ...]
-    context: LatticeContext
+    __slots__ = _fields = ("weights", "context")
 
     def __init__(self, weights: Iterable[Sequence[int]], context: LatticeContext):
         checked = sorted({context.check_weight(a) for a in weights})
@@ -203,11 +201,10 @@ class PairInstance:
         return min(dot(vec, y) for y in self.identity.vertices)
 
 
-@dataclass(frozen=True, slots=True)
-class FrameFamily:
+class FrameFamily(_Record):
     """Torus-aligned snapshots of one pair; verdicts conjoin over frames."""
 
-    frames: tuple[PairInstance, ...]
+    __slots__ = _fields = ("frames",)
 
     def __init__(self, frames: Iterable[PairInstance]):
         fr = tuple(frames)
@@ -220,13 +217,20 @@ class FrameFamily:
         object.__setattr__(self, "frames", fr)
 
 
-@dataclass(frozen=True, slots=True)
-class StabilityVerdict:
-    semistable: bool
-    stable: bool
-    uniform_m: int | None = None
-    witness: IntVec | None = None
-    frame_index: int | None = None
+class StabilityVerdict(_Record):
+    """Semistable and stable flags, the least uniform margin of a stable
+    family, and the witness of a failing one with its frame index."""
+
+    __slots__ = _fields = ("semistable", "stable", "uniform_m", "witness",
+                           "frame_index")
+
+    def __init__(self, semistable: bool, stable: bool, uniform_m: int | None = None,
+                 witness: IntVec | None = None, frame_index: int | None = None):
+        object.__setattr__(self, "semistable", semistable)
+        object.__setattr__(self, "stable", stable)
+        object.__setattr__(self, "uniform_m", uniform_m)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "frame_index", frame_index)
 
 
 # ---------------------------------------------------------------------------

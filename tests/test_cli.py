@@ -172,6 +172,24 @@ def test_slope_command(tmp_path, capsys):
     assert out == "slope ≈ -1.000000; exact -1"
     assert main(["slope", path, "--lambda", "0,0"]) == 2
     capsys.readouterr()
+    # a leading minus needs the --lambda=... form (see --help)
+    assert main(["slope", path, "--lambda=-1,1"]) == 0
+    assert capsys.readouterr().out.strip() == "slope ≈ -1.000000; exact -1"
+
+
+def test_extreme_coefficients_do_not_change_the_verdict(tmp_path, capsys):
+    plain = json.loads(json.dumps(FIX_C))
+    plain["frames"][0]["w_support"].append(["-1", "0"])  # one weight listed twice
+    weighted = json.loads(json.dumps(plain))
+    weighted["frames"][0].update(v_coeffs=["1e200", "1e-200"],
+                                 w_coeffs=["1e-300", "1e300", "1e300"])
+    runs = []
+    for name, data in (("plain.json", plain), ("weighted.json", weighted)):
+        path = write(tmp_path, name, data)
+        runs.append((main(["check", path, "--format", "json"]),
+                     capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 3
 
 
 def test_corpus_round_trip_and_determinism(tmp_path, capsys):
@@ -230,11 +248,50 @@ def test_check_determinism_through_real_process(tmp_path):
 
 
 def test_import_does_not_load_numpy():
-    # numpy is the optional [oracle] extra; only the oracle module needs it
-    code = "import sys, stablepairs, stablepairs.cli; print('numpy' in sys.modules)"
+    # numpy is the optional [oracle] extra; only the oracle module needs it.
+    # dataclasses and degeneration stay off the command line's import path
+    # too: every CLI call is a fresh interpreter that pays for each import.
+    # Modules the interpreter loaded before (site, say) are not counted.
+    code = (
+        "import sys; before = set(sys.modules)\n"
+        "import stablepairs.cli\n"
+        "loaded = set(sys.modules) - before\n"
+        "print(sorted(loaded & {'numpy', 'dataclasses', 'stablepairs.degeneration'}))\n"
+        "import stablepairs\n"
+        "print(sorted(set(stablepairs.__all__) - set(dir(stablepairs))))\n"
+        "print(all(getattr(stablepairs, name) is not None for name in stablepairs.__all__))\n"
+        "print('numpy' in sys.modules)\n"
+    )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    # the last line covers the whole public surface, degeneration included
+    assert run.stdout.split("\n")[:4] == ["[]", "[]", "True", "False"]
+
+
+def test_every_command_in_a_fresh_process(tmp_path, capsys):
+    # Lazy imports only show up in a cold interpreter; each command must
+    # print the same bytes and exit with the same code as in-process.
+    deg = json.loads(json.dumps(FIX_C))
+    deg["frames"][0]["v_support"] = [["1", "0"], ["0", "1"], ["0", "0"]]
+    path_b = write(tmp_path, "b.json", FIX_B)
+    path_c = write(tmp_path, "c.json", FIX_C)
+    path_deg = write(tmp_path, "deg.json", deg)
+    commands = [
+        ["check", path_c, "--format", "json"],
+        ["witness", path_c],
+        ["min-m", path_b, "--format", "json"],
+        ["degenerate", path_deg, "--keep", "3"],
+        ["slope", path_b, "--lambda=-1,1"],
+        ["corpus", "--dim", "2", "--max-coord", "2", "--count", "2", "--seed", "3",
+         "--out", str(tmp_path / "corpus")],
+    ]
+    for args in commands:
+        code = main(args)
+        out = capsys.readouterr().out.encode("utf-8")
+        child = subprocess.run([sys.executable, "-m", "stablepairs.cli", *args],
+                               capture_output=True)
+        assert (child.returncode, child.stdout) == (code, out), args
+        assert out
 
 
 def test_multi_frame_verdict(tmp_path, capsys):
