@@ -15,12 +15,13 @@ tuple and cached:
 Weight polytopes of single vectors are routinely degenerate (points,
 segments, lower-dimensional hulls), and this treats them as first-class
 citizens: inside its affine hull every polytope is full-dimensional.  The
-affine ranks in play are small, so enumerating r-subsets of vertices stays
+affine ranks in play are small, so enumerating r-subsets of points stays
 cheap.
 
-Hull vertices need no LP up to affine rank 2: the lexicographic extremes of
-a collinear set, and Andrew's monotone chain in the plane.  From rank 3 on,
-one exact LP per candidate point decides whether it is a vertex.
+Hull vertices come from the same enumeration, run on the distinct input
+points: while each facet is found, the points on it are recorded, and a
+point is a vertex unless another point lies on every facet it lies on.  One
+code path serves every affine rank, and no LP is solved.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from . import lp
 from .lattice import InputError, LatticeContext, ModeError, RatVec, as_rat_vec, dot
 
 
-def _check_common_dim(points: Sequence[RatVec]) -> int:
+def _check_common_dim(points: Sequence[RatVec]) -> None:
     if not points:
         raise InputError("empty point set")
     d = len(points[0])
@@ -45,30 +45,6 @@ def _check_common_dim(points: Sequence[RatVec]) -> int:
             raise InputError("points of mixed dimension")
     if d == 0:
         raise InputError("zero-dimensional ambient space")
-    return d
-
-
-def _convex_weight_rows(k: int, num_vars: int) -> list:
-    """Rows making the first k of num_vars variables convex weights."""
-    cons = []
-    for i in range(k):
-        row = [Fraction(0)] * num_vars
-        row[i] = Fraction(1)
-        cons.append((row, lp.GEQ, 0))
-    cons.append(([Fraction(1)] * k + [Fraction(0)] * (num_vars - k), lp.EQ, 1))
-    return cons
-
-
-def _in_hull(points: Sequence[RatVec], y: RatVec) -> bool:
-    """Exact test: is y a convex combination of the given points?"""
-    if len(points) == 1:
-        return points[0] == y
-    k = len(points)
-    cons = _convex_weight_rows(k, k)
-    for c in range(len(y)):
-        cons.append(([p[c] for p in points], lp.EQ, y[c]))
-    result = lp.solve(lp.linear_program(k, cons))
-    return result.status == lp.OPTIMAL
 
 
 def _int_rows(points: Sequence[RatVec]) -> tuple[list[list[int]], int]:
@@ -88,12 +64,13 @@ def _affine_pivots(ints: Sequence[Sequence[int]]) -> tuple[list[list[int]], list
     """
     base = ints[0]
     rows = [[x - y for x, y in zip(v, base)] for v in ints[1:]]
-    rows = [r for r in rows if any(r)]
     pivots: list[int] = []
     for col in range(len(base)):
         k = len(pivots)
-        found = next((i for i in range(k, len(rows)) if rows[i][col]), None)
-        if found is None:
+        for found in range(k, len(rows)):
+            if rows[found][col]:
+                break
+        else:
             continue
         rows[k], rows[found] = rows[found], rows[k]
         prow = rows[k]
@@ -186,55 +163,67 @@ class _Facets(NamedTuple):
         return Fraction(num, den)
 
 
-@lru_cache(maxsize=512)
-def _facets(vertices: tuple[RatVec, ...]) -> _Facets:
-    """The H-representation of the hull of a polytope's vertex tuple.
+def _facet_map(ints: Sequence[Sequence[int]], pivots: Sequence[int]) -> dict:
+    """The facets of the hull of distinct integer points, as primitive
+    (normal, offset) pairs in the ``pivots`` coordinates of their affine
+    hull, each mapped to the indices of the points on it.
 
-    Keyed by the shared vertex tuple, so equal polytopes hit one entry.  A
-    hyperplane of the affine hull spanned by r vertices with every vertex
-    on one side meets the hull in r affinely independent points, so it is a
-    facet; every facet contains r such vertices, so none is missed.
+    A hyperplane of the affine hull spanned by r of the points (r the
+    affine rank) with every point on one side meets the hull in r affinely
+    independent points, so it is a facet; every facet contains r such
+    points, so none is missed.
     """
-    ints, scale = _int_rows(vertices)
-    reduced, pivots = _affine_pivots(ints)
-    equations = [_primitive(e, sum(map(mul, e, ints[0])))
-                 for e in _kernel(reduced, pivots, len(ints[0]))]
     r = len(pivots)
-    points = [[v[c] for c in pivots] for v in ints]
-    facets = set()
-    for subset in combinations(points, r) if r else ():
+    coords = [[v[c] for c in pivots] for v in ints]
+    facets = {}
+    for subset in combinations(coords, r) if r else ():
         spans, spanned = _affine_pivots(subset)
         if len(spanned) < r - 1:
             continue
         (normal,) = _kernel(spans, spanned, r)
         h = sum(map(mul, normal, subset[0]))
-        levels = [sum(map(mul, normal, v)) for v in points]
+        levels = [sum(map(mul, normal, v)) for v in coords]
         if max(levels) <= h:
-            facets.add(_primitive(normal, h))
+            facet = _primitive(normal, h)
         elif min(levels) >= h:
-            facets.add(_primitive([-x for x in normal], -h))
-    return _Facets(scale, tuple(pivots), tuple(equations), tuple(sorted(facets)))
+            facet = _primitive([-x for x in normal], -h)
+        else:
+            continue
+        if facet not in facets:
+            facets[facet] = [i for i, x in enumerate(levels) if x == h]
+    return facets
 
 
-def _monotone_chain(points: list[tuple[int, int]]) -> list[int]:
-    """Indices of the hull vertices of distinct planar integer points that
-    are not all collinear, in increasing order (Andrew 1979).  Only strict
-    turns are kept, so points inside a hull edge drop."""
-    order = sorted(range(len(points)), key=points.__getitem__)
-    hull: list[int] = []
-    for chain in (order, order[::-1]):
-        part: list[int] = []
-        for k in chain:
-            x, y = points[k]
-            while len(part) > 1:
-                ox, oy = points[part[-2]]
-                ax, ay = points[part[-1]]
-                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
-                    break
-                part.pop()
-            part.append(k)
-        hull += part[:-1]
-    return sorted(hull)
+@lru_cache(maxsize=512)
+def _facets(vertices: tuple[RatVec, ...]) -> _Facets:
+    """The H-representation of the hull of a polytope's vertex tuple.
+
+    Keyed by the shared vertex tuple, so equal polytopes hit one entry.
+    """
+    ints, scale = _int_rows(vertices)
+    reduced, pivots = _affine_pivots(ints)
+    equations = [_primitive(e, sum(map(mul, e, ints[0])))
+                 for e in _kernel(reduced, pivots, len(ints[0]))]
+    facets = tuple(sorted(_facet_map(ints, pivots)))
+    return _Facets(scale, tuple(pivots), tuple(equations), facets)
+
+
+def _vertex_indices(ints: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of the vertices of the hull of distinct integer points, read
+    off the facets that ``_facet_map`` finds on the points themselves.
+
+    A point is kept unless some other point is tight on every facet that it
+    is tight on.  A vertex is the intersection of its facets, so no other
+    point is tight on all of them.  A point inside a face of dimension >= 1
+    is tight on exactly the facets that hold the face, and so is every
+    vertex of that face.
+    """
+    tight = [0] * len(ints)  # per point, one bit for each facet it is on
+    for bit, on in enumerate(_facet_map(ints, _affine_pivots(ints)[1]).values()):
+        for i in on:
+            tight[i] |= 1 << bit
+    return [i for i, mine in enumerate(tight)
+            if not any(k != i and not mine & ~theirs for k, theirs in enumerate(tight))]
 
 
 @lru_cache(maxsize=8192)
@@ -256,35 +245,19 @@ def _shared(value):
 def hull_vertices(points: Iterable[Sequence]) -> tuple[RatVec, ...]:
     """Extreme points of the convex hull, in lexicographic order.
 
-    Duplicates are removed first.  Then, by the affine rank r of the points:
-
-    * r <= 1: the lexicographically least and greatest points.  On a line,
-      lexicographic order is the order along it.
-    * r = 2: Andrew's monotone chain on the two pivot coordinates of the
-      affine hull, with exact integer cross products.  Turns are strict, so
-      points inside a boundary edge drop.
-    * r >= 3: a point is a vertex exactly when it is not a convex
-      combination of the remaining points, decided by exact LP.  The
-      lexicographic extremes need no LP: lexicographic order is preserved by
-      addition and positive scaling, so a convex combination of points all
-      above (below) a point is itself above (below) it.
+    Duplicates are removed first.  Of more than two distinct points, the
+    vertices are read off the facets of their hull (``_vertex_indices``), at
+    every affine rank and without an LP.
     """
     pts = [as_rat_vec(p) for p in points]
     _check_common_dim(pts)
-    uniq = sorted(set(pts))
-    if len(uniq) > 2:
-        ints, _ = _int_rows(uniq)
-        _, pivots = _affine_pivots(ints)
-        if len(pivots) <= 1:
-            uniq = [uniq[0], uniq[-1]]
-        elif len(pivots) == 2:
-            i, j = pivots
-            uniq = [uniq[k] for k in _monotone_chain([(v[i], v[j]) for v in ints])]
-        else:
-            inner = [p for i, p in enumerate(uniq[1:-1], 1)
-                     if not _in_hull(uniq[:i] + uniq[i + 1:], p)]
-            uniq = [uniq[0], *inner, uniq[-1]]
-    return _shared(tuple([_shared(v) for v in uniq]))
+    ints, _ = _int_rows(pts)
+    # A positive scale keeps lexicographic order, so the integer rows sort
+    # and dedupe the points.
+    rows = sorted({tuple(r): p for r, p in zip(ints, pts)}.items())
+    if len(rows) > 2:
+        rows = [rows[i] for i in _vertex_indices([r for r, _ in rows])]
+    return _shared(tuple([_shared(p) for _, p in rows]))
 
 
 class RationalPolytope:
@@ -297,9 +270,8 @@ class RationalPolytope:
     __slots__ = ("vertices", "dim")
 
     def __init__(self, points: Iterable[Sequence]):
-        pts = tuple([as_rat_vec(p) for p in points])
-        self.dim = _check_common_dim(pts)
-        self.vertices = hull_vertices(pts)
+        self.vertices = hull_vertices(points)
+        self.dim = len(self.vertices[0])
 
     def __repr__(self):
         return f"RationalPolytope(vertices={[tuple(map(str, v)) for v in self.vertices]})"

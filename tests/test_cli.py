@@ -252,8 +252,11 @@ def test_import_does_not_load_numpy():
     # dataclasses and degeneration stay off the command line's import path
     # too: every CLI call is a fresh interpreter that pays for each import.
     # Modules the interpreter loaded before (site, say) are not counted.
+    # The geometry needs no LP solver, so polytope does not import it.
     code = (
         "import sys; before = set(sys.modules)\n"
+        "import stablepairs.polytope\n"
+        "print('stablepairs.lp' in sys.modules)\n"
         "import stablepairs.cli\n"
         "loaded = set(sys.modules) - before\n"
         "print(sorted(loaded & {'numpy', 'dataclasses', 'stablepairs.degeneration'}))\n"
@@ -265,7 +268,7 @@ def test_import_does_not_load_numpy():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     # the last line covers the whole public surface, degeneration included
-    assert run.stdout.split("\n")[:4] == ["[]", "[]", "True", "False"]
+    assert run.stdout.split("\n")[:5] == ["False", "[]", "[]", "True", "False"]
 
 
 def test_every_command_in_a_fresh_process(tmp_path, capsys):

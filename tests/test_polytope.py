@@ -20,14 +20,36 @@ from stablepairs import (
     support_value,
 )
 from stablepairs import lp
-from stablepairs.polytope import _convex_weight_rows, _in_hull
 
 SL2 = LatticeContext.sl(2)
 SL3 = LatticeContext.sl(3)
 
 
-# LP references for the facet path: membership is ``_in_hull``, and these
-# are the segment reach and the hull the decisions used before it.
+# LP references for the facet path: the membership, segment reach and hull
+# the decisions used before it.
+
+def _convex_weight_rows(k: int, num_vars: int) -> list:
+    """Rows making the first k of num_vars variables convex weights."""
+    cons = []
+    for i in range(k):
+        row = [Fraction(0)] * num_vars
+        row[i] = Fraction(1)
+        cons.append((row, lp.GEQ, 0))
+    cons.append(([Fraction(1)] * k + [Fraction(0)] * (num_vars - k), lp.EQ, 1))
+    return cons
+
+
+def _in_hull(points, y) -> bool:
+    """Exact test: is y a convex combination of the given points?"""
+    if len(points) == 1:
+        return points[0] == y
+    k = len(points)
+    cons = _convex_weight_rows(k, k)
+    for c in range(len(y)):
+        cons.append(([p[c] for p in points], lp.EQ, y[c]))
+    result = lp.solve(lp.linear_program(k, cons))
+    return result.status == lp.OPTIMAL
+
 
 def reference_reach(points, a, b) -> Fraction:
     """Largest t in [0, 1] with a + t*(b - a) in the hull of the points, by
@@ -245,9 +267,8 @@ point_sets = st.one_of(small_points, collinear_points)
 
 @settings(max_examples=60, deadline=None)
 @given(point_sets, st.fractions(min_value=0, max_value=5, max_denominator=4))
-# Fractional scaling makes the hull LPs fractional.  An integer tableau whose
-# common denominator starts at the lcm of the data, not at 1, divides
-# inexactly on this one.
+# Fractional scaling gives fractional points, which the facet enumeration
+# brings to integers by the lcm of their denominators.
 @example([(0, 0), (1, 0), (-1, 1)], Fraction(1, 2))
 def test_scaled_matches_hull_of_scaled_vertices(points, s):
     P = RationalPolytope(points)
@@ -369,8 +390,17 @@ def supports_of_low_rank(draw):
     return [scaled(a) for a in pts], [scaled(y) for y in probes] + [scaled(y, 2 * den) for y in probes]
 
 
+# {0,1,2}^3 has 8 vertices; its edge midpoints, face centres and centre lie
+# on the boundary or inside and must drop, also with a constant fourth
+# coordinate (free rank 4, affine rank 3).
+GRID = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(supports_of_low_rank())
+@example((GRID, [(1, 1, 1), (1, 0, 2), (3, 1, 1), (Fraction(1, 2), 2, 2), (1, 1, 0)]))
+@example(([p + (1,) for p in GRID],
+          [(1, 1, 1, 1), (1, 1, 1, 0), (0, 1, 2, 1), (2, 3, 0, 1), (Fraction(1, 2), 2, 2, 1)]))
 @example(([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1),
            (1, 1, 1), (0, 0, 0), (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))],
           [(Fraction(1, 2), 0, 0), (2, 0, 0), (0, 0, 0), (1, 1, 2), (Fraction(1, 3), 1, 1)]))

@@ -147,10 +147,10 @@ def test_origin_check_runs_once_per_identity_polytope(monkeypatch):
                          WeightSupport([(1, 1)], FREE2), 2, offset)
 
 
-def test_default_round_solves_only_hull_and_witness_lps(monkeypatch):
-    # Building the default-seed corpus solves LPs only for hull vertices of
-    # affine rank 3, deciding it only for witnesses; membership and segment
-    # reaches never solve one.
+def test_default_round_solves_only_witness_lps(monkeypatch):
+    # Only witnesses cost LPs: building the default-seed corpus, hull
+    # vertices included, solves none, deciding it solves only the LPs that
+    # pick witnesses, and membership and segment reaches never solve one.
     solves = {"build": 0, "decide": 0, "geometry": 0}
     stage = ["build"]
     solve = lp.solve
@@ -175,7 +175,7 @@ def test_default_round_solves_only_hull_and_witness_lps(monkeypatch):
     stage[0] = "decide"
     for p in instances:
         verdict(FrameFamily([p]))
-    assert solves == {"build": 64, "decide": 448, "geometry": 0}
+    assert solves == {"build": 0, "decide": 448, "geometry": 0}
 
 
 def test_value_objects_have_no_instance_dict(fix_b):
