@@ -456,13 +456,10 @@ def _random_support(rng: random.Random, dim: int, max_coord: int) -> list:
             for _ in range(size)]
 
 
-def random_instance_dict(rng: random.Random, dim: int, max_coord: int,
-                         mode: str | None = None, n_frames: int | None = None) -> dict:
+def random_instance_dict(rng: random.Random, dim: int, max_coord: int) -> dict:
     """One schema-valid random instance; reproducible from the rng state."""
-    if mode is None:
-        mode = rng.choice(("free", "sl")) if dim >= 2 else "free"
-    if n_frames is None:
-        n_frames = 1 if rng.random() < 0.8 else 2
+    mode = rng.choice(("free", "sl")) if dim >= 2 else "free"
+    n_frames = 1 if rng.random() < 0.8 else 2
 
     frames = []
     supports = []

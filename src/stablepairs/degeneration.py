@@ -11,6 +11,12 @@ on dropped", which is one LP: maximize the minimum slack over the dropped
 weights subject to equalities on the kept ones, on a compact box slice.  A
 positive optimum scales to an integral witness; a nonpositive optimum rules
 out every direction, since achieving directions scale into the box.
+
+When every weight is kept, any nonzero direction in the solution subspace
+of the equalities achieves the target.  One LP per coordinate k maximizes
+lam_k; the feasible set is symmetric under lam -> -lam, so maximizing
+-lam_k is positive exactly when maximizing lam_k is, and is not tried.  All
+of these programs go through ``stability._best_direction``.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Iterable, Sequence
 
 from . import lp
 from .lattice import InputError, IntVec, LatticeContext, _Record, dot
-from .stability import WeightSupport, _direction_frame_constraints
+from .stability import WeightSupport, _best_direction
 
 
 class DegenerationProblem(_Record):
@@ -66,17 +72,15 @@ def _achieves(prob: DegenerationProblem, lam: IntVec) -> bool:
 def _nonzero_annihilator(prob: DegenerationProblem,
                          equalities: list) -> IntVec | None:
     """Nonzero direction satisfying the kept equalities, if the solution
-    subspace is positive-dimensional."""
-    ctx = prob.context
-    d = ctx.ambient_dim
-    cons = _direction_frame_constraints(ctx, d) + equalities
+    subspace is positive-dimensional: the first coordinate k whose maximum
+    of lam_k is positive gives it."""
+    d = prob.context.ambient_dim
     for k in range(d):
-        for sign in (1, -1):
-            objective = [Fraction(0)] * d
-            objective[k] = Fraction(sign)
-            result = lp.solve_min_l1(lp.linear_program(d, cons, objective), range(d))
-            if result.status == lp.OPTIMAL and result.value > 0:
-                return lp.rationalize_direction(result.point)
+        objective = [Fraction(0)] * d
+        objective[k] = Fraction(1)
+        lam = _best_direction(prob.context, equalities, objective)
+        if lam is not None:
+            return lam
     return None
 
 
@@ -89,11 +93,11 @@ def find_degeneration(prob: DegenerationProblem) -> IntVec | None:
     dropped = [i for i in range(len(prob.weights)) if i not in prob.keep]
     base = prob.weights[kept[0]]
 
-    def diff_row(i: int, extra: int) -> list[Fraction]:
+    def diff_row(i: int) -> list[Fraction]:
         a = prob.weights[i]
-        return [Fraction(a[c] - base[c]) for c in range(d)] + [Fraction(0)] * extra
+        return [Fraction(a[c] - base[c]) for c in range(d)]
 
-    kept_rows = [diff_row(j, 0) for j in kept[1:]]
+    kept_rows = [diff_row(j) for j in kept[1:]]
 
     if not dropped:
         equalities = [(row, lp.EQ, 0) for row in kept_rows if any(row)]
@@ -104,19 +108,12 @@ def find_degeneration(prob: DegenerationProblem) -> IntVec | None:
             raise RuntimeError("internal: annihilator direction missed the keep set")
         return lam
 
-    nv = d + 1  # direction plus the minimum slack over dropped weights
-    cons = _direction_frame_constraints(ctx, nv)
-    for row in kept_rows:
-        cons.append((row + [Fraction(0)], lp.EQ, 0))
-    for i in dropped:
-        cons.append((diff_row(i, 0) + [Fraction(-1)], lp.GEQ, 0))
-    objective = [Fraction(0)] * d + [Fraction(1)]
-    result = lp.solve_min_l1(lp.linear_program(nv, cons, objective), range(d))
-    if result.status != lp.OPTIMAL:
-        raise RuntimeError("internal: degeneration LP must be bounded on the box")
-    if result.value <= 0:
+    # variables: the direction, then the least slack over the dropped weights
+    rows = [(row + [Fraction(0)], lp.EQ, 0) for row in kept_rows]
+    rows += [(diff_row(i) + [Fraction(-1)], lp.GEQ, 0) for i in dropped]
+    lam = _best_direction(ctx, rows, [Fraction(0)] * d + [Fraction(1)])
+    if lam is None:
         return None
-    lam = lp.rationalize_direction(result.point[:d])
     if not _achieves(prob, lam):
         raise RuntimeError("internal: degeneration direction failed re-verification")
     return lam

@@ -13,6 +13,12 @@ Variables are free (unrestricted sign); nonnegativity, boxes, and
 normalization slices are expressed as ordinary constraints by the callers.
 Strict inequalities are never part of the constraint language: callers
 encode strictness as "maximize the slack and test optimum > 0".
+
+The package's geometry runs on exact facet descriptions, not on LPs.  The
+programs solved here only extract directions: the semistability and
+stability witnesses and degeneration directions, all through one helper,
+``stability._best_direction``, which calls ``solve_min_l1`` on a box frame
+and rationalizes the optimal direction.
 """
 
 from __future__ import annotations
@@ -51,20 +57,16 @@ def constraint(coeffs: Iterable, relation: str, rhs) -> Constraint:
 
 
 class LinearProgram(_Record):
-    """num_vars free rational variables, linear constraints, linear objective.
-
-    ``sense`` is "maximize" or "feasibility"; a feasibility program is solved
-    as maximization of the zero objective.
+    """num_vars free rational variables, linear constraints, and a linear
+    objective to maximize; a feasibility question maximizes zero.
     """
 
-    __slots__ = _fields = ("num_vars", "constraints", "objective", "sense")
+    __slots__ = _fields = ("num_vars", "constraints", "objective")
 
     def __init__(self, num_vars: int, constraints: tuple[Constraint, ...],
-                 objective: tuple[Fraction, ...], sense: str = "maximize"):
+                 objective: tuple[Fraction, ...]):
         if num_vars < 1:
             raise InputError("a linear program needs at least one variable")
-        if sense not in ("maximize", "feasibility"):
-            raise InputError(f"unknown sense {sense!r}")
         if len(objective) != num_vars:
             raise InputError("objective row length differs from num_vars")
         for k, con in enumerate(constraints):
@@ -76,20 +78,17 @@ class LinearProgram(_Record):
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "sense", sense)
 
 
-def linear_program(num_vars: int, constraints: Iterable, objective=None,
-                   sense: str = "maximize") -> LinearProgram:
+def linear_program(num_vars: int, constraints: Iterable, objective=None) -> LinearProgram:
     cons = tuple([
         c if isinstance(c, Constraint) else constraint(*c) for c in constraints
     ])
     if objective is None:
         obj = (Fraction(0),) * num_vars
-        sense = "feasibility"
     else:
         obj = as_rat_vec(objective)
-    return LinearProgram(num_vars, cons, obj, sense)
+    return LinearProgram(num_vars, cons, obj)
 
 
 class LpResult(_Record):
@@ -306,15 +305,15 @@ def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
 
     Only a positive optimum is refined: every caller discards a
     non-positive optimum without reading its point, so such a result is
-    ``solve(prog)`` unchanged.
+    ``solve(prog)`` unchanged.  The refinement is feasible (the first point
+    with t = |x|) and bounded (its objective is at most 0), so any other
+    status is an internal error.
     """
     first = solve(prog)
     if first.status != OPTIMAL or first.value <= 0:
         return first
     n = prog.num_vars
     k = len(over)
-    if k == 0:
-        return first
     ext = n + k
     cons = []
     for con in prog.constraints:
@@ -330,7 +329,7 @@ def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
     objective = [_ZERO] * n + [Fraction(-1)] * k
     second = solve(linear_program(ext, cons, objective))
     if second.status != OPTIMAL:
-        return first
+        raise RuntimeError("internal: the least-l1 stage must have an optimum")
     return LpResult(OPTIMAL, first.value, second.point[:n])
 
 

@@ -127,14 +127,6 @@ def _sl_identity(ctx: LatticeContext, q: int) -> tuple[RationalPolytope, ...]:
     return identity, geom, geom.scaled(q)
 
 
-@lru_cache(maxsize=64)
-def _contains_origin(identity: RationalPolytope) -> bool:
-    """The free-mode origin check, run once per equal identity polytope:
-    polytopes hash and compare by their vertices, and instances mostly
-    reuse a few identity shapes."""
-    return identity.contains_point((Fraction(0),) * identity.dim)
-
-
 class PairInstance:
     """A (v, w, q, N(I)) problem statement, validated at construction.
 
@@ -173,7 +165,7 @@ class PairInstance:
                 raise InputError("free mode requires an explicit identity polytope")
             if identity.dim != ctx.ambient_dim:
                 raise InputError("identity polytope dimension mismatch")
-            if not _contains_origin(identity):
+            if not identity.contains_point((Fraction(0),) * identity.dim):
                 raise InputError("identity polytope must contain the origin")
             identity = identity_geom = _shared(identity)
             q_identity = _shared(identity.scaled(q))
@@ -234,10 +226,11 @@ class StabilityVerdict(_Record):
 
 
 # ---------------------------------------------------------------------------
-# LP plumbing shared by the decision procedures.  All programs constrain the
-# direction to the box [-1, 1]^d (a compact normalization slice, so strict
-# inequalities become "optimum > 0") and to the trace-zero hyperplane in sl
-# mode.
+# LP plumbing.  Every LP the package solves extracts a direction: a
+# semistability or stability witness here, or a degeneration direction.  All
+# of them go through ``_best_direction``, which constrains the direction to
+# the box [-1, 1]^d (a compact normalization slice, so strict inequalities
+# become "optimum > 0") and to the trace-zero hyperplane in sl mode.
 
 def _direction_frame_constraints(ctx: LatticeContext, num_vars: int) -> list:
     d = ctx.ambient_dim
@@ -255,6 +248,27 @@ def _direction_frame_constraints(ctx: LatticeContext, num_vars: int) -> list:
     return cons
 
 
+def _best_direction(ctx: LatticeContext, rows: list, objective: list) -> IntVec | None:
+    """Primitive integral direction of least l1 norm among the maximizers of
+    ``objective`` subject to the box frame and then ``rows``, or None when
+    the optimum is not positive.
+
+    The first ``ambient_dim`` variables are the direction; a program may
+    carry one more, such as a separation level.  Every caller's program is
+    feasible at the origin and bounded on the box, so any status other than
+    optimal is an internal error.
+    """
+    d = ctx.ambient_dim
+    num_vars = len(objective)
+    cons = _direction_frame_constraints(ctx, num_vars) + rows
+    result = lp.solve_min_l1(lp.linear_program(num_vars, cons, objective), range(d))
+    if result.status != lp.OPTIMAL:
+        raise RuntimeError(f"internal: direction LP ended {result.status}")
+    if result.value <= 0:
+        return None
+    return lp.rationalize_direction(result.point[:d])
+
+
 def _argmin_constraints(base, points, num_vars: int) -> list:
     """<lam, p - base> >= 0 for every p, i.e. base attains the minimum."""
     cons = []
@@ -268,28 +282,20 @@ def _argmin_constraints(base, points, num_vars: int) -> list:
 def _semistability_witness(p: PairInstance, m_prime) -> IntVec:
     """Integral direction separating the escaped vertex of N(v) from N(w).
 
-    Solves max c - <lam, m'> subject to <lam, y> >= c on the vertices of
-    N(w); a positive optimum is guaranteed because m' lies strictly outside.
-    The rationalized direction is re-verified (and flipped if needed) so the
-    returned lam certifies w_lam(w) > w_lam(v) by direct evaluation.
+    Solves max c - <lam, m'> over (lam, c) subject to <lam, y> >= c on the
+    vertices of N(w); a positive optimum is guaranteed because m' lies
+    strictly outside.  A positive optimum puts the minimum of lam on N(w)
+    above its value at m', and lam is trace-zero in sl mode, so lam itself
+    certifies w_lam(w) > w_lam(v); that is re-verified by direct evaluation.
     """
-    ctx = p.context
-    d = ctx.ambient_dim
-    nv = d + 1  # lam plus the separation level c
-    cons = _direction_frame_constraints(ctx, nv)
-    for y in p.hull_w.vertices:
-        cons.append((list(y) + [Fraction(-1)], lp.GEQ, 0))
+    rows = [(list(y) + [Fraction(-1)], lp.GEQ, 0) for y in p.hull_w.vertices]
     objective = [-c for c in m_prime] + [Fraction(1)]
-    result = lp.solve_min_l1(lp.linear_program(nv, cons, objective), range(d))
-    if result.status != lp.OPTIMAL or result.value <= 0:
+    lam = _best_direction(p.context, rows, objective)
+    if lam is None:
         raise RuntimeError("internal: separation LP failed on an escaped vertex")
-    lam = lp.rationalize_direction(result.point[:d])
-    for candidate in (lam, tuple([-c for c in lam])):
-        if sum(candidate) != 0 and ctx.mode == "sl":
-            continue
-        if weight(candidate, p.Aw) > weight(candidate, p.Av):
-            return candidate
-    raise RuntimeError("internal: separating direction failed re-verification")
+    if weight(lam, p.Aw) <= weight(lam, p.Av):
+        raise RuntimeError("internal: separating direction failed re-verification")
+    return lam
 
 
 def is_semistable(p: PairInstance) -> tuple[bool, IntVec | None]:
@@ -321,17 +327,12 @@ def _stability_witness(p: PairInstance, u, start: int) -> IntVec:
     q_vertices = p.q_identity.vertices
     # Row order is frame, v-argmin, p_hat-argmin, w-argmin: ties in the
     # min-l1 stage are broken by the pivot path, so it fixes witnesses.
-    head = _direction_frame_constraints(ctx, d)
-    head += _argmin_constraints(u, p.hull_v.vertices, d)
+    head = _argmin_constraints(u, p.hull_v.vertices, d)
     tail = _argmin_constraints(u, p.hull_w.vertices, d)
     for p_hat in q_vertices[start:]:
-        cons = head + _argmin_constraints(p_hat, q_vertices, d) + tail
-        objective = [u[i] - p_hat[i] for i in range(d)]
-        result = lp.solve_min_l1(lp.linear_program(d, cons, objective), range(d))
-        if result.status != lp.OPTIMAL:
-            raise RuntimeError("internal: stability LP must be bounded on the box")
-        if result.value > 0:
-            lam = lp.rationalize_direction(result.point)
+        rows = head + _argmin_constraints(p_hat, q_vertices, d) + tail
+        lam = _best_direction(ctx, rows, [u[i] - p_hat[i] for i in range(d)])
+        if lam is not None:
             wv = weight(lam, p.Av)
             ww = weight(lam, p.Aw)
             wq = p.q * p.identity_weight(lam)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,8 +12,10 @@ from stablepairs import (
     WeightSupport,
     find_degeneration,
     limit_support,
+    lp,
 )
 from stablepairs.lattice import dot
+from stablepairs.stability import _direction_frame_constraints
 
 FREE2 = LatticeContext.free(2)
 SL2 = LatticeContext.sl(2)
@@ -171,3 +174,99 @@ def test_none_is_sound_against_brute_force():
             got = [dot(lam, a) for a in weights]
             low = min(got)
             assert [i for i, v in enumerate(got) if v == low] == keep
+
+
+def reference_annihilator(prob, equalities):
+    """The full-keep-set search as first written: one LP per coordinate and
+    sign, maximizing +lam_k and then -lam_k."""
+    ctx = prob.context
+    d = ctx.ambient_dim
+    cons = _direction_frame_constraints(ctx, d) + equalities
+    for k in range(d):
+        for sign in (1, -1):
+            objective = [Fraction(0)] * d
+            objective[k] = Fraction(sign)
+            result = lp.solve_min_l1(lp.linear_program(d, cons, objective), range(d))
+            if result.status == lp.OPTIMAL and result.value > 0:
+                return lp.rationalize_direction(result.point)
+    return None
+
+
+def reference_degeneration(prob):
+    """``find_degeneration`` as first written, each LP built and solved in
+    place.  Kept as the reference the shared direction helper must
+    reproduce, direction for direction."""
+    ctx = prob.context
+    d = ctx.ambient_dim
+    kept = sorted(prob.keep)
+    dropped = [i for i in range(len(prob.weights)) if i not in prob.keep]
+    base = prob.weights[kept[0]]
+    rows = [[Fraction(a - b) for a, b in zip(prob.weights[i], base)]
+            for i in range(len(prob.weights))]
+    if not dropped:
+        equalities = [(rows[j], lp.EQ, 0) for j in kept[1:] if any(rows[j])]
+        return reference_annihilator(prob, equalities)
+    nv = d + 1
+    cons = _direction_frame_constraints(ctx, nv)
+    for j in kept[1:]:
+        cons.append((rows[j] + [Fraction(0)], lp.EQ, 0))
+    for i in dropped:
+        cons.append((rows[i] + [Fraction(-1)], lp.GEQ, 0))
+    objective = [Fraction(0)] * d + [Fraction(1)]
+    result = lp.solve_min_l1(lp.linear_program(nv, cons, objective), range(d))
+    assert result.status == lp.OPTIMAL
+    if result.value <= 0:
+        return None
+    return lp.rationalize_direction(result.point[:d])
+
+
+def counted(monkeypatch, fn, prob):
+    """fn(prob) and the number of LPs it solved."""
+    solves = []
+    solve = lp.solve
+
+    def counting(prog):
+        solves.append(prog)
+        return solve(prog)
+
+    with monkeypatch.context() as m:
+        m.setattr(lp, "solve", counting)
+        return fn(prob), len(solves)
+
+
+def test_matches_reference_on_random_problems(monkeypatch):
+    # On the first problem the least-l1 tie is broken by the row order, box
+    # frame first.  Then free rank 2-4 and sl(2)-sl(4), where a third of the
+    # keep sets keep everything.
+    problems = [DegenerationProblem(
+        [(-1, -1, 2), (2, 2, -2), (2, 1, -2), (-2, -2, -1), (-1, 2, 1)], [0],
+        LatticeContext.sl(3))]
+    rng = random.Random(14)
+    for _ in range(240):
+        dim = rng.choice((2, 3, 4))
+        ctx = rng.choice((LatticeContext.free, LatticeContext.sl))(dim)
+        weights = [tuple(rng.randint(-2, 2) for _ in range(dim))
+                   for _ in range(rng.randint(1, 5))]
+        if rng.random() < 1 / 3:
+            keep = range(len(weights))
+        else:
+            keep = rng.sample(range(len(weights)), rng.randint(1, len(weights)))
+        problems.append(DegenerationProblem(weights, keep, ctx))
+    assert reference_degeneration(problems[0]) == (2, 1, -3)
+    full = 0
+    for prob in problems:
+        full += len(prob.keep) == len(prob.weights)
+        lam, solves = counted(monkeypatch, find_degeneration, prob)
+        expected, reference_solves = counted(monkeypatch, reference_degeneration, prob)
+        assert lam == expected, (prob.weights, sorted(prob.keep))
+        assert solves <= reference_solves
+    assert full >= 60
+
+
+def test_full_keep_set_skips_the_negated_objective(monkeypatch):
+    # lam_1 = 0 is forced: maximizing lam_1 gives 0 (one LP), maximizing
+    # lam_2 gives 1 (two LPs, the second picks the least l1 norm); the
+    # reference also maximizes -lam_1 before moving on
+    prob = DegenerationProblem([(0, 0), (1, 0)], [0, 1], FREE2)
+    assert counted(monkeypatch, find_degeneration, prob) == ((0, 1), 3)
+    assert counted(monkeypatch, reference_degeneration, prob) == ((0, 1), 4)

@@ -42,7 +42,6 @@ class LinearProgram:
     num_vars: int
     constraints: tuple
     objective: tuple[Fraction, ...]
-    sense: str = "maximize"
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,11 @@ from stablepairs import (
     verdict,
     weight,
 )
-from stablepairs import lp
+from stablepairs import lp, polytope, stability
 from stablepairs.cli import _free_q
+from stablepairs.polytope import first_outside_vertex
 from stablepairs.stability import (
     _argmin_constraints,
-    _contains_origin,
     _direction_frame_constraints,
 )
 from conftest import build_corpus, identity_polytope, random_pair_instance
@@ -116,7 +116,7 @@ def test_q_identity_is_built_once_per_instance(fix_a, fix_b):
     assert again.q_identity is first.q_identity
 
 
-def test_origin_check_runs_once_per_identity_polytope(monkeypatch):
+def test_origin_check_runs_once_per_instance(monkeypatch):
     # The origin is interior to the pentagon, not a vertex of it.
     points = [(2, 0), (0, 2), (-2, 1), (-1, -2), (1, -2)]
     first_identity = RationalPolytope(points)
@@ -133,13 +133,11 @@ def test_origin_check_runs_once_per_identity_polytope(monkeypatch):
         return contains_point(self, y)
 
     monkeypatch.setattr(RationalPolytope, "contains_point", counting)
-    _contains_origin.cache_clear()
-    PairInstance(Av, Aw, 1, first_identity)
-    assert checked.count((first_identity, origin)) == 1
-    checked.clear()
-    PairInstance(Av, Aw, 1, equal_identity)
-    assert checked and (equal_identity, origin) not in checked
-    # a cached negative answer still rejects the instance, every time
+    for identity in (first_identity, equal_identity):
+        checked.clear()
+        PairInstance(Av, Aw, 1, identity)
+        assert checked.count((identity, origin)) == 1
+    # an identity polytope without the origin is rejected every time
     offset = RationalPolytope([(1, 1), (3, 1), (1, 3), (2, 2)])
     for _ in range(2):
         with pytest.raises(InputError):
@@ -184,9 +182,13 @@ def test_value_objects_have_no_instance_dict(fix_b):
         assert not hasattr(obj, "__dict__"), type(obj)
 
 
-def test_retained_bytes_per_instance(corpus):
-    # The corpus fixture has filled the shared caches; a corpus from another
+def test_retained_bytes_per_instance():
+    # Start from one cache state whatever ran before: empty the shared
+    # caches and fill them from the default corpus.  A corpus from another
     # seed shares with it only what small lattice weights make recur.
+    for cache in (polytope._shared, polytope._facets, stability._sl_identity):
+        cache.cache_clear()
+    corpus = build_corpus()
     gc.collect()
     tracemalloc.start()
     try:
@@ -219,6 +221,47 @@ def test_is_semistable_failure_with_witness():
     assert lam == (-1, 0)
     assert weight(lam, p.Av) == -1
     assert weight(lam, p.Aw) == 0
+
+
+def reference_semistability_witness(p, m_prime):
+    """The separation witness for an escaped vertex m' of N(v) as first
+    written: one min-l1 LP on the box frame, then the direction or its
+    negation, whichever separates, skipping one that is not trace-zero in sl
+    mode.  Kept as the reference ``is_semistable`` must reproduce."""
+    ctx = p.context
+    d = ctx.ambient_dim
+    nv = d + 1
+    cons = _direction_frame_constraints(ctx, nv)
+    for y in p.hull_w.vertices:
+        cons.append((list(y) + [Fraction(-1)], lp.GEQ, 0))
+    objective = [-c for c in m_prime] + [Fraction(1)]
+    result = lp.solve_min_l1(lp.linear_program(nv, cons, objective), range(d))
+    assert result.status == lp.OPTIMAL and result.value > 0
+    lam = lp.rationalize_direction(result.point[:d])
+    for candidate in (lam, tuple([-c for c in lam])):
+        if sum(candidate) != 0 and ctx.mode == "sl":
+            continue
+        if weight(candidate, p.Aw) > weight(candidate, p.Av):
+            return candidate
+    raise AssertionError("no separating direction")
+
+
+def test_semistability_witness_matches_reference_on_corpus(corpus):
+    failing = 0
+    for p in corpus:
+        outside = first_outside_vertex(p.hull_w, p.hull_v)
+        if outside is not None:
+            failing += 1
+            assert is_semistable(p) == (False, reference_semistability_witness(p, outside))
+    assert failing == 119
+    # on this sl(3) frame the least-l1 tie is broken by the row order, box
+    # frame first
+    sl3 = LatticeContext.sl(3)
+    p = PairInstance(WeightSupport([(0, 0, 1), (1, 0, 0), (1, 0, 1)], sl3),
+                     WeightSupport([(1, 1, 0), (1, 0, 0), (1, 0, 1)], sl3), 2)
+    outside = first_outside_vertex(p.hull_w, p.hull_v)
+    assert reference_semistability_witness(p, outside) == (2, -1, -1)
+    assert is_semistable(p) == (False, (2, -1, -1))
 
 
 def test_is_semistable_reflexive():
