@@ -84,6 +84,8 @@ def _as_fraction(value, where: str) -> Fraction:
 
 
 def _as_positive_float(value, where: str) -> float:
+    if isinstance(value, bool):
+        _fail(where, "expected a real number, got a boolean")
     try:
         out = float(value)
     except (TypeError, ValueError):

@@ -16,7 +16,9 @@ When every weight is kept, any nonzero direction in the solution subspace
 of the equalities achieves the target.  One LP per coordinate k maximizes
 lam_k; the feasible set is symmetric under lam -> -lam, so maximizing
 -lam_k is positive exactly when maximizing lam_k is, and is not tried.  All
-of these programs go through ``stability._best_direction``.
+of these programs go through ``stability._best_direction``, which drops the
+all-zero equality of a kept weight that repeats the base weight: it
+constrains nothing, and without it the simplex takes the same pivots.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def find_degeneration(prob: DegenerationProblem) -> IntVec | None:
     kept_rows = [diff_row(j) for j in kept[1:]]
 
     if not dropped:
-        equalities = [(row, lp.EQ, 0) for row in kept_rows if any(row)]
+        equalities = [(row, lp.EQ, 0) for row in kept_rows]
         lam = _nonzero_annihilator(prob, equalities)
         if lam is None:
             return None

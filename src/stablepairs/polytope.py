@@ -291,15 +291,6 @@ class RationalPolytope:
             )
         return max(dot(direction, v) for v in self.vertices)
 
-    def min_pairing(self, x: Sequence) -> Fraction:
-        """min over the polytope of <x, y>; equals -support_value at -x."""
-        direction = as_rat_vec(x)
-        if len(direction) != self.dim:
-            raise InputError(
-                f"direction has dimension {len(direction)}, polytope has {self.dim}"
-            )
-        return min(dot(direction, v) for v in self.vertices)
-
     def contains_point(self, y: Sequence) -> bool:
         """Exact membership: a vertex is found among the vertices, any other
         point is checked against the cached facet description."""

@@ -16,8 +16,8 @@ of the segment from a vertex a of N(v) towards a vertex b of q*N(I) inside
 N(w), the pair is stable exactly when every t_ab is positive, and then the
 least margin is m = ceil(1 / min t_ab).  So one pass of segment reaches,
 read off the facet description of N(w) without an LP, decides stability
-and fixes m; a direction LP runs only to extract the witness of an
-unstable pair.
+and fixes m.  A stability LP runs only at a pair of zero reach (elsewhere
+its optimum cannot be positive), to extract the witness of an unstable pair.
 
 In sl mode the geometry happens on the trace-zero projections of the
 integer weights, while every weight evaluation stays on the integer
@@ -257,10 +257,16 @@ def _best_direction(ctx: LatticeContext, rows: list, objective: list) -> IntVec 
     carry one more, such as a separation level.  Every caller's program is
     feasible at the origin and bounded on the box, so any status other than
     optimal is an internal error.
+
+    A row with all-zero coefficients and right-hand side 0 constrains
+    nothing and is dropped.  It has no entry in any other column, so it never
+    wins a ratio test or moves a reduced cost: Bland's rule takes the same
+    pivots over the shifted column indices, and the result is the same.
     """
     d = ctx.ambient_dim
     num_vars = len(objective)
-    cons = _direction_frame_constraints(ctx, num_vars) + rows
+    cons = _direction_frame_constraints(ctx, num_vars)
+    cons += [(row, rel, rhs) for row, rel, rhs in rows if rhs or any(row)]
     result = lp.solve_min_l1(lp.linear_program(num_vars, cons, objective), range(d))
     if result.status != lp.OPTIMAL:
         raise RuntimeError(f"internal: direction LP ended {result.status}")
@@ -269,14 +275,9 @@ def _best_direction(ctx: LatticeContext, rows: list, objective: list) -> IntVec 
     return lp.rationalize_direction(result.point[:d])
 
 
-def _argmin_constraints(base, points, num_vars: int) -> list:
+def _argmin_constraints(base, points) -> list:
     """<lam, p - base> >= 0 for every p, i.e. base attains the minimum."""
-    cons = []
-    for p in points:
-        row = [p[i] - base[i] for i in range(len(base))]
-        row += [Fraction(0)] * (num_vars - len(base))
-        cons.append((row, lp.GEQ, 0))
-    return cons
+    return [([p[i] - base[i] for i in range(len(base))], lp.GEQ, 0) for p in points]
 
 
 def _semistability_witness(p: PairInstance, m_prime) -> IntVec:
@@ -310,38 +311,33 @@ def is_semistable(p: PairInstance) -> tuple[bool, IntVec | None]:
     return False, _semistability_witness(p, outside)
 
 
-def _stability_witness(p: PairInstance, u, start: int) -> IntVec:
-    """Integral lam with w_lam(v) = w_lam(w) and q*w_lam(I) < w_lam(v), for
-    a vertex u of N(v) whose segment towards the start-th vertex of q*N(I)
-    leaves N(w) at once.
+def _stability_witness(p: PairInstance, u, p_hat) -> IntVec | None:
+    """Integral lam with w_lam(v) = w_lam(w) and q*w_lam(I) < w_lam(v) that
+    attains its minima at the vertex u of N(v) and the vertex p_hat of
+    q*N(I), or None when there is none.
 
-    One LP per vertex p_hat of q*N(I) from the start-th on: constrain u and
-    p_hat to be the argmin vertices, force w_lam(w) >= w_lam(v) (equality
-    then follows from semistability), and maximize the strictness margin
-    <lam, u - p_hat>.  The first positive optimum gives the witness; an
-    optimum is positive only where the reach from u to p_hat is zero, so the
-    vertices before the start-th need no LP.
+    One LP: constrain u and p_hat to be the argmin vertices, force
+    w_lam(w) >= w_lam(v) (equality then follows from semistability), and
+    maximize the strictness margin <lam, u - p_hat>.  Its optimum is
+    positive only where the reach from u to p_hat is zero, and then gives
+    the witness, re-verified by direct weight evaluation.
     """
     ctx = p.context
     d = ctx.ambient_dim
-    q_vertices = p.q_identity.vertices
     # Row order is frame, v-argmin, p_hat-argmin, w-argmin: ties in the
     # min-l1 stage are broken by the pivot path, so it fixes witnesses.
-    head = _argmin_constraints(u, p.hull_v.vertices, d)
-    tail = _argmin_constraints(u, p.hull_w.vertices, d)
-    for p_hat in q_vertices[start:]:
-        rows = head + _argmin_constraints(p_hat, q_vertices, d) + tail
-        lam = _best_direction(ctx, rows, [u[i] - p_hat[i] for i in range(d)])
-        if lam is not None:
-            wv = weight(lam, p.Av)
-            ww = weight(lam, p.Aw)
-            wq = p.q * p.identity_weight(lam)
-            if ww != wv or wq >= wv:
-                raise RuntimeError(
-                    "internal: stability witness failed re-verification"
-                )
-            return lam
-    raise RuntimeError("internal: zero segment reach without a stability witness")
+    rows = (_argmin_constraints(u, p.hull_v.vertices)
+            + _argmin_constraints(p_hat, p.q_identity.vertices)
+            + _argmin_constraints(u, p.hull_w.vertices))
+    lam = _best_direction(ctx, rows, [u[i] - p_hat[i] for i in range(d)])
+    if lam is None:
+        return None
+    wv = weight(lam, p.Av)
+    ww = weight(lam, p.Aw)
+    wq = p.q * p.identity_weight(lam)
+    if ww != wv or wq >= wv:
+        raise RuntimeError("internal: stability witness failed re-verification")
+    return lam
 
 
 def _margin_or_witness(p: PairInstance) -> tuple[int | None, IntVec | None]:
@@ -364,14 +360,21 @@ def _margin_or_witness(p: PairInstance) -> tuple[int | None, IntVec | None]:
     a violation.  Conversely a violation's argmins u, p_hat give
     t_{u p_hat} = 0.  In sl mode the same holds inside the trace-zero
     hyperplane, where all the projected points lie.
+
+    So the witness LP runs only at zero reaches, in the order of the pass.
+    A vertex a with a zero reach always yields a witness: the lam above
+    attains its minimum on q*N(I) at a vertex p_hat, and t_{a p_hat} = 0.
     """
     least = Fraction(1)
+    q_vertices = p.q_identity.vertices
     for a in p.hull_v.vertices:
-        for k, b in enumerate(p.q_identity.vertices):
-            reach = p.hull_w.reach(a, b)
-            if reach == 0:
-                return None, _stability_witness(p, a, k)
-            least = min(least, reach)
+        reaches = [p.hull_w.reach(a, b) for b in q_vertices]
+        for b, reach in zip(q_vertices, reaches):
+            if reach == 0 and (lam := _stability_witness(p, a, b)) is not None:
+                return None, lam
+        if 0 in reaches:
+            raise RuntimeError("internal: zero segment reach without a stability witness")
+        least = min(least, *reaches)
     return ceil(1 / least), None
 
 
@@ -408,8 +411,8 @@ def verdict(family: FrameFamily) -> StabilityVerdict:
 
     Semistability is decided first on every frame.  Then one pass of
     segment reaches per frame decides stability and gives that frame's
-    margin; the per-(u, p_hat) stability LP runs only to extract the
-    witness of the first frame found unstable.
+    margin; the per-(u, p_hat) stability LP runs only at the zero reaches
+    of the first frame found unstable, to extract its witness.
     """
     for idx, frame in enumerate(family.frames):
         ok, wit = is_semistable(frame)

@@ -88,6 +88,15 @@ def test_schema_violations_exit_2(tmp_path, capsys):
         assert "unreadable JSON" in capsys.readouterr().err
 
 
+def test_boolean_coefficient_exits_2(tmp_path, capsys):
+    # JSON true would otherwise read as the coefficient 1.0
+    frame = dict(FIX_B["frames"][0], v_coeffs=[True])
+    path = write(tmp_path, "bool.json", dict(FIX_B, frames=[frame]))
+    assert main(["check", path]) == 2
+    assert "frames[0].v_coeffs[0]: expected a real number, got a boolean" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mangle,field", [
     (lambda d: d.pop("mode"), "mode"),
     (lambda d: d.update(mode="torus"), "mode"),

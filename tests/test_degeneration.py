@@ -234,15 +234,11 @@ def counted(monkeypatch, fn, prob):
         return fn(prob), len(solves)
 
 
-def test_matches_reference_on_random_problems(monkeypatch):
-    # On the first problem the least-l1 tie is broken by the row order, box
-    # frame first.  Then free rank 2-4 and sl(2)-sl(4), where a third of the
-    # keep sets keep everything.
-    problems = [DegenerationProblem(
-        [(-1, -1, 2), (2, 2, -2), (2, 1, -2), (-2, -2, -1), (-1, 2, 1)], [0],
-        LatticeContext.sl(3))]
-    rng = random.Random(14)
-    for _ in range(240):
+def random_problems(rng, count):
+    """Free rank 2-4 and sl(2)-sl(4), where a third of the keep sets keep
+    everything."""
+    problems = []
+    for _ in range(count):
         dim = rng.choice((2, 3, 4))
         ctx = rng.choice((LatticeContext.free, LatticeContext.sl))(dim)
         weights = [tuple(rng.randint(-2, 2) for _ in range(dim))
@@ -252,15 +248,49 @@ def test_matches_reference_on_random_problems(monkeypatch):
         else:
             keep = rng.sample(range(len(weights)), rng.randint(1, len(weights)))
         problems.append(DegenerationProblem(weights, keep, ctx))
+    return problems
+
+
+def duplicated_keep_problems(rng, count):
+    """Free rank 2-4 and sl(2)-sl(4) problems that list one weight a second
+    time at the end, keep both copies and drop every other weight.  The
+    copy's equality against the base weight is an all-zero row on the path
+    that maximizes the least slack over the dropped weights."""
+    problems = []
+    for _ in range(count):
+        dim = rng.choice((2, 3, 4))
+        ctx = rng.choice((LatticeContext.free, LatticeContext.sl))(dim)
+        weights = [tuple(rng.randint(-2, 2) for _ in range(dim))
+                   for _ in range(rng.randint(2, 5))]
+        j = rng.randrange(len(weights))
+        problems.append(DegenerationProblem(
+            weights + [weights[j]], [j, len(weights)], ctx))
+    return problems
+
+
+def test_matches_reference_on_random_problems(monkeypatch):
+    # On the first problem the least-l1 tie is broken by the row order, box
+    # frame first.  Then random problems, and problems whose kept weights
+    # repeat while others drop, where the reference keeps the zero row.
+    problems = [DegenerationProblem(
+        [(-1, -1, 2), (2, 2, -2), (2, 1, -2), (-2, -2, -1), (-1, 2, 1)], [0],
+        LatticeContext.sl(3))]
+    problems += random_problems(random.Random(14), 240)
+    duplicated = duplicated_keep_problems(random.Random(15), 80)
+    problems += duplicated
     assert reference_degeneration(problems[0]) == (2, 1, -3)
     full = 0
+    found = []
     for prob in problems:
         full += len(prob.keep) == len(prob.weights)
         lam, solves = counted(monkeypatch, find_degeneration, prob)
         expected, reference_solves = counted(monkeypatch, reference_degeneration, prob)
         assert lam == expected, (prob.weights, sorted(prob.keep))
         assert solves <= reference_solves
+        found.append(lam)
     assert full >= 60
+    # most repeated-weight problems reach their keep set (69 of the 80)
+    assert sum(lam is not None for lam in found[-len(duplicated):]) >= 60
 
 
 def test_full_keep_set_skips_the_negated_objective(monkeypatch):

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablepairs import FrameFamily, InputError, verdict
+from stablepairs import FrameFamily, InputError, find_degeneration, verdict
 from stablepairs import lp
+
+from test_degeneration import duplicated_keep_problems, random_problems
 
 
 def test_single_variable_maximum():
@@ -365,9 +367,33 @@ def test_replay_of_corpus_decisions_matches_reference(corpus, monkeypatch):
         verdict(FrameFamily([p]))
     monkeypatch.undo()
     # The witness LPs: membership and segment reaches solve none.
-    assert len(recorded) == 448
+    assert len(recorded) == 446
     for prog in recorded:
         assert_same_as_reference(prog)
+
+
+def test_no_direction_program_has_a_zero_row(corpus, monkeypatch):
+    # A row with all-zero coefficients and right-hand side 0 constrains
+    # nothing: the self rows of the stability LPs, and the equality of a
+    # kept weight that repeats the base weight.  None reaches the simplex.
+    recorded = []
+    solve = lp.solve
+
+    def recording(prog):
+        recorded.append(prog)
+        return solve(prog)
+
+    monkeypatch.setattr(lp, "solve", recording)
+    for p in corpus:
+        verdict(FrameFamily([p]))
+    decision_programs = len(recorded)
+    for prob in (random_problems(random.Random(14), 240)
+                 + duplicated_keep_problems(random.Random(15), 80)):
+        find_degeneration(prob)
+    assert decision_programs > 0 and len(recorded) > decision_programs
+    for prog in recorded:
+        for con in prog.constraints:
+            assert any(con.coeffs) or con.rhs != 0, prog
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)

@@ -29,10 +29,7 @@ from stablepairs import (
 from stablepairs import lp, polytope, stability
 from stablepairs.cli import _free_q
 from stablepairs.polytope import first_outside_vertex
-from stablepairs.stability import (
-    _argmin_constraints,
-    _direction_frame_constraints,
-)
+from stablepairs.stability import _direction_frame_constraints
 from conftest import build_corpus, identity_polytope, random_pair_instance
 
 FREE2 = LatticeContext.free(2)
@@ -173,7 +170,30 @@ def test_default_round_solves_only_witness_lps(monkeypatch):
     stage[0] = "decide"
     for p in instances:
         verdict(FrameFamily([p]))
-    assert solves == {"build": 0, "decide": 448, "geometry": 0}
+    assert solves == {"build": 0, "decide": 446, "geometry": 0}
+
+
+def test_stability_lp_runs_only_at_zero_reaches(monkeypatch):
+    # Frame 156 of the default corpus.  From the one vertex (3, 0) of N(v)
+    # the reaches towards the vertices of q*N(I) are 0, 2/3, 0 and 1.  The
+    # LP at the first zero reach is not positive (one solve), the one at the
+    # second gives the witness (two solves, the second picks the least l1
+    # norm); a scan from the first zero reach on also solved at reach 2/3.
+    p = PairInstance(WeightSupport([(3, 0)], FREE2),
+                     WeightSupport([(-1, -1), (1, -2), (3, 0)], FREE2),
+                     3, identity_polytope("diamond", 2))
+    assert [p.hull_w.reach((3, 0), b) for b in p.q_identity.vertices] == \
+        [0, Fraction(2, 3), 0, 1]
+    solves = []
+    solve = lp.solve
+
+    def counting(prog):
+        solves.append(prog)
+        return solve(prog)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    v = verdict(FrameFamily([p]))
+    assert (v.stable, v.witness, len(solves)) == (False, (1, -4), 3)
 
 
 def test_value_objects_have_no_instance_dict(fix_b):
@@ -417,6 +437,17 @@ def test_minkowski_monotonicity_around_threshold():
             assert not included_at(p, m - 1)
 
 
+def reference_argmin_constraints(base, points, num_vars):
+    """<lam, p - base> >= 0 for every p, zero-padded to num_vars, the row of
+    base against itself included: the rows of the scan as first written."""
+    cons = []
+    for p in points:
+        row = [p[i] - base[i] for i in range(len(base))]
+        row += [Fraction(0)] * (num_vars - len(base))
+        cons.append((row, lp.GEQ, 0))
+    return cons
+
+
 def reference_violation(p):
     """Stability witness by the scan over every (vertex u of N(v), vertex
     p_hat of q*N(I)): the first positive stability LP's direction, or None
@@ -426,10 +457,10 @@ def reference_violation(p):
     q_vertices = p.identity_geom.scaled(p.q).vertices
     for u in p.hull_v.vertices:
         head = _direction_frame_constraints(ctx, d)
-        head += _argmin_constraints(u, p.hull_v.vertices, d)
-        tail = _argmin_constraints(u, p.hull_w.vertices, d)
+        head += reference_argmin_constraints(u, p.hull_v.vertices, d)
+        tail = reference_argmin_constraints(u, p.hull_w.vertices, d)
         for p_hat in q_vertices:
-            cons = head + _argmin_constraints(p_hat, q_vertices, d) + tail
+            cons = head + reference_argmin_constraints(p_hat, q_vertices, d) + tail
             objective = [u[i] - p_hat[i] for i in range(d)]
             result = lp.solve_min_l1(lp.linear_program(d, cons, objective), range(d))
             assert result.status == lp.OPTIMAL
