@@ -15,8 +15,8 @@ Schema:
       "frames": [
         {"v_support": [["0","0"]],
          "w_support": [["1","0"], ["-1","0"]],
-         "v_coeffs": ["1.0"],      -- optional positive reals
-         "w_coeffs": ["2.0", "0.5"]}
+         "v_coeffs": ["1.0"],      -- optional positive finite reals,
+         "w_coeffs": ["2.0", "0.5"]}  --   read by slope only
       ]
     }
 
@@ -34,7 +34,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import numeric, stability
+from . import stability
 from .lattice import InputError, LatticeContext, _Record
 from .polytope import RationalPolytope
 from .stability import FrameFamily, PairInstance, StabilityVerdict, WeightSupport
@@ -90,8 +90,10 @@ def _as_positive_float(value, where: str) -> float:
         out = float(value)
     except (TypeError, ValueError):
         _fail(where, f"not a real number: {value!r}")
-    if not out > 0:
-        _fail(where, "coefficients must be positive")
+    except OverflowError:  # an integer past the float range; digits not echoed
+        _fail(where, "coefficient out of the float range")
+    if not 0 < out <= sys.float_info.max:
+        _fail(where, "coefficients must be positive and finite")
     return out
 
 
@@ -117,8 +119,7 @@ class Instance(_Record):
     compares and prints by its fields all the same.
     """
 
-    __slots__ = _fields = ("context", "q", "identity", "family",
-                           "ordered_supports", "coefficients")
+    __slots__ = _fields = ("context", "q", "identity", "family", "raw_frames")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
@@ -129,15 +130,13 @@ class Instance(_Record):
         q: int,
         identity: RationalPolytope | None,
         family: FrameFamily,
-        ordered_supports: list[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]],
-        coefficients: list[tuple[numeric.CoefficientVector, numeric.CoefficientVector]],
+        raw_frames: list[tuple[list, list, list[float], list[float]]],
     ):
         self.context = context
         self.q = q
         self.identity = identity
         self.family = family
-        self.ordered_supports = ordered_supports
-        self.coefficients = coefficients
+        self.raw_frames = raw_frames
 
 
 def instance_from_dict(data) -> Instance:
@@ -210,8 +209,7 @@ def instance_from_dict(data) -> Instance:
         _fail("frames", "expected a nonempty list")
 
     frames = []
-    ordered = []
-    coefficients = []
+    raw = []
     for k, fr in enumerate(raw_frames):
         where = f"frames[{k}]"
         if not isinstance(fr, dict):
@@ -238,18 +236,13 @@ def instance_from_dict(data) -> Instance:
         w_coeffs = coeffs_for("w_coeffs", w_list)
 
         try:
-            Av = WeightSupport(v_list, ctx)
-            Aw = WeightSupport(w_list, ctx)
-            pair_instance = PairInstance(Av, Aw, q, identity)
-            cv = numeric.CoefficientVector.from_pairs(zip(v_list, v_coeffs), ctx)
-            cw = numeric.CoefficientVector.from_pairs(zip(w_list, w_coeffs), ctx)
+            frames.append(PairInstance(WeightSupport(v_list, ctx),
+                                       WeightSupport(w_list, ctx), q, identity))
         except InputError as exc:
             _fail(where, str(exc))
-        frames.append(pair_instance)
-        ordered.append((v_list, w_list))
-        coefficients.append((cv, cw))
+        raw.append((v_list, w_list, v_coeffs, w_coeffs))
 
-    return Instance(ctx, q, identity, FrameFamily(frames), ordered, coefficients)
+    return Instance(ctx, q, identity, FrameFamily(frames), raw)
 
 
 def load_instance(path: str) -> Instance:
@@ -364,7 +357,7 @@ def _cmd_degenerate(args) -> int:
     inst = load_instance(args.path)
     if not 0 <= args.frame < len(inst.family.frames):
         raise SchemaError(f"--frame {args.frame} out of range")
-    v_list, _ = inst.ordered_supports[args.frame]
+    v_list = inst.raw_frames[args.frame][0]
     keep = []
     for i in args.keep:
         if not 1 <= i <= len(v_list):
@@ -382,16 +375,23 @@ def _cmd_degenerate(args) -> int:
 
 
 def _cmd_slope(args) -> int:
+    from . import numeric
+
     inst = load_instance(args.path)
     if not 0 <= args.frame < len(inst.family.frames):
         raise SchemaError(f"--frame {args.frame} out of range")
     frame = inst.family.frames[args.frame]
-    cv, cw = inst.coefficients[args.frame]
+    v_list, w_list, v_coeffs, w_coeffs = inst.raw_frames[args.frame]
+    try:
+        cv = numeric.CoefficientVector.from_pairs(zip(v_list, v_coeffs), inst.context)
+        cw = numeric.CoefficientVector.from_pairs(zip(w_list, w_coeffs), inst.context)
+    except (InputError, OverflowError) as exc:
+        raise SchemaError(f"frames[{args.frame}]: {exc}") from exc
     try:
         lam = inst.context.check_one_param(args.lam)
-    except InputError as exc:
+        slope = numeric.slope_along(lam, cv, cw)
+    except (InputError, OverflowError) as exc:
         raise SchemaError(f"--lambda: {exc}") from exc
-    slope = numeric.slope_along(lam, cv, cw)
     exact = stability.weight(lam, frame.Aw) - stability.weight(lam, frame.Av)
     if args.format == "json":
         print(_dump_json({"slope": slope, "exact": exact}))

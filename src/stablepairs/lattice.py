@@ -169,7 +169,7 @@ class LatticeContext(_Record):
             )
         return vec
 
-    def check_one_param(self, lam: Sequence[int], allow_zero: bool = False) -> IntVec:
+    def check_one_param(self, lam: Sequence[int]) -> IntVec:
         vec = as_int_vec(lam)
         if len(vec) != self.ambient_dim:
             raise InputError(
@@ -181,7 +181,7 @@ class LatticeContext(_Record):
                 f"sl-mode one-parameter subgroup must have coordinate sum 0, "
                 f"got {sum(vec)}"
             )
-        if not allow_zero and not any(vec):
+        if not any(vec):
             raise InputError("one-parameter subgroup must be nonzero")
         return vec
 

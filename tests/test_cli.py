@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from stablepairs import stability
 from stablepairs.cli import SchemaError, instance_from_dict, main, random_instance_dict
 
 FIX_B = {
@@ -38,6 +39,20 @@ FIX_D = {
         {"v_support": [["1", "0"]], "w_support": [["0", "0"]]}
     ],
 }
+
+
+BIG = "1" + "0" * 400  # past the float range
+
+# FIX_C with the w-weight (10^400, 0): exact, but no float holds it
+FIX_BIG_W = dict(FIX_C, frames=[
+    {"v_support": [["-1", "0"], ["1", "0"]], "w_support": [["-1", "0"], [BIG, "0"]]}
+])
+
+# FIX_B with v listing the origin twice; 1.5e308 squared twice overflows
+FIX_REPEATED_OVERFLOW = dict(FIX_B, frames=[
+    dict(FIX_B["frames"][0], v_support=[["0", "0"], ["0", "0"]],
+         v_coeffs=["1.5e308", "1.5e308"])
+])
 
 
 def write(tmp_path, name, data):
@@ -88,6 +103,51 @@ def test_schema_violations_exit_2(tmp_path, capsys):
         assert "unreadable JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,extra", [("check", []), ("slope", ["--lambda=0,1"])])
+def test_huge_integer_coefficient_exits_2(tmp_path, capsys, command, extra):
+    # a JSON integer too large for a float; the message keeps its digits out
+    frame = dict(FIX_B["frames"][0], v_coeffs=[10 ** 400])
+    path = write(tmp_path, "huge.json", dict(FIX_B, frames=[frame]))
+    assert main([command, path, *extra]) == 2
+    err = capsys.readouterr().err
+    assert "frames[0].v_coeffs[0]: " in err and BIG not in err, err
+
+
+@pytest.mark.parametrize("data,lam,field", [
+    (FIX_B, f"{BIG},0", "--lambda"),
+    (FIX_BIG_W, "0,1", "frames[0]"),
+    (FIX_REPEATED_OVERFLOW, "0,1", "frames[0]"),
+], ids=["lambda", "weight", "repeated-weight"])
+def test_slope_float_overflow_exits_2(tmp_path, capsys, data, lam, field):
+    path = write(tmp_path, "overflow.json", data)
+    assert main(["slope", path, f"--lambda={lam}"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_exact_commands_decide_past_the_float_range(tmp_path, capsys):
+    # check, witness, min-m and degenerate build no float, so a coordinate
+    # no float holds decides as in-process; their child loads no numeric
+    v = stability.verdict(instance_from_dict(FIX_BIG_W).family)
+    assert (v.semistable, v.stable, v.witness) == (True, False, (0, 1))
+    path = write(tmp_path, "big.json", FIX_BIG_W)
+    commands = [["check", path, "--format", "json"], ["witness", path],
+                ["min-m", path], ["degenerate", path, "--keep=1"]]
+    assert [main(args) for args in commands] == [3, 0, 0, 0]
+    assert json.loads(capsys.readouterr().out.split("\n")[0])["witness"] == [0, 1]
+    code = ("import sys\nfrom stablepairs.cli import main\n"
+            f"codes = [main(args) for args in {commands!r}]\n"
+            "print(codes, 'stablepairs.numeric' in sys.modules)\n")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert child.stdout.splitlines()[-1] == "[3, 0, 0, 0] False", child.stderr
+
+
+def test_repeated_weight_past_the_float_range_decides(tmp_path, capsys):
+    # coefficients never affect a verdict; only slope turns them into floats
+    path = write(tmp_path, "repeated.json", FIX_REPEATED_OVERFLOW)
+    assert main(["check", path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["stable"] is True
+
+
 def test_boolean_coefficient_exits_2(tmp_path, capsys):
     # JSON true would otherwise read as the coefficient 1.0
     frame = dict(FIX_B["frames"][0], v_coeffs=[True])
@@ -110,6 +170,7 @@ def test_boolean_coefficient_exits_2(tmp_path, capsys):
     (lambda d: d["frames"][0].update(v_support=[["1", "0", "0"]]), "v_support"),
     (lambda d: d["frames"][0].update(v_coeffs=["1.0", "2.0"]), "v_coeffs"),
     (lambda d: d["frames"][0].update(v_coeffs=["-1.0"]), "v_coeffs"),
+    (lambda d: d["frames"][0].update(v_coeffs=["inf"]), "v_coeffs[0]"),
 ])
 def test_field_diagnostics(mangle, field):
     data = json.loads(json.dumps(FIX_B))
@@ -258,8 +319,8 @@ def test_check_determinism_through_real_process(tmp_path):
 
 def test_import_does_not_load_numpy():
     # numpy is the optional [oracle] extra; only the oracle module needs it.
-    # dataclasses and degeneration stay off the command line's import path
-    # too: every CLI call is a fresh interpreter that pays for each import.
+    # dataclasses, degeneration and numeric stay off the command line's import
+    # path too: every CLI call is a fresh interpreter that pays for each import.
     # Modules the interpreter loaded before (site, say) are not counted.
     # The geometry needs no LP solver, so polytope does not import it.
     code = (
@@ -268,7 +329,8 @@ def test_import_does_not_load_numpy():
         "print('stablepairs.lp' in sys.modules)\n"
         "import stablepairs.cli\n"
         "loaded = set(sys.modules) - before\n"
-        "print(sorted(loaded & {'numpy', 'dataclasses', 'stablepairs.degeneration'}))\n"
+        "print(sorted(loaded & {'numpy', 'dataclasses', 'stablepairs.degeneration',\n"
+        "                       'stablepairs.numeric'}))\n"
         "import stablepairs\n"
         "print(sorted(set(stablepairs.__all__) - set(dir(stablepairs))))\n"
         "print(all(getattr(stablepairs, name) is not None for name in stablepairs.__all__))\n"

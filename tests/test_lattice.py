@@ -80,7 +80,6 @@ def test_one_param_validation():
         SL2.check_one_param((1, 1))  # trace nonzero
     with pytest.raises(InputError):
         SL2.check_one_param((0, 0))  # zero direction
-    assert SL2.check_one_param((0, 0), allow_zero=True) == (0, 0)
     assert SL2.check_one_param((3, -3)) == (3, -3)
 
 

@@ -97,8 +97,7 @@ class Instance:
     q: int
     identity: object
     family: object
-    ordered_supports: list
-    coefficients: list
+    raw_frames: list
 
 
 REFERENCES = {
