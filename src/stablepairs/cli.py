@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -392,6 +393,9 @@ def _cmd_slope(args) -> int:
         slope = numeric.slope_along(lam, cv, cw)
     except (InputError, OverflowError) as exc:
         raise SchemaError(f"--lambda: {exc}") from exc
+    if not math.isfinite(slope):
+        # an entry near the float limit overflows the sampled log-norms
+        raise SchemaError("--lambda: the slope along this direction is not a finite float")
     exact = stability.weight(lam, frame.Aw) - stability.weight(lam, frame.Av)
     if args.format == "json":
         print(_dump_json({"slope": slope, "exact": exact}))

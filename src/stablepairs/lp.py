@@ -18,7 +18,10 @@ The package's geometry runs on exact facet descriptions, not on LPs.  The
 programs solved here only extract directions: the semistability and
 stability witnesses and degeneration directions, all through one helper,
 ``stability._best_direction``, which calls ``solve_min_l1`` on a box frame
-and rationalizes the optimal direction.
+and rationalizes the optimal direction.  Those programs are feasible at the
+origin, so ``solve_min_l1`` starts its first stage there, with no phase 1,
+and runs the two-phase least-l1 stage (``solve`` on a larger program) only
+when its positive optimum is not provably a single point.
 """
 
 from __future__ import annotations
@@ -113,9 +116,8 @@ class _Tableau:
     """Dense simplex tableau over integers with one common denominator.
 
     Column layout: [x+_0..x+_{n-1}, x-_0..x-_{n-1}, slacks, artificials],
-    and each row carries its right-hand side as one more last entry.  Row i
-    keeps the artificial variable art_i as its initial basic variable;
-    artificial columns never re-enter the basis and nothing reads them, so
+    and each row carries its right-hand side as one more last entry.
+    Artificial columns never re-enter the basis and nothing reads them, so
     they are not stored: only their basis indices art_start + i remain.
 
     Every stored entry is an integer numerator over the common denominator
@@ -129,9 +131,20 @@ class _Tableau:
     (p*x - a*pivot_row) // den and then sets den = p: the integer-preserving
     elimination of Bareiss and Edmonds.  Every entry stays, up to sign, a
     minor of the starting matrix, so each division is exact.
+
+    The start basis is one of two.  By default every row i keeps the
+    artificial art_i, for the two-phase method.  ``at_origin`` starts from
+    the point x = 0, which must be feasible: a ">=" row with right-hand
+    side 0 is negated, so every inequality reads "<=" with b >= 0 and its
+    slack is basic at b, and only the "=" rows (all with b = 0) keep their
+    artificials.  Such a row keeps its slack entry at ``den`` times the
+    row scale, not at ``den``: it is a positive multiple of its rational
+    row, which changes no ratio-test order and no reduced cost, and every
+    division stays exact, as the elimination is exact from any integer
+    start at ``den`` = 1.
     """
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, at_origin: bool = False):
         n = lp.num_vars
         m = len(lp.constraints)
         slack_count = sum(1 for c in lp.constraints if c.relation != EQ)
@@ -143,19 +156,26 @@ class _Tableau:
                       for c in (*con.coeffs, con.rhs)])
 
         rows: list[list[int]] = []
+        basis: list[int] = []
         slack_at = 2 * n
-        for con in lp.constraints:
+        for i, con in enumerate(lp.constraints):
             coeffs = [c.numerator * (scale // c.denominator) for c in con.coeffs]
             b = con.rhs.numerator * (scale // con.rhs.denominator)
             rel = con.relation
-            if b < 0:
+            if b < 0 or (at_origin and b == 0 and rel == GEQ):
                 coeffs = [-c for c in coeffs]
                 b = -b
                 rel = {LEQ: GEQ, GEQ: LEQ, EQ: EQ}[rel]
+            if at_origin and (rel == GEQ or (rel == EQ and b)):
+                raise InputError(f"constraint {i} does not hold at the origin")
             row = [0] * (width + 1)
             for j, c in enumerate(coeffs):
                 row[j] = c
                 row[n + j] = -c
+            if rel == EQ or not at_origin:
+                basis.append(width + i)
+            else:
+                basis.append(slack_at)
             if rel != EQ:
                 row[slack_at] = scale if rel == LEQ else -scale
                 slack_at += 1
@@ -164,7 +184,8 @@ class _Tableau:
 
         self.rows = rows
         self.den = 1
-        self.basis = [width + i for i in range(m)]
+        self.basis = basis
+        self.zrow = [0] * (width + 1)
 
     # Cost row convention: zrow[j] = z_j - c_j and zrow[-1] = the current
     # objective, each times den and one positive cost scale.  Only signs are
@@ -249,13 +270,18 @@ def solve(lp: LinearProgram) -> LpResult:
     verdict, or an unbounded verdict with a certificate ray (a feasible
     direction of unbounded objective improvement)."""
     tab = _Tableau(lp)
-    n, m, width = tab.n, tab.m, tab.art_start
 
     # Phase 1: drive the artificial variables to zero.
-    tab._reset_costs([0] * width, art_cost=-1)
-    tab.run(width)
+    tab._reset_costs([0] * tab.art_start, art_cost=-1)
+    tab.run(tab.art_start)
     if tab.zrow[-1] < 0:
         return LpResult(INFEASIBLE)
+    return _optimize(tab, lp.objective)
+
+
+def _optimize(tab: _Tableau, objective: tuple[Fraction, ...]) -> LpResult:
+    """Phase 2 from a feasible basis, and the result read off the tableau."""
+    n, m, width = tab.n, tab.m, tab.art_start
 
     # Degenerate basic artificials: pivot them out where possible; rows that
     # are zero on every structural column are redundant and stay put.
@@ -268,9 +294,9 @@ def solve(lp: LinearProgram) -> LpResult:
                     break
 
     # Phase 2: the real objective on the split variables.
-    cost_scale = lcm(*[c.denominator for c in lp.objective])
+    cost_scale = lcm(*[c.denominator for c in objective])
     costs = [0] * width
-    for j, c in enumerate(lp.objective):
+    for j, c in enumerate(objective):
         costs[j] = c.numerator * (cost_scale // c.denominator)
         costs[n + j] = -costs[j]
     tab._reset_costs(costs)
@@ -293,24 +319,60 @@ def solve(lp: LinearProgram) -> LpResult:
                     point=point)
 
 
-def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
-    """Solve, then pick the optimal point of least l1 norm over the given
-    variable indices, when the optimum is positive.
+def _is_unique(tab: _Tableau) -> bool:
+    """Whether the optimum in an optimal tableau is the only optimal point,
+    in the original variables x = x+ - x-.
 
-    Two-stage and fully exact: the first optimum becomes an equality
-    constraint, then the sum of absolute values of the chosen variables is
-    minimized through the usual t_i >= +/- x_i envelope.  Keeps witnesses
-    canonical instead of whatever vertex of a degenerate optimal face the
-    pivot order happens to visit first.
-
-    Only a positive optimum is refined: every caller discards a
-    non-positive optimum without reading its point, so such a result is
-    ``solve(prog)`` unchanged.  The refinement is feasible (the first point
-    with t = |x|) and bounded (its objective is at most 0), so any other
-    status is an internal error.
+    Every optimal point is reached from the optimal basis by raising
+    nonbasic columns of zero reduced cost (a positive one must stay at 0).
+    When none of those columns moves x, the optimal set is one point.  The
+    test is sufficient, not necessary: a column blocked by a degenerate row
+    counts as moving.  The mirror of a basic x+- column always passes, as
+    x+ and x- then rise together.
     """
-    first = solve(prog)
-    if first.status != OPTIMAL or first.value <= 0:
+    n, den, rows, zrow = tab.n, tab.den, tab.rows, tab.zrow
+    basic = set(tab.basis)
+    # Row, sign and variable of every basic x+- column; its row stores den
+    # on its own column, so rows[i][j] / den is the drop per unit of j.
+    x_rows = [(i, 1 if b < n else -1, b % n)
+              for i, b in enumerate(tab.basis) if b < 2 * n]
+    for j in range(tab.art_start):
+        if zrow[j] or j in basic:
+            continue
+        move = [0] * n
+        if j < 2 * n:
+            move[j % n] = den if j < n else -den
+        for i, sign, k in x_rows:
+            move[k] -= sign * rows[i][j]
+        if any(move):
+            return False
+    return True
+
+
+def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
+    """Solve a program that is feasible at the origin, then pick the optimal
+    point of least l1 norm over the given variable indices, when the
+    optimum is positive.
+
+    The first stage starts from the origin's slack basis (no phase 1) and
+    raises InputError when the origin is infeasible.  A non-positive optimum
+    comes back with some optimal point, which every caller discards, and an
+    unbounded program with some ray.  When no optimal column moves the
+    original variables (``_is_unique``), the positive optimum is a single
+    point, which any least-l1 stage would return, so it comes back at once.
+
+    Otherwise the second stage runs, two-phase and fully exact: the first
+    optimum becomes an equality constraint, then the sum of absolute values
+    of the chosen variables is minimized through the usual t_i >= +/- x_i
+    envelope.  Keeps witnesses canonical instead of whatever vertex of a
+    degenerate optimal face the pivot order happens to visit first; on such
+    a face the pivot path of this stage breaks the ties.  It is feasible
+    (the first point with t = |x|) and bounded (its objective is at most
+    0), so any other status is an internal error.
+    """
+    tab = _Tableau(prog, at_origin=True)
+    first = _optimize(tab, prog.objective)
+    if first.status != OPTIMAL or first.value <= 0 or _is_unique(tab):
         return first
     n = prog.num_vars
     k = len(over)

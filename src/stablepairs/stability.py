@@ -127,7 +127,7 @@ def _sl_identity(ctx: LatticeContext, q: int) -> tuple[RationalPolytope, ...]:
     return identity, geom, geom.scaled(q)
 
 
-class PairInstance:
+class PairInstance(_Record):
     """A (v, w, q, N(I)) problem statement, validated at construction.
 
     Rejected unless N(v) is contained in q*N(I) and (in free mode) the
@@ -135,12 +135,16 @@ class PairInstance:
     standard simplex as identity.  An instance may keep equal supports,
     hulls and (in free mode) an equal identity polytope built earlier in
     place of its own.
+
+    An immutable value: equality and hashing go over (Av, Aw, q, identity),
+    which fix everything else it holds.
     """
 
     __slots__ = (
         "Av", "Aw", "q", "context", "identity",
         "hull_v", "hull_w", "identity_geom", "q_identity",
     )
+    _fields = ("Av", "Aw", "q", "identity")
 
     def __init__(self, Av: WeightSupport, Aw: WeightSupport, q: int,
                  identity: RationalPolytope | None = None):
@@ -170,17 +174,16 @@ class PairInstance:
             identity = identity_geom = _shared(identity)
             q_identity = _shared(identity.scaled(q))
 
-        self.Av = _shared(Av)
-        self.Aw = _shared(Aw)
-        self.q = q
-        self.context = ctx
-        self.identity = identity
-        self.identity_geom = identity_geom
-        self.q_identity = q_identity
-        self.hull_v = _shared(RationalPolytope(Av.geometry_points()))
-        self.hull_w = _shared(RationalPolytope(Aw.geometry_points()))
+        Av, Aw = _shared(Av), _shared(Aw)
+        hull_v = _shared(RationalPolytope(Av.geometry_points()))
+        hull_w = _shared(RationalPolytope(Aw.geometry_points()))
+        for name, value in (("Av", Av), ("Aw", Aw), ("q", q), ("identity", identity),
+                            ("context", ctx), ("hull_v", hull_v), ("hull_w", hull_w),
+                            ("identity_geom", identity_geom),
+                            ("q_identity", q_identity)):
+            object.__setattr__(self, name, value)
 
-        if ctx.mode == "free" and not includes(self.q_identity, self.hull_v):
+        if ctx.mode == "free" and not includes(q_identity, hull_v):
             raise InputError("N(v) is not contained in q times the identity polytope")
 
     def __repr__(self):
@@ -194,7 +197,11 @@ class PairInstance:
 
 
 class FrameFamily(_Record):
-    """Torus-aligned snapshots of one pair; verdicts conjoin over frames."""
+    """Torus-aligned snapshots of one pair; verdicts conjoin over frames.
+
+    Equal frames, and equal tuples of them, built earlier are kept in place
+    of new ones.
+    """
 
     __slots__ = _fields = ("frames",)
 
@@ -206,7 +213,7 @@ class FrameFamily(_Record):
         for f in fr[1:]:
             if f.context != ctx or f.q != q:
                 raise InputError("frames must share context and q")
-        object.__setattr__(self, "frames", fr)
+        object.__setattr__(self, "frames", _shared(tuple([_shared(f) for f in fr])))
 
 
 class StabilityVerdict(_Record):
@@ -255,8 +262,11 @@ def _best_direction(ctx: LatticeContext, rows: list, objective: list) -> IntVec 
 
     The first ``ambient_dim`` variables are the direction; a program may
     carry one more, such as a separation level.  Every caller's program is
-    feasible at the origin and bounded on the box, so any status other than
-    optimal is an internal error.
+    feasible at the origin, as ``lp.solve_min_l1`` requires, and bounded on
+    the box, so any status other than optimal is an internal error.  A
+    positive optimum that is a single point is the direction as it stands;
+    otherwise the least-l1 stage picks one, breaking ties by its pivot path,
+    so the row order below fixes witnesses.
 
     A row with all-zero coefficients and right-hand side 0 constrains
     nothing and is dropped.  It has no entry in any other column, so it never

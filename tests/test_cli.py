@@ -124,6 +124,18 @@ def test_slope_float_overflow_exits_2(tmp_path, capsys, data, lam, field):
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_slope_that_overflows_exits_2(tmp_path, capsys, fmt):
+    # 10^307 converts to a float, but the sampled log-norms along it
+    # overflow; 10^306 still gives a finite slope
+    path = write(tmp_path, "fix_b.json", FIX_B)
+    huge = "1" + "0" * 307
+    assert main(["slope", path, f"--lambda={huge},-1", "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --lambda: "), (out, err)
+    assert main(["slope", path, f"--lambda={huge[:-1]},-1", "--format", fmt]) == 0
+
+
 def test_exact_commands_decide_past_the_float_range(tmp_path, capsys):
     # check, witness, min-m and degenerate build no float, so a coordinate
     # no float holds decides as in-process; their child loads no numeric

@@ -221,16 +221,16 @@ def reference_degeneration(prob):
 
 
 def counted(monkeypatch, fn, prob):
-    """fn(prob) and the number of LPs it solved."""
+    """fn(prob) and the number of direction LPs it solved."""
     solves = []
-    solve = lp.solve
+    solve_min_l1 = lp.solve_min_l1
 
-    def counting(prog):
+    def counting(prog, over):
         solves.append(prog)
-        return solve(prog)
+        return solve_min_l1(prog, over)
 
     with monkeypatch.context() as m:
-        m.setattr(lp, "solve", counting)
+        m.setattr(lp, "solve_min_l1", counting)
         return fn(prob), len(solves)
 
 
@@ -294,9 +294,9 @@ def test_matches_reference_on_random_problems(monkeypatch):
 
 
 def test_full_keep_set_skips_the_negated_objective(monkeypatch):
-    # lam_1 = 0 is forced: maximizing lam_1 gives 0 (one LP), maximizing
-    # lam_2 gives 1 (two LPs, the second picks the least l1 norm); the
-    # reference also maximizes -lam_1 before moving on
+    # lam_1 = 0 is forced: maximizing lam_1 gives 0, maximizing lam_2
+    # gives 1 (two direction LPs); the reference also maximizes -lam_1
+    # before moving on
     prob = DegenerationProblem([(0, 0), (1, 0)], [0, 1], FREE2)
-    assert counted(monkeypatch, find_degeneration, prob) == ((0, 1), 3)
-    assert counted(monkeypatch, reference_degeneration, prob) == ((0, 1), 4)
+    assert counted(monkeypatch, find_degeneration, prob) == ((0, 1), 2)
+    assert counted(monkeypatch, reference_degeneration, prob) == ((0, 1), 3)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -158,12 +159,35 @@ def test_solve_min_l1_prefers_sparse_optimum():
     assert sum(abs(c) for c in refined.point[:2]) <= \
         sum(abs(c) for c in plain.point[:2])
 
-    # a zero optimum is not refined: the whole box in (x1, x2) is optimal
-    # and the plain pivot lands on the corner (-1, -1), which comes back as is
+    # a zero optimum is not refined: the whole box in (x1, x2) is optimal,
+    # and some optimal point comes back with the status and the value
     zero = lp.linear_program(3, cons, [0, 0, 1])
-    plain = lp.solve(zero)
-    assert plain.value == 0 and plain.point[:2] == (Fraction(-1), Fraction(-1))
-    assert lp.solve_min_l1(zero, range(2)) == plain
+    result = lp.solve_min_l1(zero, range(2))
+    assert (result.status, result.value) == (lp.OPTIMAL, 0)
+    assert_optimal_point(zero, result)
+
+
+def assert_optimal_point(prog, result):
+    """result.point satisfies every constraint of prog and attains
+    result.value."""
+    x = result.point
+    for con in prog.constraints:
+        lhs = sum(c * xi for c, xi in zip(con.coeffs, x))
+        assert {lp.LEQ: lhs <= con.rhs, lp.GEQ: lhs >= con.rhs,
+                lp.EQ: lhs == con.rhs}[con.relation], (prog, result)
+    assert sum(c * xi for c, xi in zip(prog.objective, x)) == result.value
+
+
+def test_solve_min_l1_needs_a_feasible_origin():
+    # each program is feasible, but not at x = 0
+    for row in [([1, 0], lp.GEQ, 1), ([1, 1], lp.EQ, 2), ([0, 1], lp.LEQ, -1),
+                ([Fraction(1, 2), 0], lp.EQ, Fraction(-1, 3))]:
+        box = [([1, 0], lp.LEQ, 5), ([0, 1], lp.LEQ, 5),
+               ([1, 0], lp.GEQ, -5), ([0, 1], lp.GEQ, -5)]
+        prog = lp.linear_program(2, box + [row], [1, 1])
+        assert lp.solve(prog).status == lp.OPTIMAL
+        with pytest.raises(InputError, match="constraint 4 does not hold at the origin"):
+            lp.solve_min_l1(prog, range(2))
 
 
 def test_rationalize_direction_examples():
@@ -354,21 +378,95 @@ def assert_same_as_reference(prog):
         repr((want.status, want.value, want.point, want.ray)), prog
 
 
-def test_replay_of_corpus_decisions_matches_reference(corpus, monkeypatch):
-    recorded = []
+def reference_solve_min_l1(prog, over):
+    """``lp.solve_min_l1`` as it was before the first stage started at the
+    origin: two-phase ``lp.solve`` on the program, then, at a positive
+    optimum, the least-l1 stage, whatever the shape of the optimal set."""
+    first = lp.solve(prog)
+    if first.status != lp.OPTIMAL or first.value <= 0:
+        return first
+    n = prog.num_vars
+    k = len(over)
+    cons = [(list(con.coeffs) + [_ZERO] * k, con.relation, con.rhs)
+            for con in prog.constraints]
+    cons.append((list(prog.objective) + [_ZERO] * k, lp.EQ, first.value))
+    for slot, j in enumerate(over):
+        row = [_ZERO] * (n + k)
+        row[n + slot] = _ONE
+        row[j] = Fraction(-1)
+        cons.append((list(row), lp.GEQ, 0))
+        row[j] = _ONE
+        cons.append((row, lp.GEQ, 0))
+    second = lp.solve(lp.linear_program(n + k, cons, [_ZERO] * n + [Fraction(-1)] * k))
+    assert second.status == lp.OPTIMAL
+    return lp.LpResult(lp.OPTIMAL, first.value, second.point[:n])
+
+
+def assert_min_l1_as_reference(prog, over) -> str:
+    """lp.solve_min_l1 against the reference, and which way it went.
+
+    A positive optimum must come back identical, field by field: "unique"
+    when it came back without the least-l1 stage, "least-l1" when it ran
+    that stage.  A non-positive optimum ("not positive") must have the
+    reference's status and value and an optimal point; an unbounded program
+    ("unbounded") a ray along which the objective grows without bound."""
+    stages = []
     solve = lp.solve
 
+    def counting(program):
+        stages.append(program)
+        return solve(program)
+
+    lp.solve = counting
+    try:
+        got = lp.solve_min_l1(prog, over)
+    finally:
+        lp.solve = solve
+    want = reference_solve_min_l1(prog, over)
+    assert got.status == want.status, prog
+    if got.status == lp.UNBOUNDED:
+        assert not stages
+        for con in prog.constraints:
+            lhs = sum(c * r for c, r in zip(con.coeffs, got.ray))
+            assert {lp.LEQ: lhs <= 0, lp.GEQ: lhs >= 0, lp.EQ: lhs == 0}[con.relation]
+        assert sum(c * r for c, r in zip(prog.objective, got.ray)) > 0
+        return "unbounded"
+    if want.value <= 0:
+        assert not stages and got.value == want.value, prog
+        assert_optimal_point(prog, got)
+        return "not positive"
+    # repr also tells an int apart from an equal Fraction
+    assert repr(got) == repr(want), prog
+    assert len(stages) <= 1
+    return "least-l1" if stages else "unique"
+
+
+def test_replay_of_corpus_decisions_matches_reference(corpus, monkeypatch):
+    # Deciding the default corpus solves 225 direction LPs, all of them
+    # witness LPs (membership and segment reaches solve none).  58 of them
+    # run the least-l1 stage; each other one has a non-positive optimum or
+    # a single optimal point.
+    directions = []
+    stages = []
+    solve, solve_min_l1 = lp.solve, lp.solve_min_l1
+
     def recording(prog):
-        recorded.append(prog)
+        stages.append(prog)
         return solve(prog)
 
+    def recording_min_l1(prog, over):
+        directions.append((prog, over))
+        return solve_min_l1(prog, over)
+
     monkeypatch.setattr(lp, "solve", recording)
+    monkeypatch.setattr(lp, "solve_min_l1", recording_min_l1)
     for p in corpus:
         verdict(FrameFamily([p]))
     monkeypatch.undo()
-    # The witness LPs: membership and segment reaches solve none.
-    assert len(recorded) == 446
-    for prog in recorded:
+    assert (len(directions), len(stages)) == (225, 58)
+    ways = Counter(assert_min_l1_as_reference(prog, over) for prog, over in directions)
+    assert ways["least-l1"] == 58 and ways["unique"] > 0 and ways["not positive"] > 0
+    for prog in stages:
         assert_same_as_reference(prog)
 
 
@@ -377,13 +475,13 @@ def test_no_direction_program_has_a_zero_row(corpus, monkeypatch):
     # nothing: the self rows of the stability LPs, and the equality of a
     # kept weight that repeats the base weight.  None reaches the simplex.
     recorded = []
-    solve = lp.solve
+    solve_min_l1 = lp.solve_min_l1
 
-    def recording(prog):
+    def recording(prog, over):
         recorded.append(prog)
-        return solve(prog)
+        return solve_min_l1(prog, over)
 
-    monkeypatch.setattr(lp, "solve", recording)
+    monkeypatch.setattr(lp, "solve_min_l1", recording)
     for p in corpus:
         verdict(FrameFamily([p]))
     decision_programs = len(recorded)
@@ -429,3 +527,60 @@ def small_programs(draw):
 @given(small_programs())
 def test_small_programs_match_reference(prog):
     assert_same_as_reference(prog)
+
+
+@st.composite
+def origin_programs(draw):
+    """Programs feasible at the origin, shaped like the direction LPs, with
+    the variables to minimize over.
+
+    The first d variables get a box frame (with fractional bounds), and in
+    sl-like draws a trace-zero equality.  Then rows over all variables:
+    homogeneous rows of every relation, inequalities whose right-hand side
+    has the sign that keeps the origin feasible, and exact duplicates of
+    earlier rows.  The objective is random, the coefficients of a row (an
+    optimal face along that row), or random with the direction zeroed (the
+    whole box optimal).  Half the draws carry one more variable, like the
+    semistability LP's level; where no row bounds it, the program is
+    unbounded."""
+    d = draw(st.integers(1, 3))
+    n = d + draw(st.integers(0, 1))
+    cons = []
+    for i in range(d):
+        unit = [0] * n
+        unit[i] = 1
+        bound = draw(st.sampled_from((1, 1, Fraction(1, 2), 2)))
+        cons += [(unit, lp.LEQ, bound), (unit, lp.GEQ, -bound)]
+    if d > 1 and draw(st.booleans()):
+        cons.append(([1] * d + [0] * (n - d), lp.EQ, 0))
+    coeffs = st.lists(small_fractions, min_size=n, max_size=n)
+    nonneg = st.fractions(min_value=0, max_value=4, max_denominator=3)
+    row = st.one_of(
+        st.tuples(coeffs, st.sampled_from((lp.LEQ, lp.EQ, lp.GEQ)), st.just(0)),
+        st.tuples(coeffs, st.just(lp.LEQ), nonneg),
+        st.tuples(coeffs, st.just(lp.GEQ), nonneg.map(lambda b: -b)))
+    cons += draw(st.lists(row, max_size=6))
+    for i in draw(st.lists(st.integers(0, 20), max_size=3)):
+        cons.append(cons[i % len(cons)])
+    shape = draw(st.sampled_from(("random", "row", "zero direction")))
+    objective = draw(coeffs)
+    if shape == "row":
+        objective = [draw(st.sampled_from((1, -1, Fraction(1, 2)))) * c
+                     for c in cons[draw(st.integers(0, len(cons) - 1))][0]]
+    elif shape == "zero direction":
+        objective[:d] = [0] * d
+    return lp.linear_program(n, cons, objective), range(d)
+
+
+def test_solve_min_l1_matches_reference_on_origin_programs():
+    # Positive optima come back identical to the two-stage reference, on
+    # both ways: a single optimal point, and the least-l1 stage.
+    ways = Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(origin_programs())
+    def check(case):
+        ways[assert_min_l1_as_reference(*case)] += 1
+
+    check()
+    assert ways["unique"] > 0 and ways["least-l1"] > 0, ways

@@ -169,13 +169,19 @@ def test_contains_point_examples():
 def test_vertices_need_no_membership_lp(monkeypatch):
     pentagon = RationalPolytope([(2, 0), (0, 2), (-2, 1), (-1, -2), (1, -2), (0, 0)])
     solves = []
-    solve = lp.solve
+    solve, solve_min_l1 = lp.solve, lp.solve_min_l1
 
     def counting(prog):
         solves.append(prog)
         return solve(prog)
 
+    def counting_min_l1(prog, over):
+        solves.append(prog)
+        return solve_min_l1(prog, over)
+
+    # a direction LP's first stage does not go through lp.solve
     monkeypatch.setattr(lp, "solve", counting)
+    monkeypatch.setattr(lp, "solve_min_l1", counting_min_l1)
     assert includes(pentagon, pentagon)
     assert solves == []
     assert contains_point(pentagon, (0, 0))

@@ -211,8 +211,8 @@ def test_fields_are_frozen_and_survive_pickling(samples, cls):
             setattr(ref, name, value)
         with pytest.raises(AttributeError):
             delattr(obj, name)
-    # PairInstance compares by identity, so a pickled frame family is equal
-    # to its original only as far as the dataclass one was
+    # a pickled frame family holds equal copies of its frames, which compare
+    # equal as values, as in the dataclass one
     back = pickle.loads(pickle.dumps(obj))
     assert type(back) is cls and repr(back) == repr(obj)
     assert (back == obj) is (pickle.loads(pickle.dumps(ref)) == ref)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -30,7 +31,7 @@ from stablepairs import lp, polytope, stability
 from stablepairs.cli import _free_q
 from stablepairs.polytope import first_outside_vertex
 from stablepairs.stability import _direction_frame_constraints
-from conftest import build_corpus, identity_polytope, random_pair_instance
+from conftest import build_corpus, identity_polytope, make_fix_b, random_pair_instance
 
 FREE2 = LatticeContext.free(2)
 SL2 = LatticeContext.sl(2)
@@ -144,15 +145,21 @@ def test_origin_check_runs_once_per_instance(monkeypatch):
 
 def test_default_round_solves_only_witness_lps(monkeypatch):
     # Only witnesses cost LPs: building the default-seed corpus, hull
-    # vertices included, solves none, deciding it solves only the LPs that
-    # pick witnesses, and membership and segment reaches never solve one.
-    solves = {"build": 0, "decide": 0, "geometry": 0}
+    # vertices included, solves none, deciding it solves only the direction
+    # LPs that pick witnesses, and membership and segment reaches never
+    # solve one.  58 of the 225 direction LPs run the least-l1 stage.
+    directions = {"build": 0, "decide": 0, "geometry": 0}
+    stages = dict(directions)
     stage = ["build"]
-    solve = lp.solve
+    solve, solve_min_l1 = lp.solve, lp.solve_min_l1
 
     def counting(prog):
-        solves[stage[-1]] += 1
+        stages[stage[-1]] += 1
         return solve(prog)
+
+    def counting_min_l1(prog, over):
+        directions[stage[-1]] += 1
+        return solve_min_l1(prog, over)
 
     def lp_free(method):
         def wrapped(*args):
@@ -164,36 +171,59 @@ def test_default_round_solves_only_witness_lps(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(lp, "solve", counting)
+    monkeypatch.setattr(lp, "solve_min_l1", counting_min_l1)
     for name in ("contains_point", "reach"):
         monkeypatch.setattr(RationalPolytope, name, lp_free(getattr(RationalPolytope, name)))
     instances = build_corpus()
     stage[0] = "decide"
     for p in instances:
         verdict(FrameFamily([p]))
-    assert solves == {"build": 0, "decide": 446, "geometry": 0}
+    assert directions == {"build": 0, "decide": 225, "geometry": 0}
+    assert stages == {"build": 0, "decide": 58, "geometry": 0}
 
 
 def test_stability_lp_runs_only_at_zero_reaches(monkeypatch):
     # Frame 156 of the default corpus.  From the one vertex (3, 0) of N(v)
     # the reaches towards the vertices of q*N(I) are 0, 2/3, 0 and 1.  The
-    # LP at the first zero reach is not positive (one solve), the one at the
-    # second gives the witness (two solves, the second picks the least l1
-    # norm); a scan from the first zero reach on also solved at reach 2/3.
+    # LP at the first zero reach is not positive, the one at the second
+    # gives the witness: two direction LPs, where a scan from the first zero
+    # reach on also solved one at reach 2/3.  The witness's optimum is a
+    # single point, so neither runs the least-l1 stage.
     p = PairInstance(WeightSupport([(3, 0)], FREE2),
                      WeightSupport([(-1, -1), (1, -2), (3, 0)], FREE2),
                      3, identity_polytope("diamond", 2))
     assert [p.hull_w.reach((3, 0), b) for b in p.q_identity.vertices] == \
         [0, Fraction(2, 3), 0, 1]
-    solves = []
-    solve = lp.solve
+    directions = []
+    stages = []
+    solve, solve_min_l1 = lp.solve, lp.solve_min_l1
 
     def counting(prog):
-        solves.append(prog)
+        stages.append(prog)
         return solve(prog)
 
+    def counting_min_l1(prog, over):
+        directions.append(prog)
+        return solve_min_l1(prog, over)
+
     monkeypatch.setattr(lp, "solve", counting)
+    monkeypatch.setattr(lp, "solve_min_l1", counting_min_l1)
     v = verdict(FrameFamily([p]))
-    assert (v.stable, v.witness, len(solves)) == (False, (1, -4), 3)
+    assert (v.stable, v.witness, len(directions), len(stages)) == (False, (1, -4), 2, 0)
+
+
+def test_corpus_verdict_keys_are_pinned(corpus):
+    # sha256 over the verdict keys (flags, witness, margin, frame index) of
+    # the 250 default-seed corpus instances in corpus order, recorded while
+    # the least-l1 stage still ran at every positive optimum.  A change in
+    # any witness, margin or frame index changes it.
+    h = hashlib.sha256()
+    for p in corpus:
+        v = verdict(FrameFamily([p]))
+        h.update(repr((v.semistable, v.stable, v.witness, v.uniform_m,
+                       v.frame_index)).encode())
+    assert h.hexdigest() == \
+        "6d6341a97bb6d45c8569596719a644cfe411188ce65b7b66c28d9a4598ed15ac"
 
 
 def test_value_objects_have_no_instance_dict(fix_b):
@@ -220,6 +250,27 @@ def test_retained_bytes_per_instance():
         tracemalloc.stop()
     assert len(other) == len(corpus)
     assert retained / len(other) < 1536
+
+
+def test_pair_instance_is_an_immutable_value(fix_b):
+    twin = make_fix_b()
+    assert twin is not fix_b and twin == fix_b and hash(twin) == hash(fix_b)
+    assert repr(twin) == "PairInstance(|Av|=1, |Aw|=4, q=1, mode='free')"
+    # each of (Av, Aw, q, identity) takes part in equality
+    for other in (PairInstance(WeightSupport([(1, 0)], FREE2), fix_b.Aw, 1, fix_b.identity),
+                  PairInstance(fix_b.Av, WeightSupport([(0, 0)], FREE2), 1, fix_b.identity),
+                  PairInstance(fix_b.Av, fix_b.Aw, 2, fix_b.identity),
+                  PairInstance(fix_b.Av, fix_b.Aw, 1, BOX2)):
+        assert other != fix_b
+    for name in PairInstance.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(twin, name, getattr(twin, name))
+        with pytest.raises(AttributeError):
+            delattr(twin, name)
+    # a frame family keeps the equal frames built before it
+    first = FrameFamily([fix_b, fix_b])
+    again = FrameFamily([twin, make_fix_b()])
+    assert again.frames is first.frames and again.frames[1] is fix_b
 
 
 def test_equal_verdicts_are_shared(fix_b):
