@@ -194,8 +194,9 @@ def f_energy(theta: Sequence[float], Av: WeightSupport, Aw: WeightSupport) -> fl
 
     def top(support: WeightSupport) -> float:
         best = -math.inf
-        for point in support.geometry_points():
-            val = sum(float(c) * x for c, x in zip(point, th))
+        rows, scale = support.geometry_rows()
+        for row in rows:
+            val = sum(c / scale * x for c, x in zip(row, th))
             if val > best:
                 best = val
         return best

@@ -1,50 +1,28 @@
-"""Exact rational convex polytopes given by their vertices.
+"""Exact rational convex polytopes, built and queried in integer arithmetic.
 
-A polytope is kept as its vertex tuple alone.  Support values are exact
-maxima over the vertices.  Membership and segment reaches come from an exact
-integer facet description (an H-representation), built once per vertex
-tuple and cached:
-
-* the vertices are scaled to integers by the lcm of their denominators;
-* the equations of the affine hull (primitive integer normals and offsets)
-  come from exact row reduction of the vertex differences;
-* the facets are the hyperplanes of the affine hull, in its r pivot
-  coordinates (r the affine rank), that r vertices span with every vertex
-  on one side.
-
-Weight polytopes of single vectors are routinely degenerate (points,
-segments, lower-dimensional hulls), and this treats them as first-class
-citizens: inside its affine hull every polytope is full-dimensional.  The
-affine ranks in play are small, so enumerating r-subsets of points stays
-cheap.
-
-Hull vertices come from the same enumeration, run on the distinct input
-points: while each facet is found, the points on it are recorded, and a
-point is a vertex unless another point lies on every facet it lies on.  One
-code path serves every affine rank, and no LP is solved.
+A polytope keeps its vertices as integer rows over their least common scale,
+which every computation reads, and as shared Fraction tuples for the API.
+One exact integer pass, ``_hull``, serves every affine rank r: row reduction
+gives the affine hull and r pivot coordinates on it, and the
+double-description method gives the facets in those coordinates with the
+points on each.  Hull vertices are read off these incidences; membership,
+inclusion and segment reaches read the facet description of the vertex rows
+(an H-representation), built by the same pass on first use and cached.
+Degenerate hulls (points, segments, lower-dimensional polytopes) are
+first-class: inside its affine hull every polytope is full-dimensional.  The
+pass sweeps the current facets once per point, it does not enumerate
+r-subsets, and no LP is solved.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .lattice import InputError, LatticeContext, ModeError, RatVec, as_rat_vec, dot
-
-
-def _check_common_dim(points: Sequence[RatVec]) -> None:
-    if not points:
-        raise InputError("empty point set")
-    d = len(points[0])
-    for p in points:
-        if len(p) != d:
-            raise InputError("points of mixed dimension")
-    if d == 0:
-        raise InputError("zero-dimensional ambient space")
 
 
 def _int_rows(points: Sequence[RatVec]) -> tuple[list[list[int]], int]:
@@ -53,36 +31,45 @@ def _int_rows(points: Sequence[RatVec]) -> tuple[list[list[int]], int]:
     return [[c.numerator * (scale // c.denominator) for c in p] for p in points], scale
 
 
-def _affine_pivots(ints: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Integer Gauss-Jordan elimination on the differences from the first
-    point.
+def _reduced(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
-    Returns rows spanning the direction space of the affine hull and their
-    pivot columns, in increasing order: the k-th row is nonzero at the k-th
-    pivot column and every other row is zero there.  The pivot columns are
-    affine coordinates on the affine hull.
+
+def _affine_pivots(ints: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], list[int]]:
+    """Integer Gauss-Jordan elimination on the differences from the first
+    row, one row at a time, each carrying its combination of the accepted
+    differences in d more columns (d = len(ints[0])).
+
+    Returns rows spanning the direction space of the affine hull with their
+    pivot columns, in increasing order of pivot (affine coordinates on the
+    affine hull), and the indices of the first row and the rows whose
+    differences were accepted, in order: r + 1 affinely independent rows.
+    The k-th reduced row is nonzero at the k-th pivot column and every
+    other row is zero there.
     """
     base = ints[0]
-    rows = [[x - y for x, y in zip(v, base)] for v in ints[1:]]
-    pivots: list[int] = []
-    for col in range(len(base)):
-        k = len(pivots)
-        for found in range(k, len(rows)):
-            if rows[found][col]:
-                break
-        else:
-            continue
-        rows[k], rows[found] = rows[found], rows[k]
-        prow = rows[k]
-        p = prow[col]
-        for i, row in enumerate(rows):
-            a = row[col]
-            if a and i != k:
-                new = [p * x - a * y for x, y in zip(row, prow)]
-                g = gcd(*new)
-                rows[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(col)
-    return rows[:len(pivots)], pivots
+    d = len(base)
+    rows, pivots, basis = [], [], [0]
+    for i in range(1, len(ints)):
+        if len(rows) == d:
+            break
+        new = list(map(sub, ints[i], base)) + [0] * d
+        new[d + len(rows)] = 1
+        for row, c in zip(rows, pivots):
+            if a := new[c]:
+                new = [row[c] * x - a * y for x, y in zip(new, row)]
+        col = next(filter(new.__getitem__, range(d)), None)
+        if col is not None:
+            new = _reduced(new)
+            for k, row in enumerate(rows):
+                if a := row[col]:
+                    rows[k] = _reduced([new[col] * x - a * y for x, y in zip(row, new)])
+            rows.append(new)
+            pivots.append(col)
+            basis.append(i)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return list(map(rows.__getitem__, order)), sorted(pivots), basis
 
 
 def _kernel(reduced: list[list[int]], pivots: list[int], d: int) -> list[list[int]]:
@@ -109,23 +96,79 @@ def _primitive(normal: Sequence[int], offset: int) -> tuple[tuple[int, ...], int
     return tuple([x // g for x in normal]), offset // g
 
 
-class _Facets(NamedTuple):
-    """Integer H-representation of the hull of a vertex tuple.
+def _hull(ints: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], list]:
+    """The affine hull and the facets of the hull of distinct integer rows:
+    the reduced rows and pivots of ``_affine_pivots``, and the facets as
+    (n, h, mask), n a primitive normal in the pivot coordinates with
+    <n, x_P> <= h on every row x, and mask the bits of the rows on it.
 
-    With L = ``scale``, a point y lies in the hull exactly when
-    <e, L*y> = c for every (e, c) in ``equations`` and <n, (L*y)_P> <= h for
-    every (n, h) in ``facets``, where (.)_P keeps the ``pivots``
-    coordinates.  The equations cut out the affine hull, on which the pivot
-    coordinates are affine coordinates; every normal is primitive.
+    Double description (Fukuda & Prodon 1996): the facets are the extreme
+    rays of the cone of the (n, h) that every row satisfies.  The facets of
+    a simplex of the rows start it; each further row drops the facets it
+    violates, and a violated facet and a strictly satisfied one that meet
+    in a ridge give the facet through that ridge and the row.  Two facets
+    meet in a ridge exactly when no third holds every row both hold, so
+    exact integers settle every degenerate case.
+    """
+    reduced, pivots, basis = _affine_pivots(ints)
+    d, r = len(ints[0]), len(pivots)
+    coords = [[v[c] for c in pivots] for v in ints]
+    # The differences D of the simplex rows satisfy M D_P = diag(p) for the
+    # combinations M and pivot entries p: column j of L D_P^-1 is the normal
+    # of the facet through every simplex row but the (j + 1)-th, and their
+    # sum that of the facet through every one but the first.
+    L = lcm(*[row[c] for row, c in zip(reduced, pivots)])
+    cols = [[row[d + j] * (L // row[c]) for row, c in zip(reduced, pivots)] for j in range(r)]
+    normals = [[-x for x in col] for col in cols] + ([list(map(sum, zip(*cols)))] if r else [])
+    full = sum([1 << k for k in basis])
+    facets = [_primitive(n, sum(map(mul, n, coords[basis[j == r]]))) + (full ^ 1 << k,)
+              for j, (n, k) in enumerate(zip(normals, basis[1:] + basis[:1]))]
+    for i, x in enumerate(coords):
+        if i in basis:
+            continue
+        bit = 1 << i
+        values = [sum(map(mul, n, x)) - h for n, h, _ in facets]
+        kept = [(n, h, mask | bit) if value == 0 else (n, h, mask)
+                for (n, h, mask), value in zip(facets, values) if value <= 0]
+        for f, value in zip(facets, values):
+            if value > 0:
+                kept += _new_facets(facets, values, f, value, r, bit)
+        facets = kept
+    return reduced, pivots, facets
+
+
+def _new_facets(facets: list, values: list[int], f: tuple, value: int, r: int, bit: int) -> list:
+    """The facets through the new row (``bit``) and each ridge where the
+    violated facet f meets a facet that the row satisfies strictly."""
+    n, h, mask = f
+    out = []
+    for g, below in zip(facets, values):
+        if below < 0 and (ridge := mask & g[2]).bit_count() >= r - 1 and not any(
+                e is not f and e is not g and e[2] & ridge == ridge for e in facets):
+            # value * g - below * f is tight at the new row and on the ridge
+            normal = [value * a - below * b for a, b in zip(g[0], n)]
+            out.append(_primitive(normal, value * g[1] - below * h) + (ridge | bit,))
+    return out
+
+
+class _Facets(NamedTuple):
+    """Integer H-representation of the hull of vertex rows with scale L.
+
+    A point y lies in the hull exactly when <e, L*y> = c for every (e, c) in
+    ``equations`` and <n, (L*y)_P> <= h for every (n, h) in ``facets``,
+    where (.)_P keeps the ``pivots`` coordinates.  The equations cut out the
+    affine hull; every normal is primitive and the facets are sorted, each
+    with the bitmask of the vertex rows on it in ``incidences``.
     """
 
     scale: int
     pivots: tuple[int, ...]
     equations: tuple[tuple[tuple[int, ...], int], ...]
     facets: tuple[tuple[tuple[int, ...], int], ...]
+    incidences: tuple[int, ...]
 
-    def contains(self, y: RatVec) -> bool:
-        (Y,), m = _int_rows((y,))
+    def contains(self, Y: Sequence[int], m: int) -> bool:
+        """Is Y/m in the hull?"""
         L = self.scale
         for e, c in self.equations:
             if sum(map(mul, e, Y)) * L != c * m:
@@ -136,19 +179,16 @@ class _Facets(NamedTuple):
                 return False
         return True
 
-    def reach(self, a: RatVec, b: RatVec) -> Fraction:
-        """Largest t in [0, 1] with a + t(b - a) in the hull, for a in it.
-
-        0 when b - a leaves the direction space of the affine hull;
-        otherwise the least t at which the segment crosses a facet it
-        rises towards, capped at 1.
+    def reach(self, A: Sequence[int], ma: int, B: Sequence[int], mb: int) -> tuple[int, int]:
+        """Largest t in [0, 1] with a + t(b - a) in the hull, for a = A/ma in
+        it and b = B/mb, as (numerator, positive denominator): 0 when b - a
+        leaves the direction space of the affine hull, otherwise the least t
+        at which the segment crosses a facet it rises towards, capped at 1.
         """
-        (A,), ma = _int_rows((a,))
-        (B,), mb = _int_rows((b,))
         step = [x * ma - y * mb for x, y in zip(B, A)]  # ma*mb*(b - a)
         for e, _ in self.equations:
             if sum(map(mul, e, step)):
-                return Fraction(0)
+                return 0, 1
         L = self.scale
         AP = [A[c] for c in self.pivots]
         SP = [step[c] for c in self.pivots]
@@ -160,70 +200,20 @@ class _Facets(NamedTuple):
                 slack = (h * ma - L * sum(map(mul, n, AP))) * mb
                 if slack * den < num * L * rise:
                     num, den = slack, L * rise
-        return Fraction(num, den)
-
-
-def _facet_map(ints: Sequence[Sequence[int]], pivots: Sequence[int]) -> dict:
-    """The facets of the hull of distinct integer points, as primitive
-    (normal, offset) pairs in the ``pivots`` coordinates of their affine
-    hull, each mapped to the indices of the points on it.
-
-    A hyperplane of the affine hull spanned by r of the points (r the
-    affine rank) with every point on one side meets the hull in r affinely
-    independent points, so it is a facet; every facet contains r such
-    points, so none is missed.
-    """
-    r = len(pivots)
-    coords = [[v[c] for c in pivots] for v in ints]
-    facets = {}
-    for subset in combinations(coords, r) if r else ():
-        spans, spanned = _affine_pivots(subset)
-        if len(spanned) < r - 1:
-            continue
-        (normal,) = _kernel(spans, spanned, r)
-        h = sum(map(mul, normal, subset[0]))
-        levels = [sum(map(mul, normal, v)) for v in coords]
-        if max(levels) <= h:
-            facet = _primitive(normal, h)
-        elif min(levels) >= h:
-            facet = _primitive([-x for x in normal], -h)
-        else:
-            continue
-        if facet not in facets:
-            facets[facet] = [i for i, x in enumerate(levels) if x == h]
-    return facets
+        return num, den
 
 
 @lru_cache(maxsize=512)
-def _facets(vertices: tuple[RatVec, ...]) -> _Facets:
-    """The H-representation of the hull of a polytope's vertex tuple.
-
-    Keyed by the shared vertex tuple, so equal polytopes hit one entry.
-    """
-    ints, scale = _int_rows(vertices)
-    reduced, pivots = _affine_pivots(ints)
-    equations = [_primitive(e, sum(map(mul, e, ints[0])))
-                 for e in _kernel(reduced, pivots, len(ints[0]))]
-    facets = tuple(sorted(_facet_map(ints, pivots)))
-    return _Facets(scale, tuple(pivots), tuple(equations), facets)
-
-
-def _vertex_indices(ints: Sequence[Sequence[int]]) -> list[int]:
-    """Indices of the vertices of the hull of distinct integer points, read
-    off the facets that ``_facet_map`` finds on the points themselves.
-
-    A point is kept unless some other point is tight on every facet that it
-    is tight on.  A vertex is the intersection of its facets, so no other
-    point is tight on all of them.  A point inside a face of dimension >= 1
-    is tight on exactly the facets that hold the face, and so is every
-    vertex of that face.
-    """
-    tight = [0] * len(ints)  # per point, one bit for each facet it is on
-    for bit, on in enumerate(_facet_map(ints, _affine_pivots(ints)[1]).values()):
-        for i in on:
-            tight[i] |= 1 << bit
-    return [i for i, mine in enumerate(tight)
-            if not any(k != i and not mine & ~theirs for k, theirs in enumerate(tight))]
+def _facets(rows: tuple[tuple[int, ...], ...], scale: int) -> _Facets:
+    """The H-representation of the hull of a polytope's vertex rows, from
+    one ``_hull`` pass.  Filled on first query, so a polytope that is never
+    queried adds nothing."""
+    reduced, pivots, facets = _hull(rows)
+    equations = [_primitive(e, sum(map(mul, e, rows[0])))
+                 for e in _kernel(reduced, pivots, len(rows[0]))]
+    facets.sort()
+    return _Facets(scale, tuple(pivots), tuple(equations),
+                   tuple([(n, h) for n, h, _ in facets]), tuple([m for _, _, m in facets]))
 
 
 @lru_cache(maxsize=8192)
@@ -242,84 +232,121 @@ def _shared(value):
     return value
 
 
-def hull_vertices(points: Iterable[Sequence]) -> tuple[RatVec, ...]:
-    """Extreme points of the convex hull, in lexicographic order.
+def _canonical(rows: Sequence[Sequence[int]], scale: int) -> tuple[tuple, int, tuple]:
+    """Integer rows over a positive scale without a common factor, that
+    scale, and the points rows/scale as shared tuples of shared Fractions."""
+    if scale > 1 and (g := gcd(scale, *[x for row in rows for x in row])) > 1:
+        rows, scale = [[x // g for x in row] for row in rows], scale // g
+    rows = tuple(map(tuple, rows))
+    frac = Fraction if scale == 1 else lambda x: Fraction(x, scale)
+    return rows, scale, _shared(tuple([_shared(tuple(map(frac, row))) for row in rows]))
 
-    Duplicates are removed first.  Of more than two distinct points, the
-    vertices are read off the facets of their hull (``_vertex_indices``), at
-    every affine rank and without an LP.
-    """
-    pts = [as_rat_vec(p) for p in points]
-    _check_common_dim(pts)
-    ints, _ = _int_rows(pts)
+
+def hull_vertices(points: Iterable[Sequence], scale: int = 1,
+                  geometry: list | None = None) -> tuple[RatVec, ...]:
+    """Extreme points of the convex hull of the points divided by ``scale``
+    (a positive integer), in lexicographic order, as shared Fraction tuples.
+
+    Integer points are used as they are, others are brought to integer rows
+    by the lcm of their denominators, and duplicates go.  Of more than two,
+    a point is a vertex unless another one lies on every facet it lies on
+    in one ``_hull`` pass.  A list passed as ``geometry`` receives the
+    integer vertex rows and their least scale."""
+    pts = list(points)
+    if type(scale) is not int or scale < 1:
+        raise InputError("scale must be a positive integer")
+    if not pts:
+        raise InputError("empty point set")
+    if len({len(p) for p in pts}) > 1:
+        raise InputError("points of mixed dimension")
+    if not pts[0]:
+        raise InputError("zero-dimensional ambient space")
+    if not all(type(c) is int for p in pts for c in p):
+        pts, L = _int_rows([as_rat_vec(p) for p in pts])
+        scale *= L
     # A positive scale keeps lexicographic order, so the integer rows sort
     # and dedupe the points.
-    rows = sorted({tuple(r): p for r, p in zip(ints, pts)}.items())
+    rows = sorted(set(map(tuple, pts)))
     if len(rows) > 2:
-        rows = [rows[i] for i in _vertex_indices([r for r, _ in rows])]
-    return _shared(tuple([_shared(p) for _, p in rows]))
+        masks = [mask for _, _, mask in _hull(rows)[2]]
+        on = [(1 << len(rows)) - 1] * len(rows)  # per row, the rows on all its facets
+        for mask in masks:
+            for i in range(len(rows)):
+                if mask >> i & 1:
+                    on[i] &= mask
+        rows = [row for i, row in enumerate(rows) if on[i] == 1 << i]
+    *canonical, vertices = _canonical(rows, scale)
+    if geometry is not None:
+        geometry[:] = canonical
+    return vertices
 
 
 class RationalPolytope:
-    """Convex hull of finitely many rational points.
+    """Convex hull of finitely many rational points, ``points`` divided by
+    ``scale`` (a positive integer).
 
-    Only the vertex sublist is kept, computed once at construction; instances
-    are immutable and safe to share between threads.
+    Only the vertices are kept, computed once at construction, in
+    lexicographic order: as integer ``rows`` over their least common
+    ``scale``, on which equality and hashing go, and as shared Fraction
+    tuples in ``vertices``.  Instances are immutable and thread-safe.
     """
 
-    __slots__ = ("vertices", "dim")
+    __slots__ = ("vertices", "rows", "scale")
 
-    def __init__(self, points: Iterable[Sequence]):
-        self.vertices = hull_vertices(points)
-        self.dim = len(self.vertices[0])
+    def __init__(self, points: Iterable[Sequence], scale: int = 1):
+        geometry = []
+        self.vertices = hull_vertices(points, scale, geometry)
+        self.rows, self.scale = geometry
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows[0])
 
     def __repr__(self):
         return f"RationalPolytope(vertices={[tuple(map(str, v)) for v in self.vertices]})"
 
     def __eq__(self, other):
-        return isinstance(other, RationalPolytope) and self.vertices == other.vertices
+        return isinstance(other, RationalPolytope) and (self.rows, self.scale) == (
+            other.rows, other.scale)
 
     def __hash__(self):
-        return hash(self.vertices)
+        return hash((self.rows, self.scale))
+
+    def _checked(self, y: Sequence, what: str = "point") -> RatVec:
+        vec = as_rat_vec(y)
+        if len(vec) != self.dim:
+            raise InputError(f"{what} has dimension {len(vec)}, polytope has {self.dim}")
+        return vec
 
     def support_value(self, x: Sequence) -> Fraction:
         """max over the polytope of <x, y>; attained at a vertex."""
-        direction = as_rat_vec(x)
-        if len(direction) != self.dim:
-            raise InputError(
-                f"direction has dimension {len(direction)}, polytope has {self.dim}"
-            )
+        direction = self._checked(x, "direction")
         return max(dot(direction, v) for v in self.vertices)
 
     def contains_point(self, y: Sequence) -> bool:
-        """Exact membership: a vertex is found among the vertices, any other
-        point is checked against the cached facet description."""
-        point = as_rat_vec(y)
-        if len(point) != self.dim:
-            raise InputError(
-                f"point has dimension {len(point)}, polytope has {self.dim}"
-            )
-        return point in self.vertices or _facets(self.vertices).contains(point)
+        """Exact membership, read off the cached facet description."""
+        (row,), m = _int_rows([self._checked(y)])
+        return _facets(self.rows, self.scale).contains(row, m)
 
-    def reach(self, a: RatVec, b: RatVec) -> Fraction:
-        """Largest t in [0, 1] with a + t*(b - a) in the polytope.  The
-        polytope must contain a; both points must be Fraction tuples of its
-        dimension."""
-        return _facets(self.vertices).reach(a, b)
+    def reach(self, a: Sequence, b: Sequence) -> Fraction:
+        """Largest t in [0, 1] with a + t*(b - a) in the polytope, which
+        must contain a."""
+        (A,), ma = _int_rows([self._checked(a)])
+        (B,), mb = _int_rows([self._checked(b)])
+        return Fraction(*_facets(self.rows, self.scale).reach(A, ma, B, mb))
 
     def scaled(self, s) -> "RationalPolytope":
-        """The polytope s*P for a rational s >= 0, built without an LP.
-
-        For s > 0 the scaled vertices are exactly the vertices of s*P, in the
-        same lexicographic order; for s = 0 they all collapse to the origin.
-        """
+        """The polytope s*P for a rational s >= 0, without a hull pass: for
+        s > 0 the scaled vertices are exactly the vertices of s*P, in the
+        same order; for s = 0 they all collapse to the origin."""
         factor = Fraction(s)
         if factor < 0:
             raise InputError("scaling factor must be nonnegative")
-        verts = self.vertices[:1] if factor == 0 else self.vertices
+        k = factor.numerator
         out = object.__new__(RationalPolytope)
-        out.dim = self.dim
-        out.vertices = _shared(tuple([_shared(tuple([factor * c for c in v])) for v in verts]))
+        rows = self.rows[:1] if k == 0 else self.rows
+        out.rows, out.scale, out.vertices = _canonical([[k * x for x in row] for row in rows],
+                                                       self.scale * factor.denominator)
         return out
 
 
@@ -343,20 +370,25 @@ def minkowski_combine(P: RationalPolytope, Q: RationalPolytope,
         raise InputError("Minkowski coefficients must be nonnegative")
     if P.dim != Q.dim:
         raise InputError("polytopes of different dimension")
-    combos = [
-        tuple(sf * a + tf * b for a, b in zip(p, q))
-        for p in P.vertices
-        for q in Q.vertices
-    ]
-    return RationalPolytope(combos)
+    # s*X/L + t*Y/M over the common scale of both terms
+    a = sf.numerator * tf.denominator * Q.scale
+    b = tf.numerator * sf.denominator * P.scale
+    combos = [[a * x + b * y for x, y in zip(X, Y)] for X in P.rows for Y in Q.rows]
+    return RationalPolytope(combos, sf.denominator * tf.denominator * P.scale * Q.scale)
 
 
 def first_outside_vertex(P: RationalPolytope, Q: RationalPolytope) -> RatVec | None:
-    """First vertex of Q (lexicographic order) not contained in P, if any."""
+    """First vertex of Q (lexicographic order) not contained in P, if any.
+    A vertex row of Q among P's is inside; P's facet description is looked
+    up only for the others."""
     if P.dim != Q.dim:
         raise InputError("polytopes of different dimension")
-    for v in Q.vertices:
-        if not P.contains_point(v):
+    facets = None
+    for v, X in zip(Q.vertices, Q.rows):
+        if Q.scale == P.scale and X in P.rows:
+            continue
+        facets = facets or _facets(P.rows, P.scale)
+        if not facets.contains(X, Q.scale):
             return v
     return None
 

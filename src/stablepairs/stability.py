@@ -20,9 +20,9 @@ and fixes m.  A stability LP runs only at a pair of zero reach (elsewhere
 its optimum cannot be positive), to extract the witness of an unstable pair.
 
 In sl mode the geometry happens on the trace-zero projections of the
-integer weights, while every weight evaluation stays on the integer
-representatives (the two agree on trace-zero directions, which is all a
-one-parameter subgroup of SL can be).
+integer weights, kept as integers N times over, while every weight
+evaluation stays on the integer representatives (the two agree on trace-zero
+directions, which is all a one-parameter subgroup of SL can be).
 
 Every returned witness is a primitive integer vector and is re-verified by
 direct weight evaluation before being handed back, so a witness is always a
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from fractions import Fraction
-from math import ceil
 from typing import Iterable, Sequence
 
 from . import lp
@@ -48,6 +47,7 @@ from .lattice import (
 )
 from .polytope import (
     RationalPolytope,
+    _facets,
     _shared,
     first_outside_vertex,
     includes,
@@ -75,12 +75,15 @@ class WeightSupport(_Record):
     def __len__(self):
         return len(self.weights)
 
-    def geometry_points(self) -> tuple:
-        """Weights as geometry coordinates: projected in sl mode, literal
-        otherwise."""
+    def geometry_rows(self) -> tuple[tuple[IntVec, ...], int]:
+        """Weights as geometry coordinates, in integer rows over one scale:
+        literal with scale 1 in free mode; in sl mode N*a - sum(a)*(1,...,1)
+        with scale N = ``ambient_dim``, N times the trace-zero projection."""
         if self.context.mode == "sl":
-            return tuple([self.context.project_sl(a) for a in self.weights])
-        return tuple([tuple([Fraction(c) for c in a]) for a in self.weights])
+            n = self.context.ambient_dim
+            return tuple([tuple([n * c - s for c in a])
+                          for a, s in zip(self.weights, map(sum, self.weights))]), n
+        return self.weights, 1
 
     def shifted(self, offset: Sequence[int]) -> "WeightSupport":
         off = self.context.check_weight(offset)
@@ -123,7 +126,7 @@ def _sl_identity(ctx: LatticeContext, q: int) -> tuple[RationalPolytope, ...]:
     times that projection.  They depend on the context and q alone and are
     immutable, so instances share them instead of each holding a copy."""
     identity = standard_simplex(ctx, 1)
-    geom = RationalPolytope([ctx.project_sl(v) for v in identity.vertices])
+    geom = RationalPolytope(*WeightSupport(identity.rows, ctx).geometry_rows())
     return identity, geom, geom.scaled(q)
 
 
@@ -169,14 +172,14 @@ class PairInstance(_Record):
                 raise InputError("free mode requires an explicit identity polytope")
             if identity.dim != ctx.ambient_dim:
                 raise InputError("identity polytope dimension mismatch")
-            if not identity.contains_point((Fraction(0),) * identity.dim):
+            if not identity.contains_point((0,) * identity.dim):
                 raise InputError("identity polytope must contain the origin")
             identity = identity_geom = _shared(identity)
             q_identity = _shared(identity.scaled(q))
 
         Av, Aw = _shared(Av), _shared(Aw)
-        hull_v = _shared(RationalPolytope(Av.geometry_points()))
-        hull_w = _shared(RationalPolytope(Aw.geometry_points()))
+        hull_v = _shared(RationalPolytope(*Av.geometry_rows()))
+        hull_w = _shared(RationalPolytope(*Aw.geometry_rows()))
         for name, value in (("Av", Av), ("Aw", Aw), ("q", q), ("identity", identity),
                             ("context", ctx), ("hull_v", hull_v), ("hull_w", hull_w),
                             ("identity_geom", identity_geom),
@@ -375,17 +378,20 @@ def _margin_or_witness(p: PairInstance) -> tuple[int | None, IntVec | None]:
     A vertex a with a zero reach always yields a witness: the lam above
     attains its minimum on q*N(I) at a vertex p_hat, and t_{a p_hat} = 0.
     """
-    least = Fraction(1)
-    q_vertices = p.q_identity.vertices
-    for a in p.hull_v.vertices:
-        reaches = [p.hull_w.reach(a, b) for b in q_vertices]
-        for b, reach in zip(q_vertices, reaches):
-            if reach == 0 and (lam := _stability_witness(p, a, b)) is not None:
+    V, Q = p.hull_v, p.q_identity
+    facets = _facets(p.hull_w.rows, p.hull_w.scale)
+    num, den = 1, 1  # the least reach so far, num/den
+    for a, A in zip(V.vertices, V.rows):
+        reaches = [facets.reach(A, V.scale, B, Q.scale) for B in Q.rows]
+        for b, (t, _) in zip(Q.vertices, reaches):
+            if t == 0 and (lam := _stability_witness(p, a, b)) is not None:
                 return None, lam
-        if 0 in reaches:
-            raise RuntimeError("internal: zero segment reach without a stability witness")
-        least = min(least, *reaches)
-    return ceil(1 / least), None
+        for t, u in reaches:
+            if t == 0:
+                raise RuntimeError("internal: zero segment reach without a stability witness")
+            if t * den < num * u:
+                num, den = t, u
+    return -(-den // num), None
 
 
 def is_stable(p: PairInstance) -> tuple[bool, IntVec | None]:

@@ -1,5 +1,8 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,10 +22,141 @@ from stablepairs import (
     standard_simplex,
     support_value,
 )
-from stablepairs import lp
+from stablepairs import lp, polytope
+from stablepairs.polytope import _facets, _int_rows, _kernel, _primitive, _shared
 
 SL2 = LatticeContext.sl(2)
 SL3 = LatticeContext.sl(3)
+
+
+# The r-subset enumeration that built hulls and facet descriptions before
+# the double-description pass: the reference for ``polytope._hull``.
+
+def _reference_pivots(ints):
+    """Integer Gauss-Jordan elimination on the differences from the first
+    point, column by column: rows spanning the direction space of the
+    affine hull and their pivot columns, in increasing order."""
+    base = ints[0]
+    rows = [[x - y for x, y in zip(v, base)] for v in ints[1:]]
+    pivots = []
+    for col in range(len(base)):
+        k = len(pivots)
+        for found in range(k, len(rows)):
+            if rows[found][col]:
+                break
+        else:
+            continue
+        rows[k], rows[found] = rows[found], rows[k]
+        prow = rows[k]
+        p = prow[col]
+        for i, row in enumerate(rows):
+            a = row[col]
+            if a and i != k:
+                new = [p * x - a * y for x, y in zip(row, prow)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def _facet_map(ints, pivots) -> dict:
+    """The facets of the hull of distinct integer points, as primitive
+    (normal, offset) pairs in the ``pivots`` coordinates of their affine
+    hull, each mapped to the indices of the points on it.
+
+    A hyperplane of the affine hull spanned by r of the points (r the
+    affine rank) with every point on one side meets the hull in r affinely
+    independent points, so it is a facet; every facet contains r such
+    points, so none is missed.
+    """
+    r = len(pivots)
+    coords = [[v[c] for c in pivots] for v in ints]
+    facets = {}
+    for subset in combinations(coords, r) if r else ():
+        spans, spanned = _reference_pivots(subset)
+        if len(spanned) < r - 1:
+            continue
+        (normal,) = _kernel(spans, spanned, r)
+        h = sum(map(mul, normal, subset[0]))
+        levels = [sum(map(mul, normal, v)) for v in coords]
+        if max(levels) <= h:
+            facet = _primitive(normal, h)
+        elif min(levels) >= h:
+            facet = _primitive([-x for x in normal], -h)
+        else:
+            continue
+        if facet not in facets:
+            facets[facet] = [i for i, x in enumerate(levels) if x == h]
+    return facets
+
+
+def _vertex_indices(ints) -> list:
+    """Indices of the vertices of the hull of distinct integer points: a
+    point is kept unless some other point is tight on every facet that it
+    is tight on."""
+    tight = [0] * len(ints)  # per point, one bit for each facet it is on
+    for bit, on in enumerate(_facet_map(ints, _reference_pivots(ints)[1]).values()):
+        for i in on:
+            tight[i] |= 1 << bit
+    return [i for i, mine in enumerate(tight)
+            if not any(k != i and not mine & ~theirs for k, theirs in enumerate(tight))]
+
+
+def reference_vertices(points) -> tuple:
+    """Hull vertices of rational points by the enumeration, in
+    lexicographic order."""
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    ints, _ = _int_rows(pts)
+    rows = sorted({tuple(r): p for r, p in zip(ints, pts)}.items())
+    if len(rows) > 2:
+        rows = [rows[i] for i in _vertex_indices([r for r, _ in rows])]
+    return tuple(p for _, p in rows)
+
+
+def reference_facets(vertices) -> tuple:
+    """(scale, pivots, equations, sorted facets, incidences) of the hull of
+    a vertex tuple by the enumeration, fields as in ``polytope._Facets``."""
+    ints, scale = _int_rows(vertices)
+    reduced, pivots = _reference_pivots(ints)
+    equations = [_primitive(e, sum(map(mul, e, ints[0])))
+                 for e in _kernel(reduced, pivots, len(ints[0]))]
+    on = _facet_map(ints, pivots)
+    facets = sorted(on)
+    return (scale, tuple(pivots), tuple(equations), tuple(facets),
+            tuple(sum(1 << i for i in on[f]) for f in facets))
+
+
+def assert_hull_pass_matches_enumeration(points, enumerate_points=True):
+    """The hull pass against the enumeration: its facets and incidences on
+    the points; the shared vertex tuple, in order; the integer vertex rows
+    and scale of the polytope; and its facet description, equations,
+    facets and incidences.
+
+    Without ``enumerate_points`` the vertices are checked on the vertices
+    alone, which costs C(v, r) subsets instead of C(n, r): each is a vertex
+    of their hull, and every point satisfies its facet description, so
+    they are exactly the extreme points.
+    """
+    if enumerate_points:
+        ints, _ = _int_rows([tuple(Fraction(c) for c in p) for p in points])
+        rows = sorted(set(map(tuple, ints)))
+        on = _facet_map(rows, _reference_pivots(rows)[1])
+        assert sorted(polytope._hull(rows)[2]) == sorted(
+            f + (sum(1 << i for i in on[f]),) for f in on)
+    verts = hull_vertices(points)
+    expected = reference_vertices(points if enumerate_points else verts)
+    assert verts == expected
+    assert verts is _shared(tuple([_shared(v) for v in expected]))
+    if not enumerate_points:
+        ref = polytope._Facets(*reference_facets(verts))
+        for p in points:
+            (row,), m = _int_rows([tuple(Fraction(c) for c in p)])
+            assert ref.contains(row, m), p
+    P = RationalPolytope(points)
+    assert P.vertices is verts
+    rows, scale = _int_rows(verts)
+    assert (P.rows, P.scale) == (tuple(map(tuple, rows)), scale)
+    assert _facets(P.rows, P.scale) == reference_facets(verts)
 
 
 # LP references for the facet path: the membership, segment reach and hull
@@ -115,6 +249,9 @@ def test_hull_errors():
         hull_vertices([])
     with pytest.raises(InputError):
         hull_vertices([(1, 0), (1,)])
+    for scale in (0, -2, Fraction(1, 2)):
+        with pytest.raises(InputError):
+            hull_vertices([(1, 0)], scale)
 
 
 def test_support_value_examples():
@@ -327,6 +464,11 @@ def test_vertex_order_is_lexicographic_and_stable():
     assert RationalPolytope(list(reversed(pts))).vertices == P.vertices
 
 
+def geometry_points(A) -> tuple:
+    rows, scale = A.geometry_rows()
+    return tuple(tuple(Fraction(c, scale) for c in row) for row in rows)
+
+
 def test_facet_path_matches_lp_on_corpus(corpus):
     # The questions the decisions ask: the hulls of the supports, membership
     # in N(w) and q*N(I) of the points of A(v) (and in N(w) of the
@@ -334,7 +476,7 @@ def test_facet_path_matches_lp_on_corpus(corpus):
     # each vertex of N(v) it holds towards each vertex of q*N(I).
     memberships = reaches = 0
     for p in corpus:
-        v_points, w_points = p.Av.geometry_points(), p.Aw.geometry_points()
+        v_points, w_points = geometry_points(p.Av), geometry_points(p.Aw)
         for points in (v_points, w_points, v_points + w_points):
             assert hull_vertices(points) == reference_hull(points)
         q_vertices = p.q_identity.vertices
@@ -415,3 +557,78 @@ GRID = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
 def test_facet_path_matches_lp_on_low_rank_supports(case):
     points, probes = case
     assert_facet_path_matches_lp(points, probes)
+
+
+CIRCLE = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3),
+          (-5, 0), (-4, -3), (-3, -4), (0, -5), (3, -4), (4, -3)]
+
+
+@st.composite
+def hull_point_sets(draw):
+    """Point sets for the hull pass against the enumeration: free rank 1-5
+    (integer or rational points) or sl(2)-sl(5) (projected), of affine rank
+    0-5, as a single point, collinear or coplanar with boundary points,
+    lattice points of a circle around its centre, with duplicates, or
+    unstructured; a third of them scaled and shifted to coordinates near
+    10^12."""
+    mode = draw(st.sampled_from(("free", "sl")))
+    dim = draw(st.integers(1, 5) if mode == "free" else st.integers(2, 5))
+    point = st.tuples(*[st.integers(-2, 2)] * dim)
+    kind = draw(st.sampled_from(("single", "collinear", "coplanar", "cocircular",
+                                 "duplicates", "plain", "plain")))
+    if kind == "single":
+        pts = [draw(point)]
+    elif kind == "cocircular":
+        base, u, v = draw(point), draw(point), draw(point)
+        on = draw(st.lists(st.sampled_from(CIRCLE), min_size=1, max_size=8))
+        pts = [base] + [tuple(b + x * s + y * t for b, s, t in zip(base, u, v)) for x, y in on]
+    elif kind in ("collinear", "coplanar"):
+        base = draw(point)
+        steps = draw(st.lists(point, min_size=1, max_size=1 if kind == "collinear" else 2))
+        ks = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(steps)), min_size=2, max_size=7))
+        pts = [tuple(b + sum(k * s[i] for k, s in zip(kk, steps)) for i, b in enumerate(base))
+               for kk in ks]
+    else:
+        pts = draw(st.lists(point, min_size=dim + 1, max_size=dim + 5))
+        if kind == "duplicates":
+            pts += pts[:2]
+    if draw(st.integers(0, 2)) == 0:
+        big = 10 ** 10
+        shift = draw(st.tuples(*[st.integers(-10 ** 12 // 2, 10 ** 12 // 2)] * dim))
+        pts = [tuple(big * c + s for c, s in zip(p, shift)) for p in pts]
+    if mode == "sl":
+        ctx = LatticeContext.sl(dim)
+        return [ctx.project_sl(a) for a in pts]
+    den = draw(st.sampled_from((1, 1, 2, 3, 7)))
+    return [tuple(Fraction(c, den) for c in p) for p in pts] if den > 1 else pts
+
+
+CUBE = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+HALF = Fraction(1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hull_point_sets())
+# the unit cube with its centre, face centres and edge midpoints, also
+# lifted to free rank 4 at a constant last coordinate and as the 4-cube
+@example(CUBE + [(HALF, HALF, HALF), (HALF, HALF, 0), (1, HALF, HALF), (0, 0, HALF)])
+@example([p + (7,) for p in CUBE] + [(HALF, HALF, HALF, 7), (0, HALF, 1, 7)])
+@example([p + (t,) for p in CUBE for t in (0, 1)] + [(HALF,) * 4, (0, HALF, HALF, 1)])
+# facets of this rank-4 set share three rows (with (0, 0, 0, 0) between
+# two of them) without meeting in a ridge, so a shared-row count alone would
+# join them
+@example([(0, -1, -1, 0), (0, -1, 0, 1), (0, 0, 0, 0), (0, 1, 0, -1), (1, -1, 0, 0),
+          (1, -1, 0, 1), (1, 0, -1, 1), (1, 1, 1, 0)])
+def test_hull_pass_matches_enumeration(points):
+    assert_hull_pass_matches_enumeration(points)
+
+
+def test_large_supports_match_enumeration():
+    # The 30-point free rank-4 set of the size table in ROADMAP.md, in full;
+    # the 100-point rank-3 set on its vertices, as C(100, 3) subsets would
+    # take the reference tens of seconds.
+    rng = random.Random(2018)
+    four = [tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(30)]
+    three = [tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(100)]
+    assert_hull_pass_matches_enumeration(four)
+    assert_hull_pass_matches_enumeration(three, enumerate_points=False)

@@ -47,6 +47,21 @@ def test_weight_examples():
     assert weight((0, -1), diamond) == -1
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(-10 ** 12, 10 ** 12)] * n), min_size=1, max_size=6)))
+def test_sl_geometry_rows_are_scaled_projections(weights):
+    n = len(weights[0])
+    ctx = LatticeContext.sl(n)
+    A = WeightSupport(weights, ctx)
+    rows, scale = A.geometry_rows()
+    assert scale == n
+    assert all(type(c) is int for row in rows for c in row)
+    assert rows == tuple(tuple(n * c for c in ctx.project_sl(a)) for a in A.weights)
+    free = WeightSupport(weights, LatticeContext.free(n))
+    assert free.geometry_rows() == (free.weights, 1)
+
+
 def test_weight_rejects_zero_direction():
     A = WeightSupport([(1, 0)], FREE2)
     with pytest.raises(InputError):
