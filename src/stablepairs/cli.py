@@ -21,7 +21,8 @@ Schema:
     }
 
 Exit codes: 0 stable, 3 semistable only, 4 unstable, 2 schema or validation
-error, 1 internal error.
+error, 1 internal error.  ``stablepairs --debug COMMAND ...`` also prints the
+traceback of an internal error to stderr; stdout is the same either way.
 """
 
 from __future__ import annotations
@@ -510,6 +511,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Decide K-semistability, K-stability and uniform "
                     "K-stability of weighted pairs, with certificates.",
     )
+    parser.add_argument("--debug", action="store_true",
+                        help="print the traceback to stderr on an internal "
+                             "error (exit 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_format(p):
@@ -572,7 +576,10 @@ def main(argv=None) -> int:
     except (SchemaError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        if args.debug:
+            import traceback
+            traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

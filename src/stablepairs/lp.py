@@ -19,9 +19,11 @@ programs solved here only extract directions: the semistability and
 stability witnesses and degeneration directions, all through one helper,
 ``stability._best_direction``, which calls ``solve_min_l1`` on a box frame
 and rationalizes the optimal direction.  Those programs are feasible at the
-origin, so ``solve_min_l1`` starts its first stage there, with no phase 1,
-and runs the two-phase least-l1 stage (``solve`` on a larger program) only
-when its positive optimum is not provably a single point.
+origin, so ``solve_min_l1`` starts its first stage there, with no phase 1.
+When its positive optimum is not provably a single point, it minimizes the
+l1 norm on the optimal face in the same tableau, and runs the two-phase
+least-l1 stage (``solve`` on a larger program) only when the least-l1 point
+is not provably a single point either.
 """
 
 from __future__ import annotations
@@ -244,8 +246,8 @@ class _Tableau:
                 best, best_a, best_b = i, a, row[-1]
         return best
 
-    def run(self, allowed: int) -> int | None:
-        """Bland simplex loop over columns < allowed.
+    def run(self, columns: Sequence[int]) -> int | None:
+        """Bland simplex loop over the given columns, in increasing order.
 
         Returns None at optimality, or the entering column index when the
         program is unbounded in that direction.
@@ -253,7 +255,7 @@ class _Tableau:
         while True:
             enter = None
             zrow = self.zrow
-            for j in range(allowed):
+            for j in columns:
                 if zrow[j] < 0:
                     enter = j
                     break
@@ -273,7 +275,7 @@ def solve(lp: LinearProgram) -> LpResult:
 
     # Phase 1: drive the artificial variables to zero.
     tab._reset_costs([0] * tab.art_start, art_cost=-1)
-    tab.run(tab.art_start)
+    tab.run(range(tab.art_start))
     if tab.zrow[-1] < 0:
         return LpResult(INFEASIBLE)
     return _optimize(tab, lp.objective)
@@ -300,7 +302,7 @@ def _optimize(tab: _Tableau, objective: tuple[Fraction, ...]) -> LpResult:
         costs[j] = c.numerator * (cost_scale // c.denominator)
         costs[n + j] = -costs[j]
     tab._reset_costs(costs)
-    enter = tab.run(width)
+    enter = tab.run(range(width))
     den = tab.den
 
     if enter is not None:
@@ -311,33 +313,39 @@ def _optimize(tab: _Tableau, objective: tuple[Fraction, ...]) -> LpResult:
         ray = tuple([direction[j] - direction[n + j] for j in range(n)])
         return LpResult(UNBOUNDED, ray=ray)
 
-    std = [_ZERO] * (width + m)
-    for i in range(m):
-        std[tab.basis[i]] = Fraction(tab.rows[i][-1], den)
-    point = tuple([std[j] - std[n + j] for j in range(n)])
     return LpResult(OPTIMAL, value=Fraction(tab.zrow[-1], den * cost_scale),
-                    point=point)
+                    point=_point(tab))
 
 
-def _is_unique(tab: _Tableau) -> bool:
+def _point(tab: _Tableau) -> tuple[Fraction, ...]:
+    """The basic solution of a feasible tableau, in x = x+ - x-."""
+    n, den = tab.n, tab.den
+    std = [_ZERO] * (tab.art_start + tab.m)
+    for i, b in enumerate(tab.basis):
+        std[b] = Fraction(tab.rows[i][-1], den)
+    return tuple([std[j] - std[n + j] for j in range(n)])
+
+
+def _is_unique(tab: _Tableau, fixed: frozenset = frozenset()) -> bool:
     """Whether the optimum in an optimal tableau is the only optimal point,
-    in the original variables x = x+ - x-.
+    in the original variables x = x+ - x-, with the ``fixed`` columns held
+    at 0.
 
     Every optimal point is reached from the optimal basis by raising
-    nonbasic columns of zero reduced cost (a positive one must stay at 0).
-    When none of those columns moves x, the optimal set is one point.  The
-    test is sufficient, not necessary: a column blocked by a degenerate row
-    counts as moving.  The mirror of a basic x+- column always passes, as
-    x+ and x- then rise together.
+    nonbasic columns of zero reduced cost (a positive one must stay at 0,
+    and so must a fixed one).  When none of those columns moves x, the
+    optimal set is one point.  The test is sufficient, not necessary: a
+    column blocked by a degenerate row counts as moving.  The mirror of a
+    basic x+- column always passes, as x+ and x- then rise together.
     """
     n, den, rows, zrow = tab.n, tab.den, tab.rows, tab.zrow
-    basic = set(tab.basis)
+    skip = fixed.union(tab.basis)
     # Row, sign and variable of every basic x+- column; its row stores den
     # on its own column, so rows[i][j] / den is the drop per unit of j.
     x_rows = [(i, 1 if b < n else -1, b % n)
               for i, b in enumerate(tab.basis) if b < 2 * n]
     for j in range(tab.art_start):
-        if zrow[j] or j in basic:
+        if zrow[j] or j in skip:
             continue
         move = [0] * n
         if j < 2 * n:
@@ -347,6 +355,30 @@ def _is_unique(tab: _Tableau) -> bool:
         if any(move):
             return False
     return True
+
+
+def _face_min_l1(tab: _Tableau, over: Sequence[int]) -> bool:
+    """Minimize sum(|x_j|, j in over) on the optimal face of an optimal
+    tableau, in place, and tell whether the least-l1 point is unique.
+
+    The optimal face is the feasible set with every column of positive
+    reduced cost at 0, so those columns are fixed and the others priced
+    with the cost -(x+_j + x-_j) for j in ``over``.  Only columns of zero
+    reduced cost enter, and a pivot on such a column leaves the first cost
+    row as it was, so every basis visited stays on the face.  At the end
+    the least-l1 points of the face are the optimal points of this
+    program; when ``_is_unique`` finds them one point, every least-l1
+    stage returns that point, whatever its pivot path.
+    """
+    n, width = tab.n, tab.art_start
+    fixed = frozenset([j for j in range(width) if tab.zrow[j] > 0])
+    costs = [0] * width
+    for j in over:
+        costs[j] = costs[n + j] = -1
+    tab._reset_costs(costs)
+    # -l1 is at most 0, so this program is bounded
+    tab.run([j for j in range(width) if j not in fixed])
+    return _is_unique(tab, fixed)
 
 
 def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
@@ -360,20 +392,27 @@ def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
     unbounded program with some ray.  When no optimal column moves the
     original variables (``_is_unique``), the positive optimum is a single
     point, which any least-l1 stage would return, so it comes back at once.
+    Otherwise ``_face_min_l1`` minimizes the l1 norm on the optimal face,
+    on the same tableau; when the least-l1 point is provably unique, it
+    comes back, for the same reason.
 
-    Otherwise the second stage runs, two-phase and fully exact: the first
-    optimum becomes an equality constraint, then the sum of absolute values
-    of the chosen variables is minimized through the usual t_i >= +/- x_i
-    envelope.  Keeps witnesses canonical instead of whatever vertex of a
-    degenerate optimal face the pivot order happens to visit first; on such
-    a face the pivot path of this stage breaks the ties.  It is feasible
-    (the first point with t = |x|) and bounded (its objective is at most
-    0), so any other status is an internal error.
+    Otherwise the points of least l1 norm tie (or a degenerate row hides
+    that they do not), and the second stage runs, two-phase and fully
+    exact, on the original program: the first optimum becomes an equality
+    constraint, then the sum of absolute values of the chosen variables is
+    minimized through the usual t_i >= +/- x_i envelope.  Keeps witnesses
+    canonical instead of whatever vertex of a degenerate optimal face the
+    pivot order happens to visit first; on such a face the pivot path of
+    this stage breaks the ties.  It is feasible (the first point with
+    t = |x|) and bounded (its objective is at most 0), so any other status
+    is an internal error.
     """
     tab = _Tableau(prog, at_origin=True)
     first = _optimize(tab, prog.objective)
     if first.status != OPTIMAL or first.value <= 0 or _is_unique(tab):
         return first
+    if _face_min_l1(tab, over):
+        return LpResult(OPTIMAL, first.value, _point(tab))
     n = prog.num_vars
     k = len(over)
     ext = n + k

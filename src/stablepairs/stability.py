@@ -267,9 +267,9 @@ def _best_direction(ctx: LatticeContext, rows: list, objective: list) -> IntVec 
     carry one more, such as a separation level.  Every caller's program is
     feasible at the origin, as ``lp.solve_min_l1`` requires, and bounded on
     the box, so any status other than optimal is an internal error.  A
-    positive optimum that is a single point is the direction as it stands;
-    otherwise the least-l1 stage picks one, breaking ties by its pivot path,
-    so the row order below fixes witnesses.
+    positive optimum with a single least-l1 point gives that point whatever
+    the pivot path; where least-l1 points tie, the least-l1 stage picks one,
+    breaking ties by its pivot path, so the row order below fixes witnesses.
 
     A row with all-zero coefficients and right-hand side 0 constrains
     nothing and is dropped.  It has no entry in any other column, so it never

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from stablepairs import stability
+from stablepairs import cli, stability
 from stablepairs.cli import SchemaError, instance_from_dict, main, random_instance_dict
 
 FIX_B = {
@@ -229,6 +229,29 @@ def test_min_m_and_witness_commands(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["clause"] == "stability"
     assert payload["witness"] in ([0, 1], [0, -1])
+
+
+def test_debug_prints_the_traceback_of_an_internal_error(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "c.json", FIX_C)
+    assert main(["witness", path]) == 0
+    plain = capsys.readouterr()
+    assert main(["--debug", "witness", path]) == 0
+    assert capsys.readouterr() == plain
+
+    def broken(args):
+        print("partial")
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_witness", broken)
+    assert main(["witness", path]) == 1
+    plain = capsys.readouterr()
+    assert plain == ("partial\n", "internal error: boom\n")
+    assert main(["--debug", "witness", path]) == 1
+    debug = capsys.readouterr()
+    assert debug.out == plain.out
+    assert debug.err.startswith("Traceback (most recent call last):\n")
+    assert "in broken\n" in debug.err
+    assert debug.err.endswith("RuntimeError: boom\ninternal error: boom\n")
 
 
 def test_degenerate_command(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -220,18 +221,18 @@ def reference_degeneration(prob):
     return lp.rationalize_direction(result.point[:d])
 
 
-def counted(monkeypatch, fn, prob):
-    """fn(prob) and the number of direction LPs it solved."""
+def recorded(monkeypatch, fn, prob):
+    """fn(prob) and the direction LPs it solved, as (program, over)."""
     solves = []
     solve_min_l1 = lp.solve_min_l1
 
-    def counting(prog, over):
-        solves.append(prog)
+    def recording(prog, over):
+        solves.append((prog, over))
         return solve_min_l1(prog, over)
 
     with monkeypatch.context() as m:
-        m.setattr(lp, "solve_min_l1", counting)
-        return fn(prob), len(solves)
+        m.setattr(lp, "solve_min_l1", recording)
+        return fn(prob), solves
 
 
 def random_problems(rng, count):
@@ -272,6 +273,10 @@ def test_matches_reference_on_random_problems(monkeypatch):
     # On the first problem the least-l1 tie is broken by the row order, box
     # frame first.  Then random problems, and problems whose kept weights
     # repeat while others drop, where the reference keeps the zero row.
+    # Every direction LP either side solves must also match the two-stage
+    # reference LP solver.
+    from test_lp import assert_min_l1_as_reference  # test_lp imports this module
+
     problems = [DegenerationProblem(
         [(-1, -1, 2), (2, 2, -2), (2, 1, -2), (-2, -2, -1), (-1, 2, 1)], [0],
         LatticeContext.sl(3))]
@@ -281,16 +286,20 @@ def test_matches_reference_on_random_problems(monkeypatch):
     assert reference_degeneration(problems[0]) == (2, 1, -3)
     full = 0
     found = []
+    programs = []
     for prob in problems:
         full += len(prob.keep) == len(prob.weights)
-        lam, solves = counted(monkeypatch, find_degeneration, prob)
-        expected, reference_solves = counted(monkeypatch, reference_degeneration, prob)
+        lam, solves = recorded(monkeypatch, find_degeneration, prob)
+        expected, reference_solves = recorded(monkeypatch, reference_degeneration, prob)
         assert lam == expected, (prob.weights, sorted(prob.keep))
-        assert solves <= reference_solves
+        assert len(solves) <= len(reference_solves)
         found.append(lam)
+        programs += solves + reference_solves
     assert full >= 60
     # most repeated-weight problems reach their keep set (69 of the 80)
     assert sum(lam is not None for lam in found[-len(duplicated):]) >= 60
+    ways = Counter(assert_min_l1_as_reference(prog, over) for prog, over in programs)
+    assert ways["unique"] > 0 and ways["face"] > 0 and ways["least-l1"] > 0, ways
 
 
 def test_full_keep_set_skips_the_negated_objective(monkeypatch):
@@ -298,5 +307,7 @@ def test_full_keep_set_skips_the_negated_objective(monkeypatch):
     # gives 1 (two direction LPs); the reference also maximizes -lam_1
     # before moving on
     prob = DegenerationProblem([(0, 0), (1, 0)], [0, 1], FREE2)
-    assert counted(monkeypatch, find_degeneration, prob) == ((0, 1), 2)
-    assert counted(monkeypatch, reference_degeneration, prob) == ((0, 1), 3)
+    lam, solves = recorded(monkeypatch, find_degeneration, prob)
+    assert (lam, len(solves)) == ((0, 1), 2)
+    lam, solves = recorded(monkeypatch, reference_degeneration, prob)
+    assert (lam, len(solves)) == ((0, 1), 3)

@@ -406,46 +406,66 @@ def assert_min_l1_as_reference(prog, over) -> str:
     """lp.solve_min_l1 against the reference, and which way it went.
 
     A positive optimum must come back identical, field by field: "unique"
-    when it came back without the least-l1 stage, "least-l1" when it ran
-    that stage.  A non-positive optimum ("not positive") must have the
+    when the first optimum was one point, "face" when the least-l1 point
+    on the first optimum's face was, and "least-l1" when it ran that
+    stage.  A non-positive optimum ("not positive") must have the
     reference's status and value and an optimal point; an unbounded program
     ("unbounded") a ray along which the objective grows without bound."""
     stages = []
-    solve = lp.solve
+    faces = []
+    solve, face_min_l1 = lp.solve, lp._face_min_l1
 
     def counting(program):
         stages.append(program)
         return solve(program)
 
-    lp.solve = counting
+    def on_face(tab, over):
+        faces.append(over)
+        return face_min_l1(tab, over)
+
+    lp.solve, lp._face_min_l1 = counting, on_face
     try:
         got = lp.solve_min_l1(prog, over)
     finally:
-        lp.solve = solve
+        lp.solve, lp._face_min_l1 = solve, face_min_l1
     want = reference_solve_min_l1(prog, over)
     assert got.status == want.status, prog
     if got.status == lp.UNBOUNDED:
-        assert not stages
+        assert not stages and not faces
         for con in prog.constraints:
             lhs = sum(c * r for c, r in zip(con.coeffs, got.ray))
             assert {lp.LEQ: lhs <= 0, lp.GEQ: lhs >= 0, lp.EQ: lhs == 0}[con.relation]
         assert sum(c * r for c, r in zip(prog.objective, got.ray)) > 0
         return "unbounded"
     if want.value <= 0:
-        assert not stages and got.value == want.value, prog
+        assert not stages and not faces and got.value == want.value, prog
         assert_optimal_point(prog, got)
         return "not positive"
     # repr also tells an int apart from an equal Fraction
     assert repr(got) == repr(want), prog
-    assert len(stages) <= 1
-    return "least-l1" if stages else "unique"
+    assert len(stages) <= len(faces) <= 1
+    return "least-l1" if stages else "face" if faces else "unique"
+
+
+def test_face_phase_answers_only_a_unique_least_l1_point():
+    # max x1 + x2 subject to |x1| <= 2 and x1 + x2 <= 1: the optimal face is
+    # the line x1 + x2 = 1 inside the box.  Its point of least |x1| is
+    # (0, 1), one point, which the face phase returns.  The facet row's
+    # slack would move x, but it stays at 0 on the face, so it does not
+    # count.  Over both variables the least-l1 points (t, 1 - t), t in
+    # [0, 1], tie, and only the least-l1 stage picks one.
+    cons = [([1, 0], lp.LEQ, 2), ([1, 0], lp.GEQ, -2), ([1, 1], lp.LEQ, 1)]
+    prog = lp.linear_program(2, cons, [1, 1])
+    assert assert_min_l1_as_reference(prog, range(1)) == "face"
+    assert lp.solve_min_l1(prog, range(1)).point == (0, 1)
+    assert assert_min_l1_as_reference(prog, range(2)) == "least-l1"
 
 
 def test_replay_of_corpus_decisions_matches_reference(corpus, monkeypatch):
     # Deciding the default corpus solves 225 direction LPs, all of them
-    # witness LPs (membership and segment reaches solve none).  58 of them
-    # run the least-l1 stage; each other one has a non-positive optimum or
-    # a single optimal point.
+    # witness LPs (membership and segment reaches solve none).  26 of them
+    # run the least-l1 stage; each other one has a non-positive optimum, a
+    # single optimal point, or a single least-l1 point on its optimal face.
     directions = []
     stages = []
     solve, solve_min_l1 = lp.solve, lp.solve_min_l1
@@ -463,9 +483,10 @@ def test_replay_of_corpus_decisions_matches_reference(corpus, monkeypatch):
     for p in corpus:
         verdict(FrameFamily([p]))
     monkeypatch.undo()
-    assert (len(directions), len(stages)) == (225, 58)
+    assert (len(directions), len(stages)) == (225, 26)
     ways = Counter(assert_min_l1_as_reference(prog, over) for prog, over in directions)
-    assert ways["least-l1"] == 58 and ways["unique"] > 0 and ways["not positive"] > 0
+    assert ways["least-l1"] == 26 and ways["not positive"] > 0
+    assert ways["unique"] > 0 and ways["face"] > 0
     for prog in stages:
         assert_same_as_reference(prog)
 
@@ -539,10 +560,12 @@ def origin_programs(draw):
     homogeneous rows of every relation, inequalities whose right-hand side
     has the sign that keeps the origin feasible, and exact duplicates of
     earlier rows.  The objective is random, the coefficients of a row (an
-    optimal face along that row), or random with the direction zeroed (the
-    whole box optimal).  Half the draws carry one more variable, like the
-    semistability LP's level; where no row bounds it, the program is
-    unbounded."""
+    optimal face along that row), random with the direction zeroed (the
+    whole box optimal), or an "l1 facet": one more row with coefficients in
+    {-1, 0, 1} and a positive right-hand side, and the same coefficients as
+    the objective, so that the least-l1 points of its optimal face tie.
+    Half the draws carry one more variable, like the semistability LP's
+    level; where no row bounds it, the program is unbounded."""
     d = draw(st.integers(1, 3))
     n = d + draw(st.integers(0, 1))
     cons = []
@@ -562,19 +585,23 @@ def origin_programs(draw):
     cons += draw(st.lists(row, max_size=6))
     for i in draw(st.lists(st.integers(0, 20), max_size=3)):
         cons.append(cons[i % len(cons)])
-    shape = draw(st.sampled_from(("random", "row", "zero direction")))
+    shape = draw(st.sampled_from(("random", "row", "zero direction", "l1 facet")))
     objective = draw(coeffs)
     if shape == "row":
         objective = [draw(st.sampled_from((1, -1, Fraction(1, 2)))) * c
                      for c in cons[draw(st.integers(0, len(cons) - 1))][0]]
     elif shape == "zero direction":
         objective[:d] = [0] * d
+    elif shape == "l1 facet":
+        objective = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n))
+        cons.append((objective, lp.LEQ, draw(st.sampled_from((1, Fraction(1, 2), 2)))))
     return lp.linear_program(n, cons, objective), range(d)
 
 
 def test_solve_min_l1_matches_reference_on_origin_programs():
     # Positive optima come back identical to the two-stage reference, on
-    # both ways: a single optimal point, and the least-l1 stage.
+    # all three ways: a single optimal point, a single least-l1 point on
+    # the optimal face, and the least-l1 stage.
     ways = Counter()
 
     @settings(max_examples=300, deadline=None)
@@ -583,4 +610,4 @@ def test_solve_min_l1_matches_reference_on_origin_programs():
         ways[assert_min_l1_as_reference(*case)] += 1
 
     check()
-    assert ways["unique"] > 0 and ways["least-l1"] > 0, ways
+    assert ways["unique"] > 0 and ways["face"] > 0 and ways["least-l1"] > 0, ways

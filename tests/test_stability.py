@@ -162,7 +162,7 @@ def test_default_round_solves_only_witness_lps(monkeypatch):
     # Only witnesses cost LPs: building the default-seed corpus, hull
     # vertices included, solves none, deciding it solves only the direction
     # LPs that pick witnesses, and membership and segment reaches never
-    # solve one.  58 of the 225 direction LPs run the least-l1 stage.
+    # solve one.  26 of the 225 direction LPs run the least-l1 stage.
     directions = {"build": 0, "decide": 0, "geometry": 0}
     stages = dict(directions)
     stage = ["build"]
@@ -194,7 +194,7 @@ def test_default_round_solves_only_witness_lps(monkeypatch):
     for p in instances:
         verdict(FrameFamily([p]))
     assert directions == {"build": 0, "decide": 225, "geometry": 0}
-    assert stages == {"build": 0, "decide": 58, "geometry": 0}
+    assert stages == {"build": 0, "decide": 26, "geometry": 0}
 
 
 def test_stability_lp_runs_only_at_zero_reaches(monkeypatch):
@@ -227,18 +227,30 @@ def test_stability_lp_runs_only_at_zero_reaches(monkeypatch):
     assert (v.stable, v.witness, len(directions), len(stages)) == (False, (1, -4), 2, 0)
 
 
-def test_corpus_verdict_keys_are_pinned(corpus):
-    # sha256 over the verdict keys (flags, witness, margin, frame index) of
-    # the 250 default-seed corpus instances in corpus order, recorded while
-    # the least-l1 stage still ran at every positive optimum.  A change in
-    # any witness, margin or frame index changes it.
+def verdict_keys_digest(instances) -> str:
+    """sha256 over the verdict keys (flags, witness, margin, frame index)
+    of the instances, in order."""
     h = hashlib.sha256()
-    for p in corpus:
+    for p in instances:
         v = verdict(FrameFamily([p]))
         h.update(repr((v.semistable, v.stable, v.witness, v.uniform_m,
                        v.frame_index)).encode())
-    assert h.hexdigest() == \
+    return h.hexdigest()
+
+
+def test_corpus_verdict_keys_are_pinned(corpus):
+    # The 250 default-seed corpus instances, recorded while the least-l1
+    # stage still ran at every positive optimum.  A change in any witness,
+    # margin or frame index changes it.
+    assert verdict_keys_digest(corpus) == \
         "6d6341a97bb6d45c8569596719a644cfe411188ce65b7b66c28d9a4598ed15ac"
+
+
+def test_second_seed_corpus_verdict_keys_are_pinned():
+    # The corpus at seed 11, recorded while the least-l1 stage still ran
+    # wherever the first optimum was not a single point.
+    assert verdict_keys_digest(build_corpus(11)) == \
+        "6344cc8ad2c09153a730641590d49c65a45504b89a3e5b47b8d62453d6e30fd9"
 
 
 def test_value_objects_have_no_instance_dict(fix_b):
