@@ -59,6 +59,18 @@ def _fail(where: str, message: str):
     raise SchemaError(f"{where}: {message}")
 
 
+def _unparsed(value: str, what: str) -> str:
+    """Why the string ``value`` is not ``what``.  A run of digits longer than
+    int() converts (``sys.get_int_max_str_digits``) is reported by its
+    length and the limit; the digits are not echoed."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    longest = max([len(list(run)) for digit, run in itertools.groupby(value, str.isdigit)
+                   if digit], default=0)
+    if 0 < limit < longest:
+        return f"{what} of {longest} digits, over the limit of {limit} digits"
+    return f"not {what}: {value!r}"
+
+
 def _as_int(value, where: str) -> int:
     if isinstance(value, bool):
         _fail(where, "expected an integer, got a boolean")
@@ -68,7 +80,7 @@ def _as_int(value, where: str) -> int:
         try:
             return int(value, 10)
         except ValueError:
-            _fail(where, f"not an integer: {value!r}")
+            _fail(where, _unparsed(value, "an integer"))
     _fail(where, f"expected an integer or integer string, got {type(value).__name__}")
 
 
@@ -81,7 +93,7 @@ def _as_fraction(value, where: str) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            _fail(where, f"not a rational: {value!r}")
+            _fail(where, _unparsed(value, "a rational"))
     _fail(where, f"expected a rational string like '1/2', got {type(value).__name__}")
 
 

@@ -23,7 +23,7 @@ constrains nothing, and without it the simplex takes the same pivots.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import sub
 from typing import Iterable, Sequence
 
 from . import lp
@@ -78,9 +78,9 @@ def _nonzero_annihilator(prob: DegenerationProblem,
     of lam_k is positive gives it."""
     d = prob.context.ambient_dim
     for k in range(d):
-        objective = [Fraction(0)] * d
-        objective[k] = Fraction(1)
-        lam = _best_direction(prob.context, equalities, objective)
+        objective = [0] * d
+        objective[k] = 1
+        lam = _best_direction(prob.context, equalities, objective, 1)
         if lam is not None:
             return lam
     return None
@@ -95,14 +95,13 @@ def find_degeneration(prob: DegenerationProblem) -> IntVec | None:
     dropped = [i for i in range(len(prob.weights)) if i not in prob.keep]
     base = prob.weights[kept[0]]
 
-    def diff_row(i: int) -> list[Fraction]:
-        a = prob.weights[i]
-        return [Fraction(a[c] - base[c]) for c in range(d)]
+    def diff_row(i: int) -> tuple[int, ...]:
+        return tuple(map(sub, prob.weights[i], base))
 
     kept_rows = [diff_row(j) for j in kept[1:]]
 
     if not dropped:
-        equalities = [(row, lp.EQ, 0) for row in kept_rows]
+        equalities = [lp.Constraint(row, lp.EQ, 0, 1) for row in kept_rows]
         lam = _nonzero_annihilator(prob, equalities)
         if lam is None:
             return None
@@ -111,9 +110,9 @@ def find_degeneration(prob: DegenerationProblem) -> IntVec | None:
         return lam
 
     # variables: the direction, then the least slack over the dropped weights
-    rows = [(row + [Fraction(0)], lp.EQ, 0) for row in kept_rows]
-    rows += [(diff_row(i) + [Fraction(-1)], lp.GEQ, 0) for i in dropped]
-    lam = _best_direction(ctx, rows, [Fraction(0)] * d + [Fraction(1)])
+    rows = [lp.Constraint(row + (0,), lp.EQ, 0, 1) for row in kept_rows]
+    rows += [lp.Constraint(diff_row(i) + (-1,), lp.GEQ, 0, 1) for i in dropped]
+    lam = _best_direction(ctx, rows, [0] * d + [1], 1)
     if lam is None:
         return None
     if not _achieves(prob, lam):

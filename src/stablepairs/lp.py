@@ -1,11 +1,14 @@
 """Exact rational linear programming.
 
 A small dense two-phase simplex with Bland's pivot rule, so termination is
-unconditional and identical programs yield bit-identical answers.  Programs
-and results are over ``fractions.Fraction``; the pivots run over integers
-with one common denominator (Bareiss/Edmonds fraction-free elimination),
-which takes the same pivot path as a rational tableau without a gcd per
-entry.  Problem sizes in this package stay tiny (tens of variables and
+unconditional and identical programs yield bit-identical answers.  Every row
+of a program, the objective too, is stored as integers over one positive
+row denominator; ``linear_program`` brings rational rows there, and the
+direction LPs are written there directly from integer weight rows.  The
+pivots run over integers with one common denominator (Bareiss/Edmonds
+fraction-free elimination), which takes the same pivot path as a rational
+tableau without a gcd per entry, and results come back as Fractions.
+Problem sizes in this package stay tiny (tens of variables and
 constraints), which is why no effort is spent on smarter pivoting or
 sparsity.
 
@@ -45,31 +48,45 @@ UNBOUNDED = "unbounded"
 
 
 class Constraint(_Record):
-    """One row ``coeffs . x  relation  rhs``."""
+    """One row ``coeffs . x  relation  rhs``, all of it divided by ``den``:
+    integer coefficients and right-hand side over one positive
+    denominator."""
 
-    __slots__ = _fields = ("coeffs", "relation", "rhs")
+    __slots__ = _fields = ("coeffs", "relation", "rhs", "den")
 
-    def __init__(self, coeffs: tuple[Fraction, ...], relation: str, rhs: Fraction):
+    def __init__(self, coeffs: tuple[int, ...], relation: str, rhs: int, den: int):
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "den", den)
+
+
+def _over_lcm(values: Iterable) -> tuple[tuple[int, ...], int]:
+    """Rationals as integers over the lcm of their denominators, and that
+    lcm."""
+    vec = as_rat_vec(values)
+    den = lcm(*[f.denominator for f in vec])
+    return tuple([f.numerator * (den // f.denominator) for f in vec]), den
 
 
 def constraint(coeffs: Iterable, relation: str, rhs) -> Constraint:
+    """The row ``coeffs . x  relation  rhs`` from rational entries."""
     if relation not in _RELATIONS:
         raise InputError(f"unknown relation {relation!r}")
-    return Constraint(as_rat_vec(coeffs), relation, Fraction(rhs))
+    (*ints, b), den = _over_lcm([*coeffs, rhs])
+    return Constraint(tuple(ints), relation, b, den)
 
 
 class LinearProgram(_Record):
     """num_vars free rational variables, linear constraints, and a linear
-    objective to maximize; a feasibility question maximizes zero.
+    objective ``objective . x / objective_den`` to maximize, integers over a
+    positive denominator; a feasibility question maximizes zero.
     """
 
-    __slots__ = _fields = ("num_vars", "constraints", "objective")
+    __slots__ = _fields = ("num_vars", "constraints", "objective", "objective_den")
 
     def __init__(self, num_vars: int, constraints: tuple[Constraint, ...],
-                 objective: tuple[Fraction, ...]):
+                 objective: tuple[int, ...], objective_den: int):
         if num_vars < 1:
             raise InputError("a linear program needs at least one variable")
         if len(objective) != num_vars:
@@ -83,17 +100,18 @@ class LinearProgram(_Record):
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "objective_den", objective_den)
 
 
 def linear_program(num_vars: int, constraints: Iterable, objective=None) -> LinearProgram:
+    """A program from ``Constraint`` rows or (coeffs, relation, rhs) triples
+    of rationals, and a rational objective (zero when None)."""
     cons = tuple([
         c if isinstance(c, Constraint) else constraint(*c) for c in constraints
     ])
     if objective is None:
-        obj = (Fraction(0),) * num_vars
-    else:
-        obj = as_rat_vec(objective)
-    return LinearProgram(num_vars, cons, obj)
+        return LinearProgram(num_vars, cons, (0,) * num_vars, 1)
+    return LinearProgram(num_vars, cons, *_over_lcm(objective))
 
 
 class LpResult(_Record):
@@ -110,10 +128,6 @@ class LpResult(_Record):
         object.__setattr__(self, "ray", ray)
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 class _Tableau:
     """Dense simplex tableau over integers with one common denominator.
 
@@ -123,13 +137,15 @@ class _Tableau:
     they are not stored: only their basis indices art_start + i remain.
 
     Every stored entry is an integer numerator over the common denominator
-    ``den``; programs come in and results go out as Fractions.  The rows
-    start as the constraints times the lcm of all their denominators, with
-    ``den`` = 1 and the artificial columns at 1.  That rescales every
-    artificial variable by the same positive factor, so the signs of the
-    reduced costs, the ratio-test order and Bland's ties are those of the
-    rational tableau, and the pivot path is the same.  A pivot on p turns
-    every other row x, the cost row included, into
+    ``den``; results go out as Fractions.  The rows start as the
+    constraints times the lcm of their least row denominators,
+    con.den // gcd(con.den, con.rhs, *con.coeffs), which is the lcm of the
+    denominators of all their entries as reduced fractions, however a row
+    is written; ``den`` starts at 1 and the artificial columns at 1.  That
+    rescales every artificial variable by the same positive factor, so the
+    signs of the reduced costs, the ratio-test order and Bland's ties are
+    those of the rational tableau, and the pivot path is the same.  A pivot
+    on p turns every other row x, the cost row included, into
     (p*x - a*pivot_row) // den and then sets den = p: the integer-preserving
     elimination of Bareiss and Edmonds.  Every entry stays, up to sign, a
     minor of the starting matrix, so each division is exact.
@@ -148,21 +164,23 @@ class _Tableau:
 
     def __init__(self, lp: LinearProgram, at_origin: bool = False):
         n = lp.num_vars
-        m = len(lp.constraints)
-        slack_count = sum(1 for c in lp.constraints if c.relation != EQ)
+        cons = lp.constraints
+        m = len(cons)
+        slack_count = sum(1 for c in cons if c.relation != EQ)
         width = 2 * n + slack_count
         self.n = n
         self.m = m
         self.art_start = width
-        scale = lcm(*[c.denominator for con in lp.constraints
-                      for c in (*con.coeffs, con.rhs)])
+        least = [con.den // gcd(con.den, con.rhs, *con.coeffs) for con in cons]
+        scale = lcm(*least)
 
         rows: list[list[int]] = []
         basis: list[int] = []
         slack_at = 2 * n
-        for i, con in enumerate(lp.constraints):
-            coeffs = [c.numerator * (scale // c.denominator) for c in con.coeffs]
-            b = con.rhs.numerator * (scale // con.rhs.denominator)
+        for i, (con, d) in enumerate(zip(cons, least)):
+            g, k = con.den // d, scale // d
+            coeffs = [c // g * k for c in con.coeffs]
+            b = con.rhs // g * k
             rel = con.relation
             if b < 0 or (at_origin and b == 0 and rel == GEQ):
                 coeffs = [-c for c in coeffs]
@@ -170,10 +188,7 @@ class _Tableau:
                 rel = {LEQ: GEQ, GEQ: LEQ, EQ: EQ}[rel]
             if at_origin and (rel == GEQ or (rel == EQ and b)):
                 raise InputError(f"constraint {i} does not hold at the origin")
-            row = [0] * (width + 1)
-            for j, c in enumerate(coeffs):
-                row[j] = c
-                row[n + j] = -c
+            row = coeffs + [-c for c in coeffs] + [0] * slack_count + [b]
             if rel == EQ or not at_origin:
                 basis.append(width + i)
             else:
@@ -181,7 +196,6 @@ class _Tableau:
             if rel != EQ:
                 row[slack_at] = scale if rel == LEQ else -scale
                 slack_at += 1
-            row[width] = b
             rows.append(row)
 
         self.rows = rows
@@ -278,10 +292,10 @@ def solve(lp: LinearProgram) -> LpResult:
     tab.run(range(tab.art_start))
     if tab.zrow[-1] < 0:
         return LpResult(INFEASIBLE)
-    return _optimize(tab, lp.objective)
+    return _optimize(tab, lp)
 
 
-def _optimize(tab: _Tableau, objective: tuple[Fraction, ...]) -> LpResult:
+def _optimize(tab: _Tableau, prog: LinearProgram) -> LpResult:
     """Phase 2 from a feasible basis, and the result read off the tableau."""
     n, m, width = tab.n, tab.m, tab.art_start
 
@@ -295,35 +309,42 @@ def _optimize(tab: _Tableau, objective: tuple[Fraction, ...]) -> LpResult:
                     tab._pivot(i, j)
                     break
 
-    # Phase 2: the real objective on the split variables.
-    cost_scale = lcm(*[c.denominator for c in objective])
+    # Phase 2: the real objective on the split variables, over its least
+    # denominator.
+    g = gcd(prog.objective_den, *prog.objective)
+    cost_scale = prog.objective_den // g
     costs = [0] * width
-    for j, c in enumerate(objective):
-        costs[j] = c.numerator * (cost_scale // c.denominator)
+    for j, c in enumerate(prog.objective):
+        costs[j] = c // g
         costs[n + j] = -costs[j]
     tab._reset_costs(costs)
     enter = tab.run(range(width))
-    den = tab.den
 
     if enter is not None:
-        direction = [_ZERO] * (width + m)
-        direction[enter] = _ONE
-        for i in range(m):
-            direction[tab.basis[i]] = Fraction(-tab.rows[i][enter], den)
-        ray = tuple([direction[j] - direction[n + j] for j in range(n)])
+        ray = _in_x(tab, [(enter, tab.den)] + [(b, -row[enter])
+                                               for b, row in zip(tab.basis, tab.rows)])
         return LpResult(UNBOUNDED, ray=ray)
 
-    return LpResult(OPTIMAL, value=Fraction(tab.zrow[-1], den * cost_scale),
+    return LpResult(OPTIMAL, value=Fraction(tab.zrow[-1], tab.den * cost_scale),
                     point=_point(tab))
+
+
+def _in_x(tab: _Tableau, values) -> tuple[Fraction, ...]:
+    """A vector in x = x+ - x- from (column, integer over den) pairs of the
+    standard variables; pairs on slack or artificial columns do not count."""
+    n = tab.n
+    x = [0] * n
+    for j, v in values:
+        if j < n:
+            x[j] += v
+        elif j < 2 * n:
+            x[j - n] -= v
+    return tuple([Fraction(v, tab.den) for v in x])
 
 
 def _point(tab: _Tableau) -> tuple[Fraction, ...]:
     """The basic solution of a feasible tableau, in x = x+ - x-."""
-    n, den = tab.n, tab.den
-    std = [_ZERO] * (tab.art_start + tab.m)
-    for i, b in enumerate(tab.basis):
-        std[b] = Fraction(tab.rows[i][-1], den)
-    return tuple([std[j] - std[n + j] for j in range(n)])
+    return _in_x(tab, [(b, row[-1]) for b, row in zip(tab.basis, tab.rows)])
 
 
 def _is_unique(tab: _Tableau, fixed: frozenset = frozenset()) -> bool:
@@ -408,27 +429,28 @@ def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
     is an internal error.
     """
     tab = _Tableau(prog, at_origin=True)
-    first = _optimize(tab, prog.objective)
+    first = _optimize(tab, prog)
     if first.status != OPTIMAL or first.value <= 0 or _is_unique(tab):
         return first
     if _face_min_l1(tab, over):
         return LpResult(OPTIMAL, first.value, _point(tab))
     n = prog.num_vars
     k = len(over)
-    ext = n + k
-    cons = []
-    for con in prog.constraints:
-        cons.append((list(con.coeffs) + [_ZERO] * k, con.relation, con.rhs))
-    cons.append((list(prog.objective) + [_ZERO] * k, EQ, first.value))
+    pad = (0,) * k
+    cons = [Constraint(con.coeffs + pad, con.relation, con.rhs, con.den)
+            for con in prog.constraints]
+    # objective . x / objective_den = first.value
+    num, den = first.value.numerator, first.value.denominator
+    cons.append(Constraint(tuple([c * den for c in prog.objective]) + pad, EQ,
+                           num * prog.objective_den, den * prog.objective_den))
     for slot, j in enumerate(over):
-        row = [_ZERO] * ext
-        row[n + slot] = _ONE
-        row[j] = Fraction(-1)
-        cons.append((list(row), GEQ, 0))  # t >= x
-        row[j] = _ONE
-        cons.append((row, GEQ, 0))        # t >= -x
-    objective = [_ZERO] * n + [Fraction(-1)] * k
-    second = solve(linear_program(ext, cons, objective))
+        row = [0] * (n + k)
+        row[n + slot] = 1
+        row[j] = -1
+        cons.append(Constraint(tuple(row), GEQ, 0, 1))  # t >= x
+        row[j] = 1
+        cons.append(Constraint(tuple(row), GEQ, 0, 1))  # t >= -x
+    second = solve(LinearProgram(n + k, tuple(cons), (0,) * n + (-1,) * k, 1))
     if second.status != OPTIMAL:
         raise RuntimeError("internal: the least-l1 stage must have an optimum")
     return LpResult(OPTIMAL, first.value, second.point[:n])
@@ -440,10 +462,8 @@ def rationalize_direction(point: Sequence) -> tuple[int, ...]:
     Clears denominators with their lcm, then divides by the gcd of the
     entries, so the result has entry gcd 1.
     """
-    vec = as_rat_vec(point)
-    if not vec or not any(vec):
-        raise InputError("cannot rationalize the zero vector")
-    scale = lcm(*[f.denominator for f in vec])
-    ints = [int(f * scale) for f in vec]
+    ints, _ = _over_lcm(point)
     g = gcd(*ints)
+    if not g:
+        raise InputError("cannot rationalize the zero vector")
     return tuple([c // g for c in ints])

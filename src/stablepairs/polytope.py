@@ -1,7 +1,8 @@
 """Exact rational convex polytopes, built and queried in integer arithmetic.
 
 A polytope keeps its vertices as integer rows over their least common scale,
-which every computation reads, and as shared Fraction tuples for the API.
+which every computation reads; the shared Fraction tuples of the API are
+built on the first read of ``vertices``, so the decision path builds none.
 One exact integer pass, ``_hull``, serves every affine rank r: row reduction
 gives the affine hull and r pivot coordinates on it, and the
 double-description method gives the facets in those coordinates with the
@@ -232,26 +233,28 @@ def _shared(value):
     return value
 
 
-def _canonical(rows: Sequence[Sequence[int]], scale: int) -> tuple[tuple, int, tuple]:
-    """Integer rows over a positive scale without a common factor, that
-    scale, and the points rows/scale as shared tuples of shared Fractions."""
+def _canonical(rows: Sequence[Sequence[int]], scale: int) -> tuple[tuple, int]:
+    """Integer rows over a positive scale without a common factor, and that
+    scale."""
     if scale > 1 and (g := gcd(scale, *[x for row in rows for x in row])) > 1:
         rows, scale = [[x // g for x in row] for row in rows], scale // g
-    rows = tuple(map(tuple, rows))
+    return tuple(map(tuple, rows)), scale
+
+
+def _vertex_fractions(rows: Sequence[Sequence[int]], scale: int) -> tuple[RatVec, ...]:
+    """The points rows/scale as a shared tuple of shared Fraction tuples."""
     frac = Fraction if scale == 1 else lambda x: Fraction(x, scale)
-    return rows, scale, _shared(tuple([_shared(tuple(map(frac, row))) for row in rows]))
+    return _shared(tuple([_shared(tuple(map(frac, row))) for row in rows]))
 
 
-def hull_vertices(points: Iterable[Sequence], scale: int = 1,
-                  geometry: list | None = None) -> tuple[RatVec, ...]:
-    """Extreme points of the convex hull of the points divided by ``scale``
-    (a positive integer), in lexicographic order, as shared Fraction tuples.
+def _vertex_rows(points: Iterable[Sequence], scale: int) -> tuple[tuple, int]:
+    """The extreme points of the hull of the points divided by ``scale``, in
+    lexicographic order, as canonical integer rows and their scale.
 
     Integer points are used as they are, others are brought to integer rows
     by the lcm of their denominators, and duplicates go.  Of more than two,
     a point is a vertex unless another one lies on every facet it lies on
-    in one ``_hull`` pass.  A list passed as ``geometry`` receives the
-    integer vertex rows and their least scale."""
+    in one ``_hull`` pass."""
     pts = list(points)
     if type(scale) is not int or scale < 1:
         raise InputError("scale must be a positive integer")
@@ -275,10 +278,14 @@ def hull_vertices(points: Iterable[Sequence], scale: int = 1,
                 if mask >> i & 1:
                     on[i] &= mask
         rows = [row for i, row in enumerate(rows) if on[i] == 1 << i]
-    *canonical, vertices = _canonical(rows, scale)
-    if geometry is not None:
-        geometry[:] = canonical
-    return vertices
+    return _canonical(rows, scale)
+
+
+def hull_vertices(points: Iterable[Sequence], scale: int = 1) -> tuple[RatVec, ...]:
+    """Extreme points of the convex hull of the points divided by ``scale``
+    (a positive integer), in lexicographic order, as shared Fraction tuples;
+    see ``_vertex_rows``."""
+    return _vertex_fractions(*_vertex_rows(points, scale))
 
 
 class RationalPolytope:
@@ -286,17 +293,23 @@ class RationalPolytope:
     ``scale`` (a positive integer).
 
     Only the vertices are kept, computed once at construction, in
-    lexicographic order: as integer ``rows`` over their least common
-    ``scale``, on which equality and hashing go, and as shared Fraction
-    tuples in ``vertices``.  Instances are immutable and thread-safe.
+    lexicographic order, as integer ``rows`` over their least common
+    ``scale``; equality, hashing and every query go on those.  The shared
+    Fraction tuples of ``vertices`` are built on its first read.  Instances
+    are immutable and thread-safe.
     """
 
-    __slots__ = ("vertices", "rows", "scale")
+    __slots__ = ("rows", "scale", "_vertices")
 
     def __init__(self, points: Iterable[Sequence], scale: int = 1):
-        geometry = []
-        self.vertices = hull_vertices(points, scale, geometry)
-        self.rows, self.scale = geometry
+        self.rows, self.scale = _vertex_rows(points, scale)
+        self._vertices = None
+
+    @property
+    def vertices(self) -> tuple[RatVec, ...]:
+        if self._vertices is None:
+            self._vertices = _vertex_fractions(self.rows, self.scale)
+        return self._vertices
 
     @property
     def dim(self) -> int:
@@ -323,30 +336,35 @@ class RationalPolytope:
         direction = self._checked(x, "direction")
         return max(dot(direction, v) for v in self.vertices)
 
+    def _row(self, y: Sequence) -> tuple[Sequence[int], int]:
+        """The point y as an integer row over a positive scale."""
+        if type(y) is tuple and len(y) == self.dim and all(type(c) is int for c in y):
+            return y, 1
+        (row,), m = _int_rows([self._checked(y)])
+        return row, m
+
     def contains_point(self, y: Sequence) -> bool:
         """Exact membership, read off the cached facet description."""
-        (row,), m = _int_rows([self._checked(y)])
-        return _facets(self.rows, self.scale).contains(row, m)
+        return _facets(self.rows, self.scale).contains(*self._row(y))
 
     def reach(self, a: Sequence, b: Sequence) -> Fraction:
         """Largest t in [0, 1] with a + t*(b - a) in the polytope, which
         must contain a."""
-        (A,), ma = _int_rows([self._checked(a)])
-        (B,), mb = _int_rows([self._checked(b)])
-        return Fraction(*_facets(self.rows, self.scale).reach(A, ma, B, mb))
+        return Fraction(*_facets(self.rows, self.scale).reach(*self._row(a), *self._row(b)))
 
     def scaled(self, s) -> "RationalPolytope":
         """The polytope s*P for a rational s >= 0, without a hull pass: for
         s > 0 the scaled vertices are exactly the vertices of s*P, in the
         same order; for s = 0 they all collapse to the origin."""
-        factor = Fraction(s)
+        factor = s if type(s) is int else Fraction(s)
         if factor < 0:
             raise InputError("scaling factor must be nonnegative")
         k = factor.numerator
         out = object.__new__(RationalPolytope)
         rows = self.rows[:1] if k == 0 else self.rows
-        out.rows, out.scale, out.vertices = _canonical([[k * x for x in row] for row in rows],
-                                                       self.scale * factor.denominator)
+        out.rows, out.scale = _canonical([[k * x for x in row] for row in rows],
+                                         self.scale * factor.denominator)
+        out._vertices = None
         return out
 
 
@@ -377,25 +395,31 @@ def minkowski_combine(P: RationalPolytope, Q: RationalPolytope,
     return RationalPolytope(combos, sf.denominator * tf.denominator * P.scale * Q.scale)
 
 
-def first_outside_vertex(P: RationalPolytope, Q: RationalPolytope) -> RatVec | None:
-    """First vertex of Q (lexicographic order) not contained in P, if any.
-    A vertex row of Q among P's is inside; P's facet description is looked
-    up only for the others."""
+def _first_outside(P: RationalPolytope, Q: RationalPolytope) -> int | None:
+    """Index of the first vertex row of Q (lexicographic order) not in P, if
+    any.  A vertex row of Q among P's is inside; P's facet description is
+    looked up only for the others."""
     if P.dim != Q.dim:
         raise InputError("polytopes of different dimension")
     facets = None
-    for v, X in zip(Q.vertices, Q.rows):
+    for i, X in enumerate(Q.rows):
         if Q.scale == P.scale and X in P.rows:
             continue
         facets = facets or _facets(P.rows, P.scale)
         if not facets.contains(X, Q.scale):
-            return v
+            return i
     return None
+
+
+def first_outside_vertex(P: RationalPolytope, Q: RationalPolytope) -> RatVec | None:
+    """First vertex of Q (lexicographic order) not contained in P, if any."""
+    i = _first_outside(P, Q)
+    return None if i is None else Q.vertices[i]
 
 
 def includes(P: RationalPolytope, Q: RationalPolytope) -> bool:
     """True iff Q is a subset of P (every vertex of Q lies in P)."""
-    return first_outside_vertex(P, Q) is None
+    return _first_outside(P, Q) is None
 
 
 def simplex_contains(a: Sequence[int], k: int, ctx: LatticeContext) -> bool:
@@ -403,12 +427,13 @@ def simplex_contains(a: Sequence[int], k: int, ctx: LatticeContext) -> bool:
 
     Closed form: with s = (k - sum(a))/(N+1), the shifted representative
     a + s*(1,...,1) has coordinate sum k, and lies on the scaled simplex iff
-    every shifted coordinate is nonnegative.
+    every shifted coordinate is nonnegative, that is (N+1)*c + k - sum(a)
+    >= 0 for every coordinate c, an integer test.
     """
     if ctx.mode != "sl":
         raise ModeError("simplex_contains is an sl-mode test")
     if k <= 0:
         raise InputError("simplex scale must be a positive integer")
     vec = ctx.check_weight(a)
-    s = Fraction(k - sum(vec), ctx.ambient_dim)
-    return all(c + s >= 0 for c in vec)
+    n, shift = ctx.ambient_dim, k - sum(vec)
+    return all(n * c + shift >= 0 for c in vec)

@@ -24,6 +24,11 @@ integer weights, kept as integers N times over, while every weight
 evaluation stays on the integer representatives (the two agree on trace-zero
 directions, which is all a one-parameter subgroup of SL can be).
 
+The decisions read the integer vertex rows of the polytopes only: the
+reaches, the inclusion test and the rows of every witness LP, which go to
+``lp`` as integers over one denominator, so deciding builds no Fraction
+vertex tuple.
+
 Every returned witness is a primitive integer vector and is re-verified by
 direct weight evaluation before being handed back, so a witness is always a
 standalone machine-checkable certificate.
@@ -48,8 +53,8 @@ from .lattice import (
 from .polytope import (
     RationalPolytope,
     _facets,
+    _first_outside,
     _shared,
-    first_outside_vertex,
     includes,
     minkowski_combine,  # noqa: F401  (bench/tracing.py wraps it by this name)
     simplex_contains,
@@ -196,7 +201,8 @@ class PairInstance(_Record):
     def identity_weight(self, lam: Sequence[int]) -> Fraction:
         """w_lam(I) against the unscaled identity polytope's vertex set."""
         vec = self.context.check_one_param(lam)
-        return min(dot(vec, y) for y in self.identity.vertices)
+        I = self.identity
+        return Fraction(min([dot(vec, Y) for Y in I.rows]), I.scale)
 
 
 class FrameFamily(_Record):
@@ -240,28 +246,28 @@ class StabilityVerdict(_Record):
 # semistability or stability witness here, or a degeneration direction.  All
 # of them go through ``_best_direction``, which constrains the direction to
 # the box [-1, 1]^d (a compact normalization slice, so strict inequalities
-# become "optimum > 0") and to the trace-zero hyperplane in sl mode.
+# become "optimum > 0") and to the trace-zero hyperplane in sl mode.  Every
+# row is written in integers over one denominator (``lp.Constraint``),
+# straight from the integer vertex rows of the polytopes.
 
 def _direction_frame_constraints(ctx: LatticeContext, num_vars: int) -> list:
     d = ctx.ambient_dim
     cons = []
     for i in range(d):
-        row = [Fraction(0)] * num_vars
-        row[i] = Fraction(1)
-        cons.append((row, lp.LEQ, 1))
-        cons.append((list(row), lp.GEQ, -1))
+        row = [0] * num_vars
+        row[i] = 1
+        cons.append(lp.Constraint(tuple(row), lp.LEQ, 1, 1))
+        cons.append(lp.Constraint(tuple(row), lp.GEQ, -1, 1))
     if ctx.mode == "sl":
-        row = [Fraction(0)] * num_vars
-        for i in range(d):
-            row[i] = Fraction(1)
-        cons.append((row, lp.EQ, 0))
+        cons.append(lp.Constraint((1,) * d + (0,) * (num_vars - d), lp.EQ, 0, 1))
     return cons
 
 
-def _best_direction(ctx: LatticeContext, rows: list, objective: list) -> IntVec | None:
+def _best_direction(ctx: LatticeContext, rows: list, objective: Sequence[int],
+                    den: int) -> IntVec | None:
     """Primitive integral direction of least l1 norm among the maximizers of
-    ``objective`` subject to the box frame and then ``rows``, or None when
-    the optimum is not positive.
+    ``objective``/``den`` subject to the box frame and then ``rows``
+    (``lp.Constraint``), or None when the optimum is not positive.
 
     The first ``ambient_dim`` variables are the direction; a program may
     carry one more, such as a separation level.  Every caller's program is
@@ -279,8 +285,9 @@ def _best_direction(ctx: LatticeContext, rows: list, objective: list) -> IntVec 
     d = ctx.ambient_dim
     num_vars = len(objective)
     cons = _direction_frame_constraints(ctx, num_vars)
-    cons += [(row, rel, rhs) for row, rel, rhs in rows if rhs or any(row)]
-    result = lp.solve_min_l1(lp.linear_program(num_vars, cons, objective), range(d))
+    cons += [con for con in rows if con.rhs or any(con.coeffs)]
+    prog = lp.LinearProgram(num_vars, tuple(cons), tuple(objective), den)
+    result = lp.solve_min_l1(prog, range(d))
     if result.status != lp.OPTIMAL:
         raise RuntimeError(f"internal: direction LP ended {result.status}")
     if result.value <= 0:
@@ -288,13 +295,16 @@ def _best_direction(ctx: LatticeContext, rows: list, objective: list) -> IntVec 
     return lp.rationalize_direction(result.point[:d])
 
 
-def _argmin_constraints(base, points) -> list:
-    """<lam, p - base> >= 0 for every p, i.e. base attains the minimum."""
-    return [([p[i] - base[i] for i in range(len(base))], lp.GEQ, 0) for p in points]
+def _argmin_constraints(B: Sequence[int], mb: int, points: Sequence, mp: int) -> list:
+    """<lam, p - b> >= 0 for every p, i.e. b attains the minimum, for b = B/mb
+    and the points P/mp of the integer rows P in ``points``."""
+    return [lp.Constraint(tuple([x * mb - y * mp for x, y in zip(P, B)]), lp.GEQ, 0, mb * mp)
+            for P in points]
 
 
-def _semistability_witness(p: PairInstance, m_prime) -> IntVec:
-    """Integral direction separating the escaped vertex of N(v) from N(w).
+def _semistability_witness(p: PairInstance, X: Sequence[int]) -> IntVec:
+    """Integral direction separating the escaped vertex m' = X/L of N(v),
+    L the scale of its rows, from N(w).
 
     Solves max c - <lam, m'> over (lam, c) subject to <lam, y> >= c on the
     vertices of N(w); a positive optimum is guaranteed because m' lies
@@ -302,9 +312,10 @@ def _semistability_witness(p: PairInstance, m_prime) -> IntVec:
     above its value at m', and lam is trace-zero in sl mode, so lam itself
     certifies w_lam(w) > w_lam(v); that is re-verified by direct evaluation.
     """
-    rows = [(list(y) + [Fraction(-1)], lp.GEQ, 0) for y in p.hull_w.vertices]
-    objective = [-c for c in m_prime] + [Fraction(1)]
-    lam = _best_direction(p.context, rows, objective)
+    W = p.hull_w
+    rows = [lp.Constraint(Y + (-W.scale,), lp.GEQ, 0, W.scale) for Y in W.rows]
+    L = p.hull_v.scale
+    lam = _best_direction(p.context, rows, [-x for x in X] + [L], L)
     if lam is None:
         raise RuntimeError("internal: separation LP failed on an escaped vertex")
     if weight(lam, p.Aw) <= weight(lam, p.Av):
@@ -318,16 +329,16 @@ def is_semistable(p: PairInstance) -> tuple[bool, IntVec | None]:
     Equivalent to N(v) being contained in N(w); on failure returns an
     integral witness with w_lam(w) > w_lam(v).
     """
-    outside = first_outside_vertex(p.hull_w, p.hull_v)
+    outside = _first_outside(p.hull_w, p.hull_v)
     if outside is None:
         return True, None
-    return False, _semistability_witness(p, outside)
+    return False, _semistability_witness(p, p.hull_v.rows[outside])
 
 
-def _stability_witness(p: PairInstance, u, p_hat) -> IntVec | None:
+def _stability_witness(p: PairInstance, U: Sequence[int], R: Sequence[int]) -> IntVec | None:
     """Integral lam with w_lam(v) = w_lam(w) and q*w_lam(I) < w_lam(v) that
     attains its minima at the vertex u of N(v) and the vertex p_hat of
-    q*N(I), or None when there is none.
+    q*N(I), or None when there is none; U and R are their integer rows.
 
     One LP: constrain u and p_hat to be the argmin vertices, force
     w_lam(w) >= w_lam(v) (equality then follows from semistability), and
@@ -335,14 +346,14 @@ def _stability_witness(p: PairInstance, u, p_hat) -> IntVec | None:
     positive only where the reach from u to p_hat is zero, and then gives
     the witness, re-verified by direct weight evaluation.
     """
-    ctx = p.context
-    d = ctx.ambient_dim
+    V, Q, W = p.hull_v, p.q_identity, p.hull_w
     # Row order is frame, v-argmin, p_hat-argmin, w-argmin: ties in the
     # min-l1 stage are broken by the pivot path, so it fixes witnesses.
-    rows = (_argmin_constraints(u, p.hull_v.vertices)
-            + _argmin_constraints(p_hat, p.q_identity.vertices)
-            + _argmin_constraints(u, p.hull_w.vertices))
-    lam = _best_direction(ctx, rows, [u[i] - p_hat[i] for i in range(d)])
+    rows = (_argmin_constraints(U, V.scale, V.rows, V.scale)
+            + _argmin_constraints(R, Q.scale, Q.rows, Q.scale)
+            + _argmin_constraints(U, V.scale, W.rows, W.scale))
+    objective = [x * Q.scale - y * V.scale for x, y in zip(U, R)]  # u - p_hat
+    lam = _best_direction(p.context, rows, objective, V.scale * Q.scale)
     if lam is None:
         return None
     wv = weight(lam, p.Av)
@@ -381,10 +392,10 @@ def _margin_or_witness(p: PairInstance) -> tuple[int | None, IntVec | None]:
     V, Q = p.hull_v, p.q_identity
     facets = _facets(p.hull_w.rows, p.hull_w.scale)
     num, den = 1, 1  # the least reach so far, num/den
-    for a, A in zip(V.vertices, V.rows):
+    for A in V.rows:
         reaches = [facets.reach(A, V.scale, B, Q.scale) for B in Q.rows]
-        for b, (t, _) in zip(Q.vertices, reaches):
-            if t == 0 and (lam := _stability_witness(p, a, b)) is not None:
+        for B, (t, _) in zip(Q.rows, reaches):
+            if t == 0 and (lam := _stability_witness(p, A, B)) is not None:
                 return None, lam
         for t, u in reaches:
             if t == 0:

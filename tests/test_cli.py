@@ -113,6 +113,26 @@ def test_huge_integer_coefficient_exits_2(tmp_path, capsys, command, extra):
     assert "frames[0].v_coeffs[0]: " in err and BIG not in err, err
 
 
+LONG = "7" * 5001  # past int()'s default limit of 4300 digits
+
+
+@pytest.mark.parametrize("field,what,data", [
+    ("frames[0].w_support[0][0]", "an integer", dict(FIX_B, frames=[
+        dict(FIX_B["frames"][0], w_support=[[LONG, "0"], ["-1", "0"]])])),
+    ("identity_polytope[0][1]", "a rational", dict(FIX_B, identity_polytope=[
+        ["1", f"{LONG}/3"], ["0", "1"], ["-1", "-1"]])),
+], ids=["integer", "rational"])
+def test_over_long_numeral_string_exits_2(tmp_path, capsys, field, what, data):
+    # the message gives the digit count and the limit, not the digits
+    if sys.get_int_max_str_digits() != 4300:
+        pytest.skip("the interpreter's integer string limit is not the default")
+    path = write(tmp_path, "long.json", data)
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert f"{field}: {what} of 5001 digits, over the limit of 4300 digits" in err, err
+    assert "7" * 50 not in err
+
+
 @pytest.mark.parametrize("data,lam,field", [
     (FIX_B, f"{BIG},0", "--lambda"),
     (FIX_BIG_W, "0,1", "frames[0]"),

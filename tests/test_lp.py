@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -175,7 +176,7 @@ def assert_optimal_point(prog, result):
         lhs = sum(c * xi for c, xi in zip(con.coeffs, x))
         assert {lp.LEQ: lhs <= con.rhs, lp.GEQ: lhs >= con.rhs,
                 lp.EQ: lhs == con.rhs}[con.relation], (prog, result)
-    assert sum(c * xi for c, xi in zip(prog.objective, x)) == result.value
+    assert sum(c * xi for c, xi in zip(rational_objective(prog), x)) == result.value
 
 
 def test_solve_min_l1_needs_a_feasible_origin():
@@ -206,6 +207,16 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def rational_rows(prog):
+    """The constraints of prog as (coeffs, relation, rhs) over Fractions."""
+    return [([Fraction(c, con.den) for c in con.coeffs], con.relation,
+             Fraction(con.rhs, con.den)) for con in prog.constraints]
+
+
+def rational_objective(prog):
+    return [Fraction(c, prog.objective_den) for c in prog.objective]
+
+
 class _ReferenceTableau:
     """Dense simplex tableau over Fractions.
 
@@ -227,10 +238,7 @@ class _ReferenceTableau:
         self.art_start = 2 * n + slack_count
 
         slack_at = 2 * n
-        for i, con in enumerate(prog.constraints):
-            coeffs = list(con.coeffs)
-            rel = con.relation
-            b = con.rhs
+        for i, (coeffs, rel, b) in enumerate(rational_rows(prog)):
             if b < 0:
                 coeffs = [-c for c in coeffs]
                 b = -b
@@ -350,9 +358,10 @@ def reference_solve(prog):
 
     # Phase 2: the real objective on the split variables.
     costs = [_ZERO] * ncols
+    objective = rational_objective(prog)
     for j in range(n):
-        costs[j] = prog.objective[j]
-        costs[n + j] = -prog.objective[j]
+        costs[j] = objective[j]
+        costs[n + j] = -objective[j]
     tab._reset_costs(costs)
     enter = tab.run(tab.art_start)
 
@@ -387,9 +396,8 @@ def reference_solve_min_l1(prog, over):
         return first
     n = prog.num_vars
     k = len(over)
-    cons = [(list(con.coeffs) + [_ZERO] * k, con.relation, con.rhs)
-            for con in prog.constraints]
-    cons.append((list(prog.objective) + [_ZERO] * k, lp.EQ, first.value))
+    cons = [(coeffs + [_ZERO] * k, rel, rhs) for coeffs, rel, rhs in rational_rows(prog)]
+    cons.append((rational_objective(prog) + [_ZERO] * k, lp.EQ, first.value))
     for slot, j in enumerate(over):
         row = [_ZERO] * (n + k)
         row[n + slot] = _ONE
@@ -491,6 +499,54 @@ def test_replay_of_corpus_decisions_matches_reference(corpus, monkeypatch):
         assert_same_as_reference(prog)
 
 
+def test_corpus_lps_match_an_independent_float_solver(corpus, monkeypatch):
+    # HiGHS, in floats, must give every direction LP of the default corpus
+    # and every least-l1 stage among them the status and, up to a float
+    # tolerance, the optimal value of the exact solver.
+    optimize = pytest.importorskip("scipy.optimize")
+    solved = []
+    solve, solve_min_l1 = lp.solve, lp.solve_min_l1
+
+    def recording(prog):
+        solved.append((prog, result := solve(prog)))
+        return result
+
+    def recording_min_l1(prog, over):
+        solved.append((prog, result := solve_min_l1(prog, over)))
+        return result
+
+    monkeypatch.setattr(lp, "solve", recording)
+    monkeypatch.setattr(lp, "solve_min_l1", recording_min_l1)
+    for p in corpus:
+        verdict(FrameFamily([p]))
+    monkeypatch.undo()
+    assert len(solved) == 225 + 26
+    status = {lp.OPTIMAL: 0, lp.INFEASIBLE: 2, lp.UNBOUNDED: 3}
+    for prog, result in solved:
+        upper, eq = [], []
+        for coeffs, rel, rhs in rational_rows(prog):
+            if rel == lp.EQ:
+                eq.append((coeffs, rhs))
+            else:
+                sign = 1 if rel == lp.LEQ else -1
+                upper.append(([sign * c for c in coeffs], sign * rhs))
+
+        def split(rows):
+            if not rows:
+                return None, None
+            return ([[float(c) for c in coeffs] for coeffs, _ in rows],
+                    [float(rhs) for _, rhs in rows])
+
+        A_ub, b_ub = split(upper)
+        A_eq, b_eq = split(eq)
+        highs = optimize.linprog([-float(c) for c in rational_objective(prog)],
+                                 A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                                 bounds=[(None, None)] * prog.num_vars, method="highs")
+        assert highs.status == status[result.status], (prog, highs.message)
+        if result.status == lp.OPTIMAL:
+            assert -highs.fun == pytest.approx(float(result.value), rel=1e-7, abs=1e-9), prog
+
+
 def test_no_direction_program_has_a_zero_row(corpus, monkeypatch):
     # A row with all-zero coefficients and right-hand side 0 constrains
     # nothing: the self rows of the stability LPs, and the equality of a
@@ -548,6 +604,32 @@ def small_programs(draw):
 @given(small_programs())
 def test_small_programs_match_reference(prog):
     assert_same_as_reference(prog)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_programs(), st.lists(st.integers(1, 12), min_size=9, max_size=9))
+def test_integer_rows_give_the_tableau_of_their_rational_rows(prog, factors):
+    # The tableau starts from the rational entries times the lcm of their
+    # denominators, however the rows are written over integers: each row and
+    # the objective times a positive factor, over that factor times their
+    # denominator, give the same integers and the same result.
+    assert len(prog.constraints) < len(factors)
+    scaled = lp.LinearProgram(
+        prog.num_vars,
+        tuple([lp.Constraint(tuple([c * k for c in con.coeffs]), con.relation,
+                             con.rhs * k, con.den * k)
+               for con, k in zip(prog.constraints, factors)]),
+        tuple([c * factors[-1] for c in prog.objective]), prog.objective_den * factors[-1])
+    rows = rational_rows(prog)
+    scale = lcm(*[f.denominator for coeffs, _, rhs in rows for f in (*coeffs, rhs)])
+    n = prog.num_vars
+    expected = [[c * scale * (1 if rhs >= 0 else -1) for c in coeffs + [rhs]]
+                for coeffs, _, rhs in rows]
+    tab = lp._Tableau(prog)
+    assert [row[:n] + row[-1:] for row in tab.rows] == expected
+    twin = lp._Tableau(scaled)
+    assert (twin.rows, twin.den, twin.basis) == (tab.rows, tab.den, tab.basis)
+    assert repr(lp.solve(scaled)) == repr(lp.solve(prog))
 
 
 @st.composite

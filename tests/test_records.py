@@ -32,16 +32,18 @@ class LatticeContext:
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
     relation: str
-    rhs: Fraction
+    rhs: int
+    den: int
 
 
 @dataclass(frozen=True)
 class LinearProgram:
     num_vars: int
     constraints: tuple
-    objective: tuple[Fraction, ...]
+    objective: tuple[int, ...]
+    objective_den: int
 
 
 @dataclass(frozen=True)

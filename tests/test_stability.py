@@ -197,6 +197,25 @@ def test_default_round_solves_only_witness_lps(monkeypatch):
     assert stages == {"build": 0, "decide": 26, "geometry": 0}
 
 
+def test_deciding_the_corpus_reads_no_vertex_tuple(monkeypatch):
+    # Building and deciding every frame of the default corpus, the 131
+    # semistable ones among them, reads the integer vertex rows only: no
+    # polytope's Fraction vertex tuple is read, so none is built.
+    reads = []
+    vertices = RationalPolytope.vertices
+
+    def counting(P):
+        reads.append(P)
+        return vertices.fget(P)
+
+    monkeypatch.setattr(RationalPolytope, "vertices", property(counting))
+    instances = build_corpus()
+    semistable = [p for p in instances if is_semistable(p)[0]]
+    for p in instances:
+        verdict(FrameFamily([p]))
+    assert len(semistable) == 131 and reads == []
+
+
 def test_stability_lp_runs_only_at_zero_reaches(monkeypatch):
     # Frame 156 of the default corpus.  From the one vertex (3, 0) of N(v)
     # the reaches towards the vertices of q*N(I) are 0, 2/3, 0 and 1.  The
