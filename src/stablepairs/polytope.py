@@ -8,11 +8,11 @@ gives the affine hull and r pivot coordinates on it, and the
 double-description method gives the facets in those coordinates with the
 points on each.  Hull vertices are read off these incidences; membership,
 inclusion and segment reaches read the facet description of the vertex rows
-(an H-representation), built by the same pass on first use and cached.
-Degenerate hulls (points, segments, lower-dimensional polytopes) are
-first-class: inside its affine hull every polytope is full-dimensional.  The
-pass sweeps the current facets once per point, it does not enumerate
-r-subsets, and no LP is solved.
+(an H-representation), built by the same pass on a polytope's first query
+and kept on it.  Degenerate hulls (points, segments, lower-dimensional
+polytopes) are first-class: inside its affine hull every polytope is
+full-dimensional.  The pass sweeps the current facets once per point, it
+does not enumerate r-subsets, and no LP is solved.
 """
 
 from __future__ import annotations
@@ -204,19 +204,6 @@ class _Facets(NamedTuple):
         return num, den
 
 
-@lru_cache(maxsize=512)
-def _facets(rows: tuple[tuple[int, ...], ...], scale: int) -> _Facets:
-    """The H-representation of the hull of a polytope's vertex rows, from
-    one ``_hull`` pass.  Filled on first query, so a polytope that is never
-    queried adds nothing."""
-    reduced, pivots, facets = _hull(rows)
-    equations = [_primitive(e, sum(map(mul, e, rows[0])))
-                 for e in _kernel(reduced, pivots, len(rows[0]))]
-    facets.sort()
-    return _Facets(scale, tuple(pivots), tuple(equations),
-                   tuple([(n, h) for n, h, _ in facets]), tuple([m for _, _, m in facets]))
-
-
 @lru_cache(maxsize=8192)
 def _shared(value):
     """One shared copy of each recently seen immutable value: vertex vectors
@@ -292,18 +279,18 @@ class RationalPolytope:
     """Convex hull of finitely many rational points, ``points`` divided by
     ``scale`` (a positive integer).
 
-    Only the vertices are kept, computed once at construction, in
-    lexicographic order, as integer ``rows`` over their least common
-    ``scale``; equality, hashing and every query go on those.  The shared
-    Fraction tuples of ``vertices`` are built on its first read.  Instances
-    are immutable and thread-safe.
+    The vertices are computed once at construction, in lexicographic order,
+    as integer ``rows`` over their least common ``scale``; equality and
+    hashing go on those.  The facet description of the rows is built on the
+    first query and the shared Fraction tuples of ``vertices`` on its first
+    read, and both are kept.  Instances are immutable and thread-safe.
     """
 
-    __slots__ = ("rows", "scale", "_vertices")
+    __slots__ = ("rows", "scale", "_vertices", "_store")
 
     def __init__(self, points: Iterable[Sequence], scale: int = 1):
         self.rows, self.scale = _vertex_rows(points, scale)
-        self._vertices = None
+        self._vertices = self._store = None
 
     @property
     def vertices(self) -> tuple[RatVec, ...]:
@@ -343,14 +330,32 @@ class RationalPolytope:
         (row,), m = _int_rows([self._checked(y)])
         return row, m
 
+    def _facets(self) -> _Facets:
+        """The H-representation of the hull of the vertex rows, from one
+        ``_hull`` pass on the first query; a polytope that is never queried
+        holds none."""
+        if self._store is None:
+            rows = self.rows
+            reduced, pivots, facets = _hull(rows)
+            equations = [_primitive(e, sum(map(mul, e, rows[0])))
+                         for e in _kernel(reduced, pivots, len(rows[0]))]
+            facets.sort()
+            self._store = _Facets(self.scale, tuple(pivots), tuple(equations),
+                                  tuple([(n, h) for n, h, _ in facets]),
+                                  tuple([m for _, _, m in facets]))
+        return self._store
+
     def contains_point(self, y: Sequence) -> bool:
-        """Exact membership, read off the cached facet description."""
-        return _facets(self.rows, self.scale).contains(*self._row(y))
+        """Exact membership, read off the polytope's facet description."""
+        return self._facets().contains(*self._row(y))
 
     def reach(self, a: Sequence, b: Sequence) -> Fraction:
-        """Largest t in [0, 1] with a + t*(b - a) in the polytope, which
-        must contain a."""
-        return Fraction(*_facets(self.rows, self.scale).reach(*self._row(a), *self._row(b)))
+        """Largest t in [0, 1] with a + t*(b - a) in the polytope, for a
+        point a of the polytope; any other a is an ``InputError``."""
+        facets, A = self._facets(), self._row(a)
+        if not facets.contains(*A):
+            raise InputError("reach needs a starting point inside the polytope")
+        return Fraction(*facets.reach(*A, *self._row(b)))
 
     def scaled(self, s) -> "RationalPolytope":
         """The polytope s*P for a rational s >= 0, without a hull pass: for
@@ -364,7 +369,7 @@ class RationalPolytope:
         rows = self.rows[:1] if k == 0 else self.rows
         out.rows, out.scale = _canonical([[k * x for x in row] for row in rows],
                                          self.scale * factor.denominator)
-        out._vertices = None
+        out._vertices = out._store = None
         return out
 
 
@@ -398,15 +403,11 @@ def minkowski_combine(P: RationalPolytope, Q: RationalPolytope,
 def _first_outside(P: RationalPolytope, Q: RationalPolytope) -> int | None:
     """Index of the first vertex row of Q (lexicographic order) not in P, if
     any.  A vertex row of Q among P's is inside; P's facet description is
-    looked up only for the others."""
+    read only for the others."""
     if P.dim != Q.dim:
         raise InputError("polytopes of different dimension")
-    facets = None
     for i, X in enumerate(Q.rows):
-        if Q.scale == P.scale and X in P.rows:
-            continue
-        facets = facets or _facets(P.rows, P.scale)
-        if not facets.contains(X, Q.scale):
+        if (Q.scale != P.scale or X not in P.rows) and not P._facets().contains(X, Q.scale):
             return i
     return None
 

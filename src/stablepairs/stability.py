@@ -52,7 +52,6 @@ from .lattice import (
 )
 from .polytope import (
     RationalPolytope,
-    _facets,
     _first_outside,
     _shared,
     includes,
@@ -177,9 +176,10 @@ class PairInstance(_Record):
                 raise InputError("free mode requires an explicit identity polytope")
             if identity.dim != ctx.ambient_dim:
                 raise InputError("identity polytope dimension mismatch")
+            # shared first, so equal identities share one facet description
+            identity = identity_geom = _shared(identity)
             if not identity.contains_point((0,) * identity.dim):
                 raise InputError("identity polytope must contain the origin")
-            identity = identity_geom = _shared(identity)
             q_identity = _shared(identity.scaled(q))
 
         Av, Aw = _shared(Av), _shared(Aw)
@@ -390,7 +390,7 @@ def _margin_or_witness(p: PairInstance) -> tuple[int | None, IntVec | None]:
     attains its minimum on q*N(I) at a vertex p_hat, and t_{a p_hat} = 0.
     """
     V, Q = p.hull_v, p.q_identity
-    facets = _facets(p.hull_w.rows, p.hull_w.scale)
+    facets = p.hull_w._facets()
     num, den = 1, 1  # the least reach so far, num/den
     for A in V.rows:
         reaches = [facets.reach(A, V.scale, B, Q.scale) for B in Q.rows]

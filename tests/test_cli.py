@@ -1,9 +1,12 @@
+import copy
 import json
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stablepairs import cli, stability
 from stablepairs.cli import SchemaError, instance_from_dict, main, random_instance_dict
@@ -434,3 +437,72 @@ def test_multi_frame_verdict(tmp_path, capsys):
     assert main(["check", path, "--format", "json"]) == 3
     payload = json.loads(capsys.readouterr().out)
     assert payload["frame_index"] == 1
+
+
+# Mutated instance files.  A random schema-valid file gets one to three
+# mutations at random places: a value swapped for one of another type, a
+# huge or malformed numeral, a boolean, or a float that overflows or is not
+# finite; a key or list entry dropped; a key or list entry added.
+
+NUMERALS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(str),
+    st.sampled_from([10 ** 400, -(10 ** 400), BIG, "-" + BIG, LONG, "1/2", "1/0", " 3",
+                     "0x10", "1e999", "1.5e308", "inf", "nan", "", "x", "\u0663"]),
+    st.sampled_from([0.5, -0.0, 1.5e308, float("inf"), float("-inf"), float("nan")]),
+)
+JUNK = st.one_of(NUMERALS, st.none(), st.booleans(),
+                 st.sampled_from([[], {}, [[]], [["1", "0"]], [{"v_support": []}]]).map(
+                     copy.deepcopy))
+
+KEYS = ["mode", "rank", "matrix_size", "q", "rep_weights", "identity_polytope", "frames",
+        "v_support", "w_support", "v_coeffs", "w_coeffs", "extra"]
+
+
+def _paths(node, path=()):
+    """The path of every value in parsed JSON, the root's first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_instances(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    data = random_instance_dict(rng, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        parent, node = None, data
+        for key in path:
+            parent, node = node, node[key]
+        kind = draw(st.sampled_from(("swap", "drop", "add")))
+        if not isinstance(node, (dict, list)):
+            kind = "swap"
+        if kind == "drop" and node:
+            del node[draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                          else range(len(node))))]
+        elif kind == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(KEYS))] = draw(JUNK)
+        elif kind == "add":
+            entry = draw(st.sampled_from(node) if node and draw(st.booleans()) else JUNK)
+            node.insert(draw(st.integers(0, len(node))), copy.deepcopy(entry))
+        elif path:
+            parent[path[-1]] = draw(JUNK)
+        else:
+            data = draw(JUNK)
+    return data
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_instances())
+def test_mutated_instance_files_never_exit_1(tmp_path, capsys, data):
+    # Malformed input exits 2 with a diagnostic; a well-formed file decides.
+    # No command ends in an internal error (exit 1) or raises.
+    path = write(tmp_path, "mutated.json", data)
+    for command in (["check"], ["witness"], ["min-m"], ["degenerate", "--keep=1"],
+                    ["degenerate", "--keep=0,1"], ["slope", "--lambda=1,-1"]):
+        code = main([command[0], path, *command[1:]])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (command, data, err)

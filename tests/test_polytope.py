@@ -23,7 +23,7 @@ from stablepairs import (
     support_value,
 )
 from stablepairs import lp, polytope
-from stablepairs.polytope import _facets, _int_rows, _kernel, _primitive, _shared
+from stablepairs.polytope import _int_rows, _kernel, _primitive, _shared
 
 SL2 = LatticeContext.sl(2)
 SL3 = LatticeContext.sl(3)
@@ -156,7 +156,7 @@ def assert_hull_pass_matches_enumeration(points, enumerate_points=True):
     assert P.vertices is verts
     rows, scale = _int_rows(verts)
     assert (P.rows, P.scale) == (tuple(map(tuple, rows)), scale)
-    assert _facets(P.rows, P.scale) == reference_facets(verts)
+    assert P._facets() == reference_facets(verts)
 
 
 # LP references for the facet path: the membership, segment reach and hull
@@ -301,6 +301,16 @@ def test_contains_point_examples():
     single = RationalPolytope([(2, 2)])
     assert contains_point(single, (2, 2))
     assert not contains_point(single, (2, 3))
+
+
+def test_reach_needs_a_start_inside():
+    tri = RationalPolytope([(0, 0), (1, 0), (0, 1)])
+    assert tri.reach((0, 0), (2, 2)) == Fraction(1, 4)
+    assert tri.reach((Fraction(1, 2), Fraction(1, 2)), (0, 0)) == 1
+    # unchecked, these read -9/2 and 1 off the facets
+    for a, b in (((5, 5), (6, 6)), ((2, 2), (0, 0))):
+        with pytest.raises(InputError, match="inside the polytope"):
+            tri.reach(a, b)
 
 
 def test_vertices_need_no_membership_lp(monkeypatch):

@@ -216,6 +216,40 @@ def test_deciding_the_corpus_reads_no_vertex_tuple(monkeypatch):
     assert len(semistable) == 131 and reads == []
 
 
+def test_facet_stores_are_built_once_per_queried_polytope(monkeypatch):
+    # A polytope builds its facet description on its first query and keeps
+    # it, and equal polytopes are one shared object.  From empty shared
+    # caches, building the default corpus builds the stores of its 10
+    # distinct free-mode N(I) and q*N(I) (the origin and N(v) checks), and
+    # deciding it those of 190 distinct N(w); deciding again builds none.
+    for cache in (polytope._shared, stability._sl_identity):
+        cache.cache_clear()
+    built = []
+    facets = polytope._Facets
+
+    def counting(*fields):
+        built.append(fields)
+        return facets(*fields)
+
+    monkeypatch.setattr(polytope, "_Facets", counting)
+    instances = build_corpus()
+    assert len(built) == 10
+    families = [FrameFamily([p]) for p in instances]
+    for family in families:
+        verdict(family)
+    assert len(built) == 200
+    for family in families:
+        verdict(family)
+    assert len(built) == 200
+    polytopes = {id(P): P for p in instances
+                 for P in (p.hull_v, p.hull_w, p.identity_geom, p.q_identity)}
+    assert sum(P._store is not None for P in polytopes.values()) == 200
+    # N(v) is never queried: one that equals no N(w), N(I) or q*N(I) has none
+    queried = {P for p in instances for P in (p.hull_w, p.identity_geom, p.q_identity)}
+    unqueried = [p.hull_v for p in instances if p.hull_v not in queried]
+    assert len(unqueried) == 128 and all(V._store is None for V in unqueried)
+
+
 def test_stability_lp_runs_only_at_zero_reaches(monkeypatch):
     # Frame 156 of the default corpus.  From the one vertex (3, 0) of N(v)
     # the reaches towards the vertices of q*N(I) are 0, 2/3, 0 and 1.  The
@@ -282,7 +316,7 @@ def test_retained_bytes_per_instance():
     # Start from one cache state whatever ran before: empty the shared
     # caches and fill them from the default corpus.  A corpus from another
     # seed shares with it only what small lattice weights make recur.
-    for cache in (polytope._shared, polytope._facets, stability._sl_identity):
+    for cache in (polytope._shared, stability._sl_identity):
         cache.cache_clear()
     corpus = build_corpus()
     gc.collect()
