@@ -1,16 +1,19 @@
 """Exact rational linear programming.
 
-A small dense two-phase simplex with Bland's pivot rule, so termination is
+A small two-phase simplex with Bland's pivot rule, so termination is
 unconditional and identical programs yield bit-identical answers.  Every row
 of a program, the objective too, is stored as integers over one positive
 row denominator; ``linear_program`` brings rational rows there, and the
-direction LPs are written there directly from integer weight rows.  The
-pivots run over integers with one common denominator (Bareiss/Edmonds
-fraction-free elimination), which takes the same pivot path as a rational
-tableau without a gcd per entry, and results come back as Fractions.
-Problem sizes in this package stay tiny (tens of variables and
-constraints), which is why no effort is spent on smarter pivoting or
-sparsity.
+direction LPs are written there directly from integer weight rows.  Results
+come back as Fractions.  Two tableaux take the same pivot path and share
+phase 2 and the read-out.  The dense ``_Tableau`` pivots over integers with
+one common denominator (Bareiss/Edmonds fraction-free elimination), which
+needs no gcd per entry; it runs the first stage and the face phase of
+``solve_min_l1``, where tableaux are small and dense.  ``solve`` runs the
+sparse ``_Sparse``, which keeps each row's nonzero entries over the row's
+own scale, so a pivot touches only the rows with an entry in the entering
+column; it runs the least-l1 stage, whose tableaux are larger and mostly
+zero.
 
 Variables are free (unrestricted sign); nonnegativity, boxes, and
 normalization slices are expressed as ordinary constraints by the callers.
@@ -24,9 +27,9 @@ stability witnesses and degeneration directions, all through one helper,
 and rationalizes the optimal direction.  Those programs are feasible at the
 origin, so ``solve_min_l1`` starts its first stage there, with no phase 1.
 When its positive optimum is not provably a single point, it minimizes the
-l1 norm on the optimal face in the same tableau, and runs the two-phase
-least-l1 stage (``solve`` on a larger program) only when the least-l1 point
-is not provably a single point either.
+l1 norm on the optimal face in the same tableau, decides exactly whether
+the least-l1 point is unique, and runs the two-phase least-l1 stage
+(``solve`` on a larger program) only when it is not.
 """
 
 from __future__ import annotations
@@ -260,6 +263,15 @@ class _Tableau:
                 best, best_a, best_b = i, a, row[-1]
         return best
 
+    def _entering(self, columns: Sequence[int]) -> int | None:
+        """Bland entering column: the first of ``columns`` with a negative
+        reduced cost."""
+        zrow = self.zrow
+        for j in columns:
+            if zrow[j] < 0:
+                return j
+        return None
+
     def run(self, columns: Sequence[int]) -> int | None:
         """Bland simplex loop over the given columns, in increasing order.
 
@@ -267,12 +279,7 @@ class _Tableau:
         program is unbounded in that direction.
         """
         while True:
-            enter = None
-            zrow = self.zrow
-            for j in columns:
-                if zrow[j] < 0:
-                    enter = j
-                    break
+            enter = self._entering(columns)
             if enter is None:
                 return None
             leave = self._ratio_row(enter)
@@ -280,34 +287,170 @@ class _Tableau:
                 return enter
             self._pivot(leave, enter)
 
+    def _first_entry(self, i: int) -> int | None:
+        """The first stored column with a nonzero entry in row i."""
+        row = self.rows[i]
+        return next((j for j in range(self.art_start) if row[j]), None)
+
+    def _value(self) -> tuple[int, int]:
+        """The cost row's objective value, as a numerator and a positive
+        denominator."""
+        return self.zrow[-1], self.den
+
+    def _x(self, enter: int | None = None) -> tuple[Fraction, ...]:
+        """The basic solution, or with ``enter`` the ray that raises that
+        column, in x = x+ - x-."""
+        den = self.den
+        basic = zip(self.basis, self.rows)
+        if enter is None:
+            pairs = [(b, row[-1]) for b, row in basic]
+        else:
+            pairs = [(enter, den)] + [(b, -row[enter]) for b, row in basic]
+        return _in_x(self.n, den, pairs)
+
+
+class _Sparse(_Tableau):
+    """Sparse simplex tableau with one positive scale per row.
+
+    Each row keeps only its nonzero entries, as a dict from column to
+    integer, with the right-hand side at column ``art_start``; it stands
+    for the tableau row divided by its scale, the entry in its basic
+    column (for a basic artificial, the artificial's implicit entry).  The
+    cost row is kept the same way over ``zscale``.  The ratio test compares
+    b_i / a_ij and Bland's entering rule reads only the signs of reduced
+    costs; both are invariant under positive row scaling, so the pivot
+    path is that of ``_Tableau``.  A pivot on p in row r turns every row x
+    with an entry q in the entering column into p*x - q*pivot_row over its
+    scale times p, over the union of the two supports, and divides it by
+    the gcd of its entries and scale; every other row stays as it is.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        super().__init__(lp)
+        self.rows = [{j: x for j, x in enumerate(row) if x} for row in self.rows]
+        self.scales = [1] * self.m
+        self.zrow = {}
+        self.zscale = 1
+
+    def _reset_costs(self, costs: list[int], art_cost: int = 0):
+        width = self.art_start
+        cb = [costs[b] if b < width else art_cost for b in self.basis]
+        scale = lcm(*[s for c, s in zip(cb, self.scales) if c])
+        zrow = {j: -c * scale for j, c in enumerate(costs) if c}
+        for c, s, row in zip(cb, self.scales, self.rows):
+            if c:
+                f = c * (scale // s)
+                for j, x in row.items():
+                    zrow[j] = zrow.get(j, 0) + f * x
+        self.zrow = {j: x for j, x in zrow.items() if x}
+        self.zscale = _primitive(self.zrow, scale)
+
+    def _pivot(self, r: int, j: int):
+        rows, scales = self.rows, self.scales
+        prow = rows[r]
+        p = prow[j]
+        if p < 0:
+            # only the artificial pivot-out step pivots on a negative entry
+            prow = rows[r] = {k: -x for k, x in prow.items()}
+            p = -p
+        for i, row in enumerate(rows):
+            q = row.get(j)
+            if q and i != r:
+                scales[i] = _eliminate(row, scales[i], p, q, prow)
+        q = self.zrow.get(j)
+        if q:
+            self.zscale = _eliminate(self.zrow, self.zscale, p, q, prow)
+        scales[r] = p
+        self.basis[r] = j
+
+    def _ratio_row(self, j: int) -> int | None:
+        end, basis = self.art_start, self.basis
+        best = None
+        for i, row in enumerate(self.rows):
+            a = row.get(j)
+            if a is not None and a > 0:
+                b = row.get(end, 0)
+                if best is not None:
+                    lhs, rhs = b * best_a, best_b * a
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[best]):
+                        continue
+                best, best_a, best_b = i, a, b
+        return best
+
+    def _entering(self, columns: Sequence[int]) -> int | None:
+        return min([j for j, z in self.zrow.items() if z < 0 and j in columns], default=None)
+
+    def _first_entry(self, i: int) -> int | None:
+        return min([j for j in self.rows[i] if j < self.art_start], default=None)
+
+    def _value(self) -> tuple[int, int]:
+        return self.zrow.get(self.art_start, 0), self.zscale
+
+    def _x(self, enter: int | None = None) -> tuple[Fraction, ...]:
+        x_rows = [(b, row, s) for b, row, s in zip(self.basis, self.rows, self.scales)
+                  if b < 2 * self.n]
+        den = lcm(*[s for _, _, s in x_rows])
+        if enter is None:
+            rhs = self.art_start
+            pairs = [(b, row.get(rhs, 0) * (den // s)) for b, row, s in x_rows]
+        else:
+            pairs = [(enter, den)] + [(b, -row.get(enter, 0) * (den // s))
+                                      for b, row, s in x_rows]
+        return _in_x(self.n, den, pairs)
+
+
+def _eliminate(row: dict, scale: int, p: int, q: int, prow: dict) -> int:
+    """Make a sparse row p*row - q*prow, in place, over scale*p divided by
+    the gcd of its entries and that scale; return the new scale."""
+    if p != 1:
+        for k in row:
+            row[k] *= p
+    for k, y in prow.items():
+        x = row.get(k, 0) - q * y
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+    return _primitive(row, scale * p)
+
+
+def _primitive(row: dict, scale: int) -> int:
+    """Divide a sparse row and its scale by their gcd, the row in place;
+    return the new scale."""
+    if scale == 1:
+        return 1
+    g = gcd(scale, *row.values())
+    if g != 1:
+        for k in row:
+            row[k] //= g
+    return scale // g
+
 
 def solve(lp: LinearProgram) -> LpResult:
     """Solve exactly.  Returns optimal value and point, an infeasibility
     verdict, or an unbounded verdict with a certificate ray (a feasible
     direction of unbounded objective improvement)."""
-    tab = _Tableau(lp)
+    tab = _Sparse(lp)
 
     # Phase 1: drive the artificial variables to zero.
     tab._reset_costs([0] * tab.art_start, art_cost=-1)
     tab.run(range(tab.art_start))
-    if tab.zrow[-1] < 0:
+    if tab._value()[0] < 0:
         return LpResult(INFEASIBLE)
     return _optimize(tab, lp)
 
 
 def _optimize(tab: _Tableau, prog: LinearProgram) -> LpResult:
     """Phase 2 from a feasible basis, and the result read off the tableau."""
-    n, m, width = tab.n, tab.m, tab.art_start
+    n, width = tab.n, tab.art_start
 
     # Degenerate basic artificials: pivot them out where possible; rows that
     # are zero on every structural column are redundant and stay put.
-    for i in range(m):
-        if tab.basis[i] >= width:
-            row = tab.rows[i]
-            for j in range(width):
-                if row[j] != 0:
-                    tab._pivot(i, j)
-                    break
+    for i, b in enumerate(tab.basis):
+        if b >= width:
+            j = tab._first_entry(i)
+            if j is not None:
+                tab._pivot(i, j)
 
     # Phase 2: the real objective on the split variables, over its least
     # denominator.
@@ -321,44 +464,28 @@ def _optimize(tab: _Tableau, prog: LinearProgram) -> LpResult:
     enter = tab.run(range(width))
 
     if enter is not None:
-        ray = _in_x(tab, [(enter, tab.den)] + [(b, -row[enter])
-                                               for b, row in zip(tab.basis, tab.rows)])
-        return LpResult(UNBOUNDED, ray=ray)
-
-    return LpResult(OPTIMAL, value=Fraction(tab.zrow[-1], tab.den * cost_scale),
-                    point=_point(tab))
+        return LpResult(UNBOUNDED, ray=tab._x(enter))
+    num, den = tab._value()
+    return LpResult(OPTIMAL, value=Fraction(num, den * cost_scale), point=tab._x())
 
 
-def _in_x(tab: _Tableau, values) -> tuple[Fraction, ...]:
+def _in_x(n: int, den: int, values) -> tuple[Fraction, ...]:
     """A vector in x = x+ - x- from (column, integer over den) pairs of the
     standard variables; pairs on slack or artificial columns do not count."""
-    n = tab.n
     x = [0] * n
     for j, v in values:
         if j < n:
             x[j] += v
         elif j < 2 * n:
             x[j - n] -= v
-    return tuple([Fraction(v, tab.den) for v in x])
+    return tuple([Fraction(v, den) for v in x])
 
 
-def _point(tab: _Tableau) -> tuple[Fraction, ...]:
-    """The basic solution of a feasible tableau, in x = x+ - x-."""
-    return _in_x(tab, [(b, row[-1]) for b, row in zip(tab.basis, tab.rows)])
-
-
-def _is_unique(tab: _Tableau, fixed: frozenset = frozenset()) -> bool:
-    """Whether the optimum in an optimal tableau is the only optimal point,
-    in the original variables x = x+ - x-, with the ``fixed`` columns held
-    at 0.
-
-    Every optimal point is reached from the optimal basis by raising
-    nonbasic columns of zero reduced cost (a positive one must stay at 0,
-    and so must a fixed one).  When none of those columns moves x, the
-    optimal set is one point.  The test is sufficient, not necessary: a
-    column blocked by a degenerate row counts as moving.  The mirror of a
-    basic x+- column always passes, as x+ and x- then rise together.
-    """
+def _moves(tab: _Tableau, fixed: frozenset):
+    """For each nonbasic column of zero reduced cost outside ``fixed``, in
+    an optimal tableau, how raising it moves x = x+ - x-, one integer per
+    coordinate.  The mirror of a basic x+- column moves nothing, as x+ and
+    x- then rise together."""
     n, den, rows, zrow = tab.n, tab.den, tab.rows, tab.zrow
     skip = fixed.union(tab.basis)
     # Row, sign and variable of every basic x+- column; its row stores den
@@ -373,14 +500,28 @@ def _is_unique(tab: _Tableau, fixed: frozenset = frozenset()) -> bool:
             move[j % n] = den if j < n else -den
         for i, sign, k in x_rows:
             move[k] -= sign * rows[i][j]
-        if any(move):
-            return False
-    return True
+        yield move
 
 
-def _face_min_l1(tab: _Tableau, over: Sequence[int]) -> bool:
+def _is_unique(tab: _Tableau, fixed: frozenset = frozenset()) -> bool:
+    """Whether the optimum in an optimal tableau is the only optimal point,
+    in the original variables x = x+ - x-, with the ``fixed`` columns held
+    at 0.
+
+    Every optimal point is reached from the optimal basis by raising
+    nonbasic columns of zero reduced cost (a positive one must stay at 0,
+    and so must a fixed one).  When none of those columns moves x, the
+    optimal set is one point.  The test is sufficient, not necessary: a
+    column blocked by a degenerate row counts as moving, and
+    ``_face_min_l1`` settles that case exactly.
+    """
+    return not any(map(any, _moves(tab, fixed)))
+
+
+def _face_min_l1(tab: _Tableau, over: Sequence[int]) -> tuple[Fraction, ...] | None:
     """Minimize sum(|x_j|, j in over) on the optimal face of an optimal
-    tableau, in place, and tell whether the least-l1 point is unique.
+    tableau, in place, and return the least-l1 point when it is unique,
+    else None.
 
     The optimal face is the feasible set with every column of positive
     reduced cost at 0, so those columns are fixed and the others priced
@@ -388,8 +529,17 @@ def _face_min_l1(tab: _Tableau, over: Sequence[int]) -> bool:
     reduced cost enter, and a pivot on such a column leaves the first cost
     row as it was, so every basis visited stays on the face.  At the end
     the least-l1 points of the face are the optimal points of this
-    program; when ``_is_unique`` finds them one point, every least-l1
-    stage returns that point, whatever its pivot path.
+    program.
+
+    When ``_is_unique`` cannot tell, the columns of positive reduced cost
+    in this cost row are fixed too, and each coordinate x_k that some
+    free column moves is maximized and minimized with Bland's rule over
+    the free columns; a pivot on a column of zero reduced cost leaves both
+    cost rows as they were, so every basis visited stays on the least-l1
+    set.  The point is unique exactly when no coordinate moves, and then
+    every least-l1 stage returns it, whatever its pivot path.  A
+    coordinate that no free column moves is constant on the set, as every
+    feasible direction is a nonnegative combination of the free columns'.
     """
     n, width = tab.n, tab.art_start
     fixed = frozenset([j for j in range(width) if tab.zrow[j] > 0])
@@ -399,7 +549,20 @@ def _face_min_l1(tab: _Tableau, over: Sequence[int]) -> bool:
     tab._reset_costs(costs)
     # -l1 is at most 0, so this program is bounded
     tab.run([j for j in range(width) if j not in fixed])
-    return _is_unique(tab, fixed)
+    moves = [move for move in _moves(tab, fixed) if any(move)]
+    if moves:
+        free = [j for j in range(width) if not tab.zrow[j] and j not in fixed]
+        for k in range(n):
+            if not any(move[k] for move in moves):
+                continue
+            for sign in (1, -1):
+                costs = [0] * width
+                costs[k], costs[n + k] = sign, -sign
+                tab._reset_costs(costs)
+                start = Fraction(*tab._value())
+                if tab.run(free) is not None or Fraction(*tab._value()) != start:
+                    return None
+    return tab._x()
 
 
 def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
@@ -414,12 +577,12 @@ def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
     original variables (``_is_unique``), the positive optimum is a single
     point, which any least-l1 stage would return, so it comes back at once.
     Otherwise ``_face_min_l1`` minimizes the l1 norm on the optimal face,
-    on the same tableau; when the least-l1 point is provably unique, it
-    comes back, for the same reason.
+    on the same dense tableau, and decides exactly whether the least-l1
+    point is unique; when it is, it comes back, for the same reason.
 
-    Otherwise the points of least l1 norm tie (or a degenerate row hides
-    that they do not), and the second stage runs, two-phase and fully
-    exact, on the original program: the first optimum becomes an equality
+    Otherwise the points of least l1 norm tie, and the second stage runs,
+    two-phase and fully exact, on the original program through ``solve``
+    and its sparse tableau: the first optimum becomes an equality
     constraint, then the sum of absolute values of the chosen variables is
     minimized through the usual t_i >= +/- x_i envelope.  Keeps witnesses
     canonical instead of whatever vertex of a degenerate optimal face the
@@ -432,8 +595,9 @@ def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
     first = _optimize(tab, prog)
     if first.status != OPTIMAL or first.value <= 0 or _is_unique(tab):
         return first
-    if _face_min_l1(tab, over):
-        return LpResult(OPTIMAL, first.value, _point(tab))
+    point = _face_min_l1(tab, over)
+    if point is not None:
+        return LpResult(OPTIMAL, first.value, point)
     n = prog.num_vars
     k = len(over)
     pad = (0,) * k

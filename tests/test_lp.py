@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from stablepairs import FrameFamily, InputError, find_degeneration, verdict
 from stablepairs import lp
 
+from conftest import build_corpus
 from test_degeneration import duplicated_keep_problems, random_problems
 
 
@@ -387,17 +388,62 @@ def assert_same_as_reference(prog):
         repr((want.status, want.value, want.point, want.ray)), prog
 
 
-def reference_solve_min_l1(prog, over):
-    """``lp.solve_min_l1`` as it was before the first stage started at the
-    origin: two-phase ``lp.solve`` on the program, then, at a positive
-    optimum, the least-l1 stage, whatever the shape of the optimal set."""
-    first = lp.solve(prog)
-    if first.status != lp.OPTIMAL or first.value <= 0:
-        return first
+# ---------------------------------------------------------------------------
+# Reference: the dense integer tableau, which ``lp.solve`` ran before its
+# sparse row-scaled one.  Both must take the same pivots in the same order.
+
+def dense_solve(prog):
+    """``lp.solve`` on the dense tableau ``lp._Tableau``: phase 1 from the
+    artificial basis, then the phase 2 and read-out both tableaux share."""
+    tab = lp._Tableau(prog)
+    tab._reset_costs([0] * tab.art_start, art_cost=-1)
+    tab.run(range(tab.art_start))
+    if tab._value()[0] < 0:
+        return lp.LpResult(lp.INFEASIBLE)
+    return lp._optimize(tab, prog)
+
+
+def pivot_path(solver, prog):
+    """solver(prog), and the (entering, leaving) columns of every pivot it
+    takes on either tableau."""
+    path = []
+    pivots = {cls: cls.__dict__["_pivot"] for cls in (lp._Tableau, lp._Sparse)}
+
+    def recording(pivot):
+        def wrapped(tab, r, j):
+            path.append((j, tab.basis[r]))
+            pivot(tab, r, j)
+        return wrapped
+
+    for cls, pivot in pivots.items():
+        cls._pivot = recording(pivot)
+    try:
+        result = solver(prog)
+    finally:
+        for cls, pivot in pivots.items():
+            cls._pivot = pivot
+    return result, path
+
+
+def assert_same_pivots_as_dense(prog) -> str:
+    """lp.solve takes the dense tableau's pivots and returns its result,
+    field by field; returns the status."""
+    got, path = pivot_path(lp.solve, prog)
+    want, dense_path = pivot_path(dense_solve, prog)
+    assert path == dense_path, prog
+    # repr also tells an int apart from an equal Fraction
+    assert repr(got) == repr(want), prog
+    return got.status
+
+
+def least_l1_rows(prog, over, value):
+    """The rows of the least-l1 stage over Fractions: prog's rows and the
+    objective fixed at value over the variables x and t, and the envelope
+    t_j >= +/- x_j for j in over."""
     n = prog.num_vars
     k = len(over)
     cons = [(coeffs + [_ZERO] * k, rel, rhs) for coeffs, rel, rhs in rational_rows(prog)]
-    cons.append((rational_objective(prog) + [_ZERO] * k, lp.EQ, first.value))
+    cons.append((rational_objective(prog) + [_ZERO] * k, lp.EQ, value))
     for slot, j in enumerate(over):
         row = [_ZERO] * (n + k)
         row[n + slot] = _ONE
@@ -405,7 +451,19 @@ def reference_solve_min_l1(prog, over):
         cons.append((list(row), lp.GEQ, 0))
         row[j] = _ONE
         cons.append((row, lp.GEQ, 0))
-    second = lp.solve(lp.linear_program(n + k, cons, [_ZERO] * n + [Fraction(-1)] * k))
+    return cons
+
+
+def reference_solve_min_l1(prog, over):
+    """``lp.solve_min_l1`` as it was before the first stage started at the
+    origin: two-phase ``dense_solve`` on the program, then, at a positive
+    optimum, the least-l1 stage, whatever the shape of the optimal set."""
+    first = dense_solve(prog)
+    if first.status != lp.OPTIMAL or first.value <= 0:
+        return first
+    n, k = prog.num_vars, len(over)
+    second = dense_solve(lp.linear_program(n + k, least_l1_rows(prog, over, first.value),
+                                           [_ZERO] * n + [Fraction(-1)] * k))
     assert second.status == lp.OPTIMAL
     return lp.LpResult(lp.OPTIMAL, first.value, second.point[:n])
 
@@ -416,9 +474,10 @@ def assert_min_l1_as_reference(prog, over) -> str:
     A positive optimum must come back identical, field by field: "unique"
     when the first optimum was one point, "face" when the least-l1 point
     on the first optimum's face was, and "least-l1" when it ran that
-    stage.  A non-positive optimum ("not positive") must have the
-    reference's status and value and an optimal point; an unbounded program
-    ("unbounded") a ray along which the objective grows without bound."""
+    stage, whose program must take the dense tableau's pivots.  A
+    non-positive optimum ("not positive") must have the reference's status
+    and value and an optimal point; an unbounded program ("unbounded") a ray
+    along which the objective grows without bound."""
     stages = []
     faces = []
     solve, face_min_l1 = lp.solve, lp._face_min_l1
@@ -452,6 +511,8 @@ def assert_min_l1_as_reference(prog, over) -> str:
     # repr also tells an int apart from an equal Fraction
     assert repr(got) == repr(want), prog
     assert len(stages) <= len(faces) <= 1
+    for program in stages:
+        assert assert_same_pivots_as_dense(program) == lp.OPTIMAL
     return "least-l1" if stages else "face" if faces else "unique"
 
 
@@ -469,11 +530,66 @@ def test_face_phase_answers_only_a_unique_least_l1_point():
     assert assert_min_l1_as_reference(prog, range(2)) == "least-l1"
 
 
-def test_replay_of_corpus_decisions_matches_reference(corpus, monkeypatch):
-    # Deciding the default corpus solves 225 direction LPs, all of them
-    # witness LPs (membership and segment reaches solve none).  26 of them
-    # run the least-l1 stage; each other one has a non-positive optimum, a
-    # single optimal point, or a single least-l1 point on its optimal face.
+def test_exact_test_sees_past_a_degenerate_row():
+    # max -x subject to |x| <= 1 and 0 <= y <= x + 1, over x alone.  The
+    # optimum x = -1 pins y to 0, so the optimal set is the one point
+    # (-1, 0).  Three rows are tight there, and the optimal basis keeps y
+    # nonbasic with zero reduced cost: raising or lowering y would move the
+    # point, but the rows y >= 0 and y <= x + 1, basic at 0, block it.  The
+    # sufficient test fails on the first optimum and again on the face;
+    # the exact test finds the point unique, so lp.solve never runs.
+    box = [([1, 0], lp.LEQ, 1), ([1, 0], lp.GEQ, -1)]
+    pinned = lp.linear_program(2, box + [([1, -1], lp.GEQ, -1), ([0, 1], lp.GEQ, 0)],
+                               [-1, 0])
+    # With one more variable z, |z| <= 1, over x and z, and y <= x + 1 + z,
+    # the optimal face x = -1, 0 <= y <= z is a triangle.  Its least-l1
+    # point (-1, 0, 0) is still unique: only raising z, which the face
+    # phase fixes, would let y rise.
+    box = [([1, 0, 0], lp.LEQ, 1), ([1, 0, 0], lp.GEQ, -1),
+           ([0, 1, 0], lp.LEQ, 1), ([0, 1, 0], lp.GEQ, -1)]
+    triangle = lp.linear_program(3, box + [([0, 0, 1], lp.GEQ, 0), ([-1, -1, 1], lp.LEQ, 1)],
+                                 [-1, 0, 0])
+    moves = lp._moves
+    for prog, over in ((pinned, range(1)), (triangle, range(2))):
+        moved = []
+
+        def recording(tab, fixed):
+            found = list(moves(tab, fixed))
+            moved.append(any(map(any, found)))
+            return iter(found)
+
+        lp._moves = recording
+        try:
+            assert assert_min_l1_as_reference(prog, over) == "face"
+        finally:
+            lp._moves = moves
+        assert moved == [True, True]
+        assert lp.solve_min_l1(prog, over).point == (-1,) + (0,) * (prog.num_vars - 1)
+        assert coordinates_are_fixed(prog, over)
+
+
+def coordinates_are_fixed(prog, over) -> bool:
+    """Whether every coordinate of x takes one value on the least-l1 set
+    of prog's optimal face, by the Fraction reference: the least l1 norm
+    over that face, then the least and the greatest x_k at that norm."""
+    n, k = prog.num_vars, len(over)
+    rows = least_l1_rows(prog, over, reference_solve(prog).value)
+    t_only = [_ZERO] * n + [_ONE] * k
+    least = -reference_solve(lp.linear_program(n + k, rows, [-c for c in t_only])).value
+    rows.append((t_only, lp.EQ, least))
+    for j in range(n):
+        unit = [_ZERO] * (n + k)
+        unit[j] = _ONE
+        high = reference_solve(lp.linear_program(n + k, rows, unit))
+        low = reference_solve(lp.linear_program(n + k, rows, [-c for c in unit]))
+        if lp.UNBOUNDED in (high.status, low.status) or high.value != -low.value:
+            return False
+    return True
+
+
+def record_direction_lps(instances):
+    """Decide each instance on its own; the direction LPs as (program,
+    over) pairs and the least-l1 stage programs, in order."""
     directions = []
     stages = []
     solve, solve_min_l1 = lp.solve, lp.solve_min_l1
@@ -486,17 +602,37 @@ def test_replay_of_corpus_decisions_matches_reference(corpus, monkeypatch):
         directions.append((prog, over))
         return solve_min_l1(prog, over)
 
-    monkeypatch.setattr(lp, "solve", recording)
-    monkeypatch.setattr(lp, "solve_min_l1", recording_min_l1)
-    for p in corpus:
-        verdict(FrameFamily([p]))
-    monkeypatch.undo()
-    assert (len(directions), len(stages)) == (225, 26)
+    lp.solve, lp.solve_min_l1 = recording, recording_min_l1
+    try:
+        for p in instances:
+            verdict(FrameFamily([p]))
+    finally:
+        lp.solve, lp.solve_min_l1 = solve, solve_min_l1
+    return directions, stages
+
+
+def test_replay_of_corpus_decisions_matches_reference(corpus):
+    # Deciding the default corpus solves 225 direction LPs, all of them
+    # witness LPs (membership and segment reaches solve none).  19 of them
+    # run the least-l1 stage, each on a true tie, and take the dense
+    # tableau's pivots there; each other one has a non-positive optimum, a
+    # single optimal point, or a single least-l1 point on its optimal face.
+    directions, stages = record_direction_lps(corpus)
+    assert (len(directions), len(stages)) == (225, 19)
     ways = Counter(assert_min_l1_as_reference(prog, over) for prog, over in directions)
-    assert ways["least-l1"] == 26 and ways["not positive"] > 0
+    assert ways["least-l1"] == 19 and ways["not positive"] > 0
     assert ways["unique"] > 0 and ways["face"] > 0
     for prog in stages:
         assert_same_as_reference(prog)
+
+
+def test_seed_11_corpus_decisions_match_reference():
+    # The same on the seed-11 corpus: 17 least-l1 stages, every direction
+    # LP identical to the dense reference and every stage on its pivots.
+    directions, stages = record_direction_lps(build_corpus(11))
+    assert (len(directions), len(stages)) == (227, 17)
+    ways = Counter(assert_min_l1_as_reference(prog, over) for prog, over in directions)
+    assert ways["least-l1"] == 17
 
 
 def test_corpus_lps_match_an_independent_float_solver(corpus, monkeypatch):
@@ -520,7 +656,7 @@ def test_corpus_lps_match_an_independent_float_solver(corpus, monkeypatch):
     for p in corpus:
         verdict(FrameFamily([p]))
     monkeypatch.undo()
-    assert len(solved) == 225 + 26
+    assert len(solved) == 225 + 19
     status = {lp.OPTIMAL: 0, lp.INFEASIBLE: 2, lp.UNBOUNDED: 3}
     for prog, result in solved:
         upper, eq = [], []
@@ -600,10 +736,19 @@ def small_programs(draw):
     return lp.linear_program(n, rows, objective)
 
 
-@settings(max_examples=300, deadline=None)
-@given(small_programs())
-def test_small_programs_match_reference(prog):
-    assert_same_as_reference(prog)
+def test_small_programs_match_reference():
+    # lp.solve against the Fraction reference, and pivot for pivot against
+    # the dense tableau, on optimal, infeasible and unbounded programs.
+    statuses = Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_programs())
+    def check(prog):
+        assert_same_as_reference(prog)
+        statuses[assert_same_pivots_as_dense(prog)] += 1
+
+    check()
+    assert all(statuses[s] for s in (lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED)), statuses
 
 
 @settings(max_examples=300, deadline=None)
@@ -693,3 +838,34 @@ def test_solve_min_l1_matches_reference_on_origin_programs():
 
     check()
     assert ways["unique"] > 0 and ways["face"] > 0 and ways["least-l1"] > 0, ways
+
+
+def test_face_phase_is_unique_exactly_when_every_coordinate_is_fixed():
+    # Whenever solve_min_l1 reaches the face phase, the face phase returns
+    # a point exactly when the Fraction reference finds every coordinate
+    # fixed on the least-l1 set; only then is the least-l1 stage skipped.
+    answers = Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(origin_programs())
+    def check(case):
+        prog, over = case
+        said = []
+        face_min_l1 = lp._face_min_l1
+
+        def recording(tab, over):
+            said.append(point := face_min_l1(tab, over))
+            return point
+
+        lp._face_min_l1 = recording
+        try:
+            lp.solve_min_l1(prog, over)
+        finally:
+            lp._face_min_l1 = face_min_l1
+        if said:
+            unique = coordinates_are_fixed(prog, over)
+            assert (said[0] is not None) == unique, prog
+            answers[unique] += 1
+
+    check()
+    assert answers[True] and answers[False], answers

@@ -162,7 +162,7 @@ def test_default_round_solves_only_witness_lps(monkeypatch):
     # Only witnesses cost LPs: building the default-seed corpus, hull
     # vertices included, solves none, deciding it solves only the direction
     # LPs that pick witnesses, and membership and segment reaches never
-    # solve one.  26 of the 225 direction LPs run the least-l1 stage.
+    # solve one.  19 of the 225 direction LPs run the least-l1 stage.
     directions = {"build": 0, "decide": 0, "geometry": 0}
     stages = dict(directions)
     stage = ["build"]
@@ -194,7 +194,7 @@ def test_default_round_solves_only_witness_lps(monkeypatch):
     for p in instances:
         verdict(FrameFamily([p]))
     assert directions == {"build": 0, "decide": 225, "geometry": 0}
-    assert stages == {"build": 0, "decide": 26, "geometry": 0}
+    assert stages == {"build": 0, "decide": 19, "geometry": 0}
 
 
 def test_deciding_the_corpus_reads_no_vertex_tuple(monkeypatch):
