@@ -49,7 +49,7 @@ class DegenerationProblem(_Record):
         if not kept:
             raise InputError("the keep set must be nonempty")
         for i in kept:
-            if not isinstance(i, int) or not 0 <= i < len(ws):
+            if type(i) is not int or not 0 <= i < len(ws):
                 raise InputError(f"keep index {i!r} out of range 0..{len(ws) - 1}")
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "keep", kept)

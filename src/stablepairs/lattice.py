@@ -128,8 +128,8 @@ class LatticeContext(_Record):
     def __init__(self, mode: str, ambient_dim: int):
         if mode not in ("free", "sl"):
             raise InputError(f"unknown lattice mode {mode!r}")
-        if ambient_dim < 1:
-            raise InputError("ambient dimension must be positive")
+        if type(ambient_dim) is not int or ambient_dim < 1:
+            raise InputError("ambient dimension must be a positive integer")
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "ambient_dim", ambient_dim)
 

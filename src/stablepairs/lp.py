@@ -1,10 +1,9 @@
-"""Exact rational linear programming.
+"""Exact rational linear programming for the package's direction LPs.
 
 A small two-phase simplex with Bland's pivot rule, so termination is
 unconditional and identical programs yield bit-identical answers.  Every row
 of a program, the objective too, is stored as integers over one positive
-row denominator; ``linear_program`` brings rational rows there, and the
-direction LPs are written there directly from integer weight rows.  Results
+row denominator, written there directly from integer weight rows; results
 come back as Fractions.  Two tableaux take the same pivot path and share
 phase 2 and the read-out.  The dense ``_Tableau`` pivots over integers with
 one common denominator (Bareiss/Edmonds fraction-free elimination), which
@@ -24,19 +23,21 @@ The package's geometry runs on exact facet descriptions, not on LPs.  The
 programs solved here only extract directions: the semistability and
 stability witnesses and degeneration directions, all through one helper,
 ``stability._best_direction``, which calls ``solve_min_l1`` on a box frame
-and rationalizes the optimal direction.  Those programs are feasible at the
-origin, so ``solve_min_l1`` starts its first stage there, with no phase 1.
-When its positive optimum is not provably a single point, it minimizes the
-l1 norm on the optimal face in the same tableau, decides exactly whether
-the least-l1 point is unique, and runs the two-phase least-l1 stage
-(``solve`` on a larger program) only when it is not.
+and rationalizes the optimal direction.  Those programs, and the least-l1
+stages built from them, are feasible and bounded (a run that finds
+otherwise raises RuntimeError); the first are feasible at the origin, so
+``solve_min_l1`` starts its first stage there, with no phase 1.  When its
+positive optimum is not provably a single point, it minimizes the l1 norm
+on the optimal face in the same tableau, decides exactly whether the
+least-l1 point is unique, and runs the two-phase least-l1 stage (``solve``
+on a larger program) only when it is not.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .lattice import InputError, _Record, as_rat_vec
 
@@ -46,8 +47,6 @@ GEQ = ">="
 _RELATIONS = (LEQ, EQ, GEQ)
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 
 class Constraint(_Record):
@@ -62,22 +61,6 @@ class Constraint(_Record):
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "den", den)
-
-
-def _over_lcm(values: Iterable) -> tuple[tuple[int, ...], int]:
-    """Rationals as integers over the lcm of their denominators, and that
-    lcm."""
-    vec = as_rat_vec(values)
-    den = lcm(*[f.denominator for f in vec])
-    return tuple([f.numerator * (den // f.denominator) for f in vec]), den
-
-
-def constraint(coeffs: Iterable, relation: str, rhs) -> Constraint:
-    """The row ``coeffs . x  relation  rhs`` from rational entries."""
-    if relation not in _RELATIONS:
-        raise InputError(f"unknown relation {relation!r}")
-    (*ints, b), den = _over_lcm([*coeffs, rhs])
-    return Constraint(tuple(ints), relation, b, den)
 
 
 class LinearProgram(_Record):
@@ -100,25 +83,17 @@ class LinearProgram(_Record):
                     f"constraint {k} has {len(con.coeffs)} coefficients, "
                     f"expected {num_vars}"
                 )
+            if con.relation not in _RELATIONS:
+                raise InputError(f"unknown relation {con.relation!r}")
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "objective_den", objective_den)
 
 
-def linear_program(num_vars: int, constraints: Iterable, objective=None) -> LinearProgram:
-    """A program from ``Constraint`` rows or (coeffs, relation, rhs) triples
-    of rationals, and a rational objective (zero when None)."""
-    cons = tuple([
-        c if isinstance(c, Constraint) else constraint(*c) for c in constraints
-    ])
-    if objective is None:
-        return LinearProgram(num_vars, cons, (0,) * num_vars, 1)
-    return LinearProgram(num_vars, cons, *_over_lcm(objective))
-
-
 class LpResult(_Record):
-    """Status, with the optimal value and point or the unbounded ray."""
+    """The optimal value and an optimal point; every program solved here has
+    one, so ``status`` is always ``OPTIMAL`` and ``ray`` always None."""
 
     __slots__ = _fields = ("status", "value", "point", "ray")
 
@@ -272,19 +247,17 @@ class _Tableau:
                 return j
         return None
 
-    def run(self, columns: Sequence[int]) -> int | None:
-        """Bland simplex loop over the given columns, in increasing order.
-
-        Returns None at optimality, or the entering column index when the
-        program is unbounded in that direction.
-        """
+    def run(self, columns: Sequence[int]) -> None:
+        """Bland simplex loop over the given columns, in increasing order,
+        to optimality.  Every program solved here is bounded, so a ratio
+        test without a leaving row is an internal error."""
         while True:
             enter = self._entering(columns)
             if enter is None:
-                return None
+                return
             leave = self._ratio_row(enter)
             if leave is None:
-                return enter
+                raise RuntimeError("internal: the program is unbounded")
             self._pivot(leave, enter)
 
     def _first_entry(self, i: int) -> int | None:
@@ -297,16 +270,9 @@ class _Tableau:
         denominator."""
         return self.zrow[-1], self.den
 
-    def _x(self, enter: int | None = None) -> tuple[Fraction, ...]:
-        """The basic solution, or with ``enter`` the ray that raises that
-        column, in x = x+ - x-."""
-        den = self.den
-        basic = zip(self.basis, self.rows)
-        if enter is None:
-            pairs = [(b, row[-1]) for b, row in basic]
-        else:
-            pairs = [(enter, den)] + [(b, -row[enter]) for b, row in basic]
-        return _in_x(self.n, den, pairs)
+    def _x(self) -> tuple[Fraction, ...]:
+        """The basic solution in x = x+ - x-."""
+        return _in_x(self.n, self.den, [(b, row[-1]) for b, row in zip(self.basis, self.rows)])
 
 
 class _Sparse(_Tableau):
@@ -386,17 +352,11 @@ class _Sparse(_Tableau):
     def _value(self) -> tuple[int, int]:
         return self.zrow.get(self.art_start, 0), self.zscale
 
-    def _x(self, enter: int | None = None) -> tuple[Fraction, ...]:
+    def _x(self) -> tuple[Fraction, ...]:
         x_rows = [(b, row, s) for b, row, s in zip(self.basis, self.rows, self.scales)
                   if b < 2 * self.n]
-        den = lcm(*[s for _, _, s in x_rows])
-        if enter is None:
-            rhs = self.art_start
-            pairs = [(b, row.get(rhs, 0) * (den // s)) for b, row, s in x_rows]
-        else:
-            pairs = [(enter, den)] + [(b, -row.get(enter, 0) * (den // s))
-                                      for b, row, s in x_rows]
-        return _in_x(self.n, den, pairs)
+        den, rhs = lcm(*[s for _, _, s in x_rows]), self.art_start
+        return _in_x(self.n, den, [(b, row.get(rhs, 0) * (den // s)) for b, row, s in x_rows])
 
 
 def _eliminate(row: dict, scale: int, p: int, q: int, prow: dict) -> int:
@@ -427,16 +387,16 @@ def _primitive(row: dict, scale: int) -> int:
 
 
 def solve(lp: LinearProgram) -> LpResult:
-    """Solve exactly.  Returns optimal value and point, an infeasibility
-    verdict, or an unbounded verdict with a certificate ray (a feasible
-    direction of unbounded objective improvement)."""
+    """Solve a feasible, bounded program exactly, two-phase: the optimal
+    value and an optimal point.  An infeasible or unbounded program is an
+    internal error and raises RuntimeError."""
     tab = _Sparse(lp)
 
     # Phase 1: drive the artificial variables to zero.
     tab._reset_costs([0] * tab.art_start, art_cost=-1)
     tab.run(range(tab.art_start))
     if tab._value()[0] < 0:
-        return LpResult(INFEASIBLE)
+        raise RuntimeError("internal: the program is infeasible")
     return _optimize(tab, lp)
 
 
@@ -461,10 +421,7 @@ def _optimize(tab: _Tableau, prog: LinearProgram) -> LpResult:
         costs[j] = c // g
         costs[n + j] = -costs[j]
     tab._reset_costs(costs)
-    enter = tab.run(range(width))
-
-    if enter is not None:
-        return LpResult(UNBOUNDED, ray=tab._x(enter))
+    tab.run(range(width))
     num, den = tab._value()
     return LpResult(OPTIMAL, value=Fraction(num, den * cost_scale), point=tab._x())
 
@@ -503,19 +460,17 @@ def _moves(tab: _Tableau, fixed: frozenset):
         yield move
 
 
-def _is_unique(tab: _Tableau, fixed: frozenset = frozenset()) -> bool:
+def _is_unique(tab: _Tableau) -> bool:
     """Whether the optimum in an optimal tableau is the only optimal point,
-    in the original variables x = x+ - x-, with the ``fixed`` columns held
-    at 0.
+    in the original variables x = x+ - x-.
 
     Every optimal point is reached from the optimal basis by raising
-    nonbasic columns of zero reduced cost (a positive one must stay at 0,
-    and so must a fixed one).  When none of those columns moves x, the
-    optimal set is one point.  The test is sufficient, not necessary: a
-    column blocked by a degenerate row counts as moving, and
-    ``_face_min_l1`` settles that case exactly.
+    nonbasic columns of zero reduced cost (a positive one must stay at 0).
+    When none of those columns moves x, the optimal set is one point.  The
+    test is sufficient, not necessary: a column blocked by a degenerate row
+    counts as moving, and ``_face_min_l1`` settles that case exactly.
     """
-    return not any(map(any, _moves(tab, fixed)))
+    return not any(map(any, _moves(tab, frozenset())))
 
 
 def _face_min_l1(tab: _Tableau, over: Sequence[int]) -> tuple[Fraction, ...] | None:
@@ -560,7 +515,8 @@ def _face_min_l1(tab: _Tableau, over: Sequence[int]) -> tuple[Fraction, ...] | N
                 costs[k], costs[n + k] = sign, -sign
                 tab._reset_costs(costs)
                 start = Fraction(*tab._value())
-                if tab.run(free) is not None or Fraction(*tab._value()) != start:
+                tab.run(free)
+                if Fraction(*tab._value()) != start:
                     return None
     return tab._x()
 
@@ -570,15 +526,16 @@ def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
     point of least l1 norm over the given variable indices, when the
     optimum is positive.
 
-    The first stage starts from the origin's slack basis (no phase 1) and
-    raises InputError when the origin is infeasible.  A non-positive optimum
-    comes back with some optimal point, which every caller discards, and an
-    unbounded program with some ray.  When no optimal column moves the
-    original variables (``_is_unique``), the positive optimum is a single
-    point, which any least-l1 stage would return, so it comes back at once.
-    Otherwise ``_face_min_l1`` minimizes the l1 norm on the optimal face,
-    on the same dense tableau, and decides exactly whether the least-l1
-    point is unique; when it is, it comes back, for the same reason.
+    The first stage starts from the origin's slack basis (no phase 1); it
+    raises InputError when the origin is infeasible, RuntimeError when the
+    program is unbounded.  A non-positive optimum comes back with some
+    optimal point, which every caller discards.  When no optimal column
+    moves the original variables (``_is_unique``), the positive optimum is
+    a single point, which any least-l1 stage would return, so it comes back
+    at once.  Otherwise ``_face_min_l1`` minimizes the l1 norm on the
+    optimal face, on the same dense tableau, and decides exactly whether
+    the least-l1 point is unique; when it is, it comes back, for the same
+    reason.
 
     Otherwise the points of least l1 norm tie, and the second stage runs,
     two-phase and fully exact, on the original program through ``solve``
@@ -588,12 +545,11 @@ def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
     canonical instead of whatever vertex of a degenerate optimal face the
     pivot order happens to visit first; on such a face the pivot path of
     this stage breaks the ties.  It is feasible (the first point with
-    t = |x|) and bounded (its objective is at most 0), so any other status
-    is an internal error.
+    t = |x|) and bounded (its objective is at most 0).
     """
     tab = _Tableau(prog, at_origin=True)
     first = _optimize(tab, prog)
-    if first.status != OPTIMAL or first.value <= 0 or _is_unique(tab):
+    if first.value <= 0 or _is_unique(tab):
         return first
     point = _face_min_l1(tab, over)
     if point is not None:
@@ -615,8 +571,6 @@ def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
         row[j] = 1
         cons.append(Constraint(tuple(row), GEQ, 0, 1))  # t >= -x
     second = solve(LinearProgram(n + k, tuple(cons), (0,) * n + (-1,) * k, 1))
-    if second.status != OPTIMAL:
-        raise RuntimeError("internal: the least-l1 stage must have an optimum")
     return LpResult(OPTIMAL, first.value, second.point[:n])
 
 
@@ -626,7 +580,9 @@ def rationalize_direction(point: Sequence) -> tuple[int, ...]:
     Clears denominators with their lcm, then divides by the gcd of the
     entries, so the result has entry gcd 1.
     """
-    ints, _ = _over_lcm(point)
+    vec = as_rat_vec(point)
+    den = lcm(*[f.denominator for f in vec])
+    ints = [f.numerator * (den // f.denominator) for f in vec]
     g = gcd(*ints)
     if not g:
         raise InputError("cannot rationalize the zero vector")

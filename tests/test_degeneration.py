@@ -18,6 +18,8 @@ from stablepairs import (
 from stablepairs.lattice import dot
 from stablepairs.stability import _direction_frame_constraints
 
+from lp_reference import linear_program
+
 FREE2 = LatticeContext.free(2)
 SL2 = LatticeContext.sl(2)
 
@@ -187,7 +189,7 @@ def reference_annihilator(prob, equalities):
         for sign in (1, -1):
             objective = [Fraction(0)] * d
             objective[k] = Fraction(sign)
-            result = lp.solve_min_l1(lp.linear_program(d, cons, objective), range(d))
+            result = lp.solve_min_l1(linear_program(d, cons, objective), range(d))
             if result.status == lp.OPTIMAL and result.value > 0:
                 return lp.rationalize_direction(result.point)
     return None
@@ -214,7 +216,7 @@ def reference_degeneration(prob):
     for i in dropped:
         cons.append((rows[i] + [Fraction(-1)], lp.GEQ, 0))
     objective = [Fraction(0)] * d + [Fraction(1)]
-    result = lp.solve_min_l1(lp.linear_program(nv, cons, objective), range(d))
+    result = lp.solve_min_l1(linear_program(nv, cons, objective), range(d))
     assert result.status == lp.OPTIMAL
     if result.value <= 0:
         return None

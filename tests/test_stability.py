@@ -2,6 +2,7 @@ import gc
 import hashlib
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablepairs import (
+    DegenerationProblem,
     FrameFamily,
     InputError,
     LatticeContext,
@@ -32,6 +34,7 @@ from stablepairs.cli import _free_q
 from stablepairs.polytope import first_outside_vertex
 from stablepairs.stability import _direction_frame_constraints
 from conftest import build_corpus, identity_polytope, make_fix_b, random_pair_instance
+from lp_reference import linear_program
 
 FREE2 = LatticeContext.free(2)
 SL2 = LatticeContext.sl(2)
@@ -116,6 +119,19 @@ def test_pair_instance_construction_guards():
     with pytest.raises(InputError):
         PairInstance(WeightSupport([(1, 0)], SL2),
                      WeightSupport([(1, 0)], FREE2), 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: PairInstance(p.Av, p.Aw, True, p.identity),
+    lambda p: LatticeContext.free(True),
+    lambda p: LatticeContext.sl(True),
+    lambda p: DegenerationProblem(p.Aw.weights, [True], p.context),
+    lambda p: check_tian0(p, True, (0, -1)),
+], ids=["q", "rank", "matrix size", "keep index", "margin"])
+def test_booleans_are_not_integers(build, fix_b):
+    # True == 1, but as a count or an index it is a caller's mistake
+    with pytest.raises(InputError):
+        build(fix_b)
 
 
 def test_q_identity_is_built_once_per_instance(fix_a, fix_b):
@@ -386,7 +402,7 @@ def reference_semistability_witness(p, m_prime):
     for y in p.hull_w.vertices:
         cons.append((list(y) + [Fraction(-1)], lp.GEQ, 0))
     objective = [-c for c in m_prime] + [Fraction(1)]
-    result = lp.solve_min_l1(lp.linear_program(nv, cons, objective), range(d))
+    result = lp.solve_min_l1(linear_program(nv, cons, objective), range(d))
     assert result.status == lp.OPTIMAL and result.value > 0
     lam = lp.rationalize_direction(result.point[:d])
     for candidate in (lam, tuple([-c for c in lam])):
@@ -593,7 +609,7 @@ def reference_violation(p):
         for p_hat in q_vertices:
             cons = head + reference_argmin_constraints(p_hat, q_vertices, d) + tail
             objective = [u[i] - p_hat[i] for i in range(d)]
-            result = lp.solve_min_l1(lp.linear_program(d, cons, objective), range(d))
+            result = lp.solve_min_l1(linear_program(d, cons, objective), range(d))
             assert result.status == lp.OPTIMAL
             if result.value > 0:
                 return lp.rationalize_direction(result.point)
@@ -621,17 +637,22 @@ def test_verdict_matches_reference_scan_on_corpus(corpus):
 @st.composite
 def degenerate_support(draw, dim):
     """A few small integer weights that are collinear, duplicated, a single
-    point, or unstructured."""
+    point, or unstructured, and in rank 3 also coplanar."""
     coord = st.integers(-2, 2)
     point = st.tuples(*[coord] * dim)
-    kind = draw(st.sampled_from(("single", "collinear", "duplicates", "plain")))
+    step = st.tuples(*[st.integers(-1, 1)] * dim)
+    kinds = ("single", "collinear", "duplicates", "plain") + ("coplanar",) * (dim == 3)
+    kind = draw(st.sampled_from(kinds))
     if kind == "single":
         return [draw(point)]
     if kind == "collinear":
-        base = draw(point)
-        step = draw(st.tuples(*[st.integers(-1, 1)] * dim))
+        base, s = draw(point), draw(step)
         ks = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=4))
-        return [tuple(b + k * s for b, s in zip(base, step)) for k in ks]
+        return [tuple(b + k * c for b, c in zip(base, s)) for k in ks]
+    if kind == "coplanar":
+        base, s, t = draw(point), draw(step), draw(step)
+        ks = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=5))
+        return [tuple(b + i * x + j * y for b, x, y in zip(base, s, t)) for i, j in ks]
     pts = draw(st.lists(point, min_size=1, max_size=4))
     if kind == "duplicates":
         pts = pts + pts[:1]
@@ -639,16 +660,15 @@ def degenerate_support(draw, dim):
 
 
 @st.composite
-def nested_degenerate_instances(draw):
-    """Semistable instances with degenerate supports: A(w) contains A(v).
-    Free rank 2 with a box or diamond identity, or sl(2), or sl(3).  Half
-    the draws also surround each weight of A(v) by its lattice neighbours in
-    A(w), which puts N(v) inside the relative interior of N(w), so stable
-    verdicts are drawn as well as unstable ones."""
-    mode, dim = draw(st.sampled_from((("free", 2), ("sl", 2), ("sl", 3))))
+def nested_supports(draw, mode, dim, surround=st.booleans()):
+    """Weights of A(v), and of an A(w) that contains them, from
+    ``degenerate_support``.  Where ``surround`` draws True (by default in
+    half the draws), A(w) also holds the lattice neighbours of each weight
+    of A(v), which puts N(v) inside the relative interior of N(w), so
+    stable frames are drawn as well as unstable ones."""
     v_list = draw(degenerate_support(dim))
     w_list = v_list + draw(degenerate_support(dim))
-    if draw(st.booleans()):
+    if draw(surround):
         unit = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
         if mode == "sl":
             steps = [tuple(a - b for a, b in zip(e, f))
@@ -656,6 +676,15 @@ def nested_degenerate_instances(draw):
         else:
             steps = unit + [tuple(-c for c in e) for e in unit]
         w_list += [tuple(a + s for a, s in zip(v, step)) for v in v_list for step in steps]
+    return v_list, w_list
+
+
+@st.composite
+def nested_degenerate_instances(draw):
+    """Semistable instances with degenerate supports: A(w) contains A(v).
+    Free rank 2 with a box or diamond identity, or sl(2), or sl(3)."""
+    mode, dim = draw(st.sampled_from((("free", 2), ("sl", 2), ("sl", 3))))
+    v_list, w_list = draw(nested_supports(mode, dim))
     if mode == "sl":
         ctx = LatticeContext.sl(dim)
         Av, Aw = WeightSupport(v_list, ctx), WeightSupport(w_list, ctx)
@@ -667,7 +696,70 @@ def nested_degenerate_instances(draw):
                         q, identity_polytope(shape, dim))
 
 
+@st.composite
+def degenerate_families(draw):
+    """Two or three frames sharing a context and q, with degenerate
+    supports: free rank 2 or 3 with a box or diamond identity, or sl(2) or
+    sl(3).  In a third of the families every frame has surrounded nested
+    supports (``nested_supports``), so whole families are often stable; in
+    the others half the frames have nested supports and the others two
+    unrelated ones, mostly not semistable.  q is ``deg_of_V`` of all the
+    frames' weights in sl mode, and in free mode the least q that holds
+    every frame's N(v), or 1 more."""
+    mode, dim = draw(st.sampled_from((("free", 2), ("free", 3), ("sl", 2), ("sl", 3))))
+    all_surrounded = draw(st.sampled_from((True, False, False)))
+    supports = []
+    for _ in range(draw(st.integers(2, 3))):
+        if all_surrounded:
+            supports.append(draw(nested_supports(mode, dim, st.just(True))))
+        elif draw(st.booleans()):
+            supports.append(draw(nested_supports(mode, dim)))
+        else:
+            supports.append((draw(degenerate_support(dim)), draw(degenerate_support(dim))))
+    if mode == "sl":
+        ctx = LatticeContext.sl(dim)
+        q = deg_of_V(WeightSupport([a for v, w in supports for a in v + w], ctx), ctx)
+        return [PairInstance(WeightSupport(v, ctx), WeightSupport(w, ctx), q)
+                for v, w in supports]
+    ctx = LatticeContext.free(dim)
+    shape = draw(st.sampled_from(("box", "diamond")))
+    q = _free_q(shape, [a for v, _ in supports for a in v]) + draw(st.integers(0, 1))
+    identity = identity_polytope(shape, dim)
+    return [PairInstance(WeightSupport(v, ctx), WeightSupport(w, ctx), q, identity)
+            for v, w in supports]
+
+
 @settings(max_examples=60, deadline=None)
 @given(nested_degenerate_instances())
 def test_verdict_matches_reference_scan_on_degenerate_supports(p):
     assert matches_reference(p)
+
+
+def test_family_verdict_follows_its_rule_over_single_frames():
+    # verdict(family) from the frames' own verdicts, by the rule in its
+    # docstring: the first frame that is not semistable wins, even after
+    # an earlier unstable frame; otherwise the first unstable frame wins;
+    # otherwise m is the largest frame margin.
+    outcomes = Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(degenerate_families())
+    def check(frames):
+        singles = [verdict(FrameFamily([f])) for f in frames]
+        unsemistable = [i for i, v in enumerate(singles) if not v.semistable]
+        unstable = [i for i, v in enumerate(singles) if not v.stable]
+        if unstable:
+            i = (unsemistable or unstable)[0]
+            expected = stability.StabilityVerdict(
+                semistable=not unsemistable, stable=False,
+                witness=singles[i].witness, frame_index=i)
+            outcomes["not semistable after unstable" if unstable[0] < i
+                     else "not semistable" if unsemistable else "unstable"] += 1
+        else:
+            expected = stability.StabilityVerdict(
+                semistable=True, stable=True, uniform_m=max(v.uniform_m for v in singles))
+            outcomes["stable"] += 1
+        assert verdict(FrameFamily(frames)) == expected, frames
+
+    check()
+    assert len(outcomes) == 4, outcomes
