@@ -18,7 +18,8 @@ lam_k; the feasible set is symmetric under lam -> -lam, so maximizing
 -lam_k is positive exactly when maximizing lam_k is, and is not tried.  All
 of these programs go through ``stability._best_direction``, which drops the
 all-zero equality of a kept weight that repeats the base weight: it
-constrains nothing, and without it the simplex takes the same pivots.
+constrains nothing, and without it the simplex takes the same pivots.  In
+free rank 1, sl(1) and sl(2) that helper solves no LP.
 """
 
 from __future__ import annotations

@@ -23,7 +23,9 @@ The package's geometry runs on exact facet descriptions, not on LPs.  The
 programs solved here only extract directions: the semistability and
 stability witnesses and degeneration directions, all through one helper,
 ``stability._best_direction``, which calls ``solve_min_l1`` on a box frame
-and rationalizes the optimal direction.  Those programs, and the least-l1
+and rationalizes the optimal direction (where the directions span at most
+a line it settles the program in closed form, and no LP is solved).  Those
+programs, and the least-l1
 stages built from them, are feasible and bounded (a run that finds
 otherwise raises RuntimeError); the first are feasible at the origin, so
 ``solve_min_l1`` starts its first stage there, with no phase 1.  When its

@@ -3,16 +3,20 @@
 A polytope keeps its vertices as integer rows over their least common scale,
 which every computation reads; the shared Fraction tuples of the API are
 built on the first read of ``vertices``, so the decision path builds none.
-One exact integer pass, ``_hull``, serves every affine rank r: row reduction
-gives the affine hull and r pivot coordinates on it, and the
-double-description method gives the facets in those coordinates with the
-points on each.  Hull vertices are read off these incidences; membership,
-inclusion and segment reaches read the facet description of the vertex rows
-(an H-representation), built by the same pass on a polytope's first query
-and kept on it.  Degenerate hulls (points, segments, lower-dimensional
-polytopes) are first-class: inside its affine hull every polytope is
-full-dimensional.  The pass sweeps the current facets once per point, it
-does not enumerate r-subsets, and no LP is solved.
+Construction runs one integer row reduction, which gives the affine hull
+and its rank r with r pivot coordinates on it.  Below rank 3 that settles
+the vertices without a further pass: the two ends of a segment, or
+Andrew's monotone chain on the two pivot coordinates of a polygon.  From
+rank 3 on, and for every facet description whatever its rank, one exact
+integer pass, ``_hull``, gives the facets in the pivot coordinates with the
+points on each by the double-description method; hull vertices are read
+off these incidences.  Membership, inclusion and segment reaches read the
+facet description of the vertex rows (an H-representation), built by that
+pass on a polytope's first query and kept on it.  Degenerate hulls
+(points, segments, lower-dimensional polytopes) are first-class: inside
+its affine hull every polytope is full-dimensional.  The pass sweeps the
+current facets once per point, it does not enumerate r-subsets, and no LP
+is solved.
 """
 
 from __future__ import annotations
@@ -97,11 +101,14 @@ def _primitive(normal: Sequence[int], offset: int) -> tuple[tuple[int, ...], int
     return tuple([x // g for x in normal]), offset // g
 
 
-def _hull(ints: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], list]:
+def _hull(ints: Sequence[Sequence[int]], elimination: tuple | None = None
+          ) -> tuple[list[list[int]], list[int], list]:
     """The affine hull and the facets of the hull of distinct integer rows:
     the reduced rows and pivots of ``_affine_pivots``, and the facets as
     (n, h, mask), n a primitive normal in the pivot coordinates with
     <n, x_P> <= h on every row x, and mask the bits of the rows on it.
+    ``elimination`` is the result of ``_affine_pivots(ints)`` where the
+    caller has it already.
 
     Double description (Fukuda & Prodon 1996): the facets are the extreme
     rays of the cone of the (n, h) that every row satisfies.  The facets of
@@ -111,7 +118,7 @@ def _hull(ints: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], li
     meet in a ridge exactly when no third holds every row both hold, so
     exact integers settle every degenerate case.
     """
-    reduced, pivots, basis = _affine_pivots(ints)
+    reduced, pivots, basis = elimination or _affine_pivots(ints)
     d, r = len(ints[0]), len(pivots)
     coords = [[v[c] for c in pivots] for v in ints]
     # The differences D of the simplex rows satisfy M D_P = diag(p) for the
@@ -240,8 +247,14 @@ def _vertex_rows(points: Iterable[Sequence], scale: int) -> tuple[tuple, int]:
 
     Integer points are used as they are, others are brought to integer rows
     by the lcm of their denominators, and duplicates go.  Of more than two,
-    a point is a vertex unless another one lies on every facet it lies on
-    in one ``_hull`` pass."""
+    one ``_affine_pivots`` elimination gives the affine rank r, and the
+    pivot coordinates are affine coordinates on the affine hull that order
+    the rows as the rows themselves sort.  Below rank 3 no
+    double-description pass runs: of collinear rows the first and last
+    are the vertices, and at rank 2 the monotone chain on the two pivot
+    coordinates gives them (``_chain``).  From rank 3 on, one ``_hull``
+    pass on that elimination does, and a row is a vertex unless another
+    one lies on every facet it lies on."""
     pts = list(points)
     if type(scale) is not int or scale < 1:
         raise InputError("scale must be a positive integer")
@@ -258,14 +271,44 @@ def _vertex_rows(points: Iterable[Sequence], scale: int) -> tuple[tuple, int]:
     # and dedupe the points.
     rows = sorted(set(map(tuple, pts)))
     if len(rows) > 2:
-        masks = [mask for _, _, mask in _hull(rows)[2]]
-        on = [(1 << len(rows)) - 1] * len(rows)  # per row, the rows on all its facets
-        for mask in masks:
-            for i in range(len(rows)):
-                if mask >> i & 1:
-                    on[i] &= mask
-        rows = [row for i, row in enumerate(rows) if on[i] == 1 << i]
+        elimination = _affine_pivots(rows)
+        pivots = elimination[1]
+        if len(pivots) < 2:
+            rows = [rows[0], rows[-1]]
+        elif len(pivots) == 2:
+            rows = _chain(rows, *pivots)
+        else:
+            on = [(1 << len(rows)) - 1] * len(rows)  # per row, the rows on all its facets
+            for _, _, mask in _hull(rows, elimination)[2]:
+                for i in range(len(rows)):
+                    if mask >> i & 1:
+                        on[i] &= mask
+            rows = [row for i, row in enumerate(rows) if on[i] == 1 << i]
     return _canonical(rows, scale)
+
+
+def _chain(rows: list[tuple], i: int, j: int) -> list[tuple]:
+    """The vertices of the hull of distinct sorted rows of affine rank 2,
+    in order, by Andrew's monotone chain (1979) on the pivot coordinates i
+    and j of ``_affine_pivots``.
+
+    The rows agree before column i, and each column between i and j is an
+    affine function of column i on their plane, so lexicographic order is
+    the order by (x_i, x_j) that the chain sweeps in.  A turn that is not
+    strictly to the left drops the middle row, so rows inside an edge go.
+    """
+    def turns_left(a, b, c):
+        return (b[i] - a[i]) * (c[j] - a[j]) > (b[j] - a[j]) * (c[i] - a[i])
+
+    kept = set()
+    for sweep in (rows, rows[::-1]):  # the lower chain, then the upper
+        chain = []
+        for row in sweep:
+            while len(chain) > 1 and not turns_left(chain[-2], chain[-1], row):
+                chain.pop()
+            chain.append(row)
+        kept.update(chain)
+    return [row for row in rows if row in kept]
 
 
 def hull_vertices(points: Iterable[Sequence], scale: int = 1) -> tuple[RatVec, ...]:

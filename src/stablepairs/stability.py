@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import lp
@@ -242,13 +243,15 @@ class StabilityVerdict(_Record):
 
 
 # ---------------------------------------------------------------------------
-# LP plumbing.  Every LP the package solves extracts a direction: a
+# LP plumbing.  Every LP the package poses extracts a direction: a
 # semistability or stability witness here, or a degeneration direction.  All
 # of them go through ``_best_direction``, which constrains the direction to
 # the box [-1, 1]^d (a compact normalization slice, so strict inequalities
 # become "optimum > 0") and to the trace-zero hyperplane in sl mode.  Every
 # row is written in integers over one denominator (``lp.Constraint``),
-# straight from the integer vertex rows of the polytopes.
+# straight from the integer vertex rows of the polytopes, and is
+# homogeneous (right-hand side 0).  Where the directions form a line (free
+# rank 1, sl(2)) or a point (sl(1)), the program is settled in closed form.
 
 def _direction_frame_constraints(ctx: LatticeContext, num_vars: int) -> list:
     d = ctx.ambient_dim
@@ -263,6 +266,21 @@ def _direction_frame_constraints(ctx: LatticeContext, num_vars: int) -> list:
     return cons
 
 
+def _direction_program(ctx: LatticeContext, rows: list, objective: Sequence[int],
+                       den: int) -> lp.LinearProgram:
+    """The program of ``_best_direction``: the box frame, then ``rows``.
+
+    A row with all-zero coefficients and right-hand side 0 constrains
+    nothing and is dropped.  It has no entry in any other column, so it never
+    wins a ratio test or moves a reduced cost: Bland's rule takes the same
+    pivots over the shifted column indices, and the result is the same.
+    """
+    num_vars = len(objective)
+    cons = _direction_frame_constraints(ctx, num_vars)
+    cons += [con for con in rows if con.rhs or any(con.coeffs)]
+    return lp.LinearProgram(num_vars, tuple(cons), tuple(objective), den)
+
+
 def _best_direction(ctx: LatticeContext, rows: list, objective: Sequence[int],
                     den: int) -> IntVec | None:
     """Primitive integral direction of least l1 norm among the maximizers of
@@ -270,27 +288,80 @@ def _best_direction(ctx: LatticeContext, rows: list, objective: Sequence[int],
     (``lp.Constraint``), or None when the optimum is not positive.
 
     The first ``ambient_dim`` variables are the direction; a program may
-    carry one more, such as a separation level.  Every caller's program is
-    feasible at the origin, as ``lp.solve_min_l1`` requires, and bounded on
-    the box, so it has an optimum; ``lp`` raises RuntimeError otherwise.  A
-    positive optimum with a single least-l1 point gives that point whatever
-    the pivot path; where least-l1 points tie, the least-l1 stage picks one,
-    breaking ties by its pivot path, so the row order below fixes witnesses.
+    carry one more, such as a separation level.  Callers' rows must be
+    homogeneous (right-hand side 0), so the program is feasible at the
+    origin, as ``lp.solve_min_l1`` requires; it must be bounded on the box,
+    so it has an optimum.  ``lp`` raises RuntimeError otherwise.  A positive optimum with
+    a single least-l1 point gives that point whatever the pivot path; where
+    least-l1 points tie, the least-l1 stage picks one, breaking ties by its
+    pivot path, so the row order of ``_direction_program`` fixes witnesses.
 
-    A row with all-zero coefficients and right-hand side 0 constrains
-    nothing and is dropped.  It has no entry in any other column, so it never
-    wins a ratio test or moves a reduced cost: Bland's rule takes the same
-    pivots over the shifted column indices, and the result is the same.
+    Where the directions span at most a line, no LP is solved: see
+    ``_best_on_line``, which returns what the LP would.
     """
     d = ctx.ambient_dim
-    num_vars = len(objective)
-    cons = _direction_frame_constraints(ctx, num_vars)
-    cons += [con for con in rows if con.rhs or any(con.coeffs)]
-    prog = lp.LinearProgram(num_vars, tuple(cons), tuple(objective), den)
-    result = lp.solve_min_l1(prog, range(d))
+    if d - (ctx.mode == "sl") <= 1:
+        return _best_on_line(ctx, rows, objective)
+    result = lp.solve_min_l1(_direction_program(ctx, rows, objective, den), range(d))
     if result.value <= 0:
         return None
     return lp.rationalize_direction(result.point[:d])
+
+
+def _best_on_line(ctx: LatticeContext, rows: list, objective: Sequence[int]) -> IntVec | None:
+    """``_best_direction`` in closed form where the directions are t*e for
+    one primitive e, (1,) in free rank 1 and (1, -1) in sl(2), with t in
+    [-1, 1] by the box; in sl(1) e is 0, whose value is never positive.
+
+    The rows are homogeneous (RuntimeError otherwise), so the best value
+    F(t) over the extra variable, if any, is positively homogeneous in t:
+    F(t) = |t| F(sign t), and F(0) = 0 on a bounded program.  A positive
+    optimum therefore sits at t = 1 or t = -1 alone, where the least-l1
+    stage has nothing to choose.  F is concave, as the program is convex,
+    so F(1) and F(-1) are never both positive.
+    """
+    d = ctx.ambient_dim
+    if any(con.rhs for con in rows):
+        raise RuntimeError("internal: a direction row is not homogeneous")
+    e = (0,) if ctx.mode == "sl" and d == 1 else (1,) if d == 1 else (1, -1)
+    for lam in (e, tuple([-x for x in e])):
+        if _positive_at(rows, objective, lam):
+            return lam
+    return None
+
+
+_FLIPPED = {lp.LEQ: lp.GEQ, lp.EQ: lp.EQ, lp.GEQ: lp.LEQ}
+
+
+def _positive_at(rows: list, objective: Sequence[int], lam: IntVec) -> bool:
+    """Whether the best value of a homogeneous program at the direction
+    ``lam``, over its extra variable c if any, is positive; False where no
+    c satisfies the rows.  With k its value at lam, a row reads
+    k + b*c (relation) 0, which bounds c by -k/b when b is not 0.  Whether
+    c is bounded where the objective rises does not depend on lam, and
+    when it is not, the program is unbounded (RuntimeError)."""
+    d = len(lam)
+    rise = objective[d] if len(objective) > d else 0  # on c
+    feasible, lows, highs = True, [], []
+    for con in rows:
+        k = sum(map(mul, con.coeffs, lam))
+        b = con.coeffs[d] if len(con.coeffs) > d else 0
+        if b:
+            relation = con.relation if b > 0 else _FLIPPED[con.relation]
+            if relation != lp.LEQ:
+                lows.append(Fraction(-k, b))
+            if relation != lp.GEQ:
+                highs.append(Fraction(-k, b))
+        elif k and con.relation != (lp.GEQ if k > 0 else lp.LEQ):
+            feasible = False
+    if rise > 0 and not highs or rise < 0 and not lows:
+        raise RuntimeError("internal: the program is unbounded")
+    if not feasible or lows and highs and max(lows) > min(highs):
+        return False
+    value = sum(map(mul, objective, lam))
+    if rise:
+        value += rise * (min(highs) if rise > 0 else max(lows))
+    return value > 0
 
 
 def _argmin_constraints(B: Sequence[int], mb: int, points: Sequence, mp: int) -> list:

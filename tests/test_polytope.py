@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -647,3 +648,80 @@ def test_large_supports_match_enumeration():
     three = [tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(100)]
     assert_hull_pass_matches_enumeration(four)
     assert_hull_pass_matches_enumeration(three, enumerate_points=False)
+
+
+def dd_vertex_rows(points, scale):
+    """``polytope._vertex_rows`` by the double-description pass at every
+    affine rank: a row is a vertex unless another one lies on every facet
+    it lies on."""
+    ints, L = _int_rows([tuple(Fraction(c) for c in p) for p in points])
+    rows = sorted(set(map(tuple, ints)))
+    if len(rows) > 2:
+        on = [(1 << len(rows)) - 1] * len(rows)  # per row, the rows on all its facets
+        for _, _, mask in polytope._hull(rows)[2]:
+            for i in range(len(rows)):
+                if mask >> i & 1:
+                    on[i] &= mask
+        rows = [row for i, row in enumerate(rows) if on[i] == 1 << i]
+    return polytope._canonical(rows, scale * L)
+
+
+@st.composite
+def low_rank_point_sets(draw):
+    """Points of affine rank at most 2 in ambient dimension 2-5: a collinear
+    run, a plane's lattice points, or lattice points of a circle around its
+    centre in a plane, sometimes with duplicates; a third of them scaled
+    and shifted to coordinates near 10^12, some as Fractions, and a scale
+    of 1, 2 or 6."""
+    dim = draw(st.integers(2, 5))
+    point = st.tuples(*[st.integers(-2, 2)] * dim)
+    kind = draw(st.sampled_from(("collinear", "coplanar", "cocircular")))
+    base = draw(point)
+    if kind == "cocircular":
+        u, v = draw(point), draw(point)
+        on = draw(st.lists(st.sampled_from(CIRCLE), min_size=1, max_size=8))
+        pts = [base] + [tuple(b + x * s + y * t for b, s, t in zip(base, u, v)) for x, y in on]
+    else:
+        steps = draw(st.lists(point, min_size=1, max_size=1 if kind == "collinear" else 2))
+        ks = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * len(steps)), min_size=2, max_size=9))
+        pts = [tuple(b + sum(k * s[i] for k, s in zip(kk, steps)) for i, b in enumerate(base))
+               for kk in ks]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    if draw(st.integers(0, 2)) == 0:
+        big = 10 ** 10
+        shift = draw(st.tuples(*[st.integers(-10 ** 12 // 2, 10 ** 12 // 2)] * dim))
+        pts = [tuple(big * c + s for c, s in zip(p, shift)) for p in pts]
+    den = draw(st.sampled_from((1, 1, 2, 3, 7)))
+    if den > 1:
+        pts = [tuple(Fraction(c, den) for c in p) for p in pts]
+    return pts, draw(st.sampled_from((1, 2, 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(low_rank_point_sets())
+@example(([(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 1), (0, 2), (0, 1), (1, 2)], 1))
+@example(([(5, 0, 1), (0, 5, 1), (-5, 0, 1), (0, -5, 1), (3, 4, 1), (0, 0, 1)], 2))
+@example(([(10 ** 12, 1), (10 ** 12 + 1, 1), (10 ** 12 + 2, 1), (10 ** 12, 1)], 6))
+def test_low_rank_vertices_match_the_double_description_pass(case):
+    # Below affine rank 3 the vertices come from the first and last row or
+    # the monotone chain, and must be those of the double-description pass
+    points, scale = case
+    ints, _ = _int_rows([tuple(Fraction(c) for c in p) for p in points])
+    assert len(polytope._affine_pivots(sorted(set(map(tuple, ints))))[1]) <= 2
+    assert polytope._vertex_rows(points, scale) == dd_vertex_rows(points, scale)
+
+
+def test_construction_runs_one_elimination_and_at_most_one_hull_pass(monkeypatch):
+    # A rank-3 set runs one elimination and one double-description pass on
+    # it; a rank-2 set only the elimination.
+    calls = Counter()
+    for name in ("_affine_pivots", "_hull"):
+        def counting(*args, fn=getattr(polytope, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(polytope, name, counting)
+    cube = RationalPolytope(CUBE + [(HALF, HALF, HALF), (HALF, HALF, 0)])
+    assert cube.rows == tuple(map(tuple, CUBE)) and calls == {"_affine_pivots": 1, "_hull": 1}
+    calls.clear()
+    square = RationalPolytope([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1), (HALF, HALF, 1)])
+    assert len(square.rows) == 4 and calls == {"_affine_pivots": 1}

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -20,6 +21,7 @@ from stablepairs import (
     WeightSupport,
     check_tian0,
     deg_of_V,
+    find_degeneration,
     is_semistable,
     is_stable,
     minimal_uniform_m,
@@ -29,7 +31,7 @@ from stablepairs import (
     verdict,
     weight,
 )
-from stablepairs import lp, polytope, stability
+from stablepairs import degeneration, lp, polytope, stability
 from stablepairs.cli import _free_q
 from stablepairs.polytope import first_outside_vertex
 from stablepairs.stability import _direction_frame_constraints
@@ -178,7 +180,8 @@ def test_default_round_solves_only_witness_lps(monkeypatch):
     # Only witnesses cost LPs: building the default-seed corpus, hull
     # vertices included, solves none, deciding it solves only the direction
     # LPs that pick witnesses, and membership and segment reaches never
-    # solve one.  19 of the 225 direction LPs run the least-l1 stage.
+    # solve one.  19 of the 153 direction LPs run the least-l1 stage; the
+    # programs of sl(2) frames solve none.
     directions = {"build": 0, "decide": 0, "geometry": 0}
     stages = dict(directions)
     stage = ["build"]
@@ -209,7 +212,7 @@ def test_default_round_solves_only_witness_lps(monkeypatch):
     stage[0] = "decide"
     for p in instances:
         verdict(FrameFamily([p]))
-    assert directions == {"build": 0, "decide": 225, "geometry": 0}
+    assert directions == {"build": 0, "decide": 153, "geometry": 0}
     assert stages == {"build": 0, "decide": 19, "geometry": 0}
 
 
@@ -763,3 +766,151 @@ def test_family_verdict_follows_its_rule_over_single_frames():
 
     check()
     assert len(outcomes) == 4, outcomes
+
+
+# Direction programs on a line or a point: free rank 1, sl(1) and sl(2),
+# where ``_best_direction`` solves no LP.
+
+def lp_path_direction(ctx, rows, objective, den):
+    """``_best_direction`` by its LP path in any dimension: the least-l1
+    optimum of its program, rationalized, or None when not positive."""
+    d = ctx.ambient_dim
+    result = lp.solve_min_l1(stability._direction_program(ctx, rows, objective, den), range(d))
+    return lp.rationalize_direction(result.point[:d]) if result.value > 0 else None
+
+
+def recorded_directions(monkeypatch, run):
+    """run() with every ``_best_direction`` call recorded as (caller name,
+    context, rows, objective, den, returned direction)."""
+    calls = []
+    best = stability._best_direction
+
+    def recording(ctx, rows, objective, den):
+        lam = best(ctx, rows, objective, den)
+        calls.append((sys._getframe(1).f_code.co_name, ctx, rows, objective, den, lam))
+        return lam
+
+    with monkeypatch.context() as m:
+        m.setattr(stability, "_best_direction", recording)
+        m.setattr(degeneration, "_best_direction", recording)
+        run()
+    return calls
+
+
+@pytest.mark.parametrize("seed,count", [(20260810, 72), (11, 75)])
+def test_line_programs_of_the_corpus_match_the_lp_path(monkeypatch, seed, count):
+    # Every direction program of an sl(2) frame met deciding the corpus:
+    # the closed form returns what the LP path returns.  Each is positive:
+    # on a line, a zero reach from a towards b puts a at the end of N(w),
+    # and so of N(v), on the side of b, and the stability LP there always
+    # gives a witness.
+    instances = build_corpus(seed)
+    calls = recorded_directions(
+        monkeypatch, lambda: [verdict(FrameFamily([p])) for p in instances])
+    line = [call for call in calls if call[1].ambient_dim - (call[1].mode == "sl") <= 1]
+    assert len(line) == count
+    for _, ctx, rows, objective, den, lam in line:
+        assert lam == lp_path_direction(ctx, rows, objective, den)
+    assert {lam for *_, lam in line} == {(1, -1), (-1, 1)}
+
+
+@st.composite
+def line_cases(draw):
+    """A pair and a degeneration problem in free rank 1 (with a segment
+    identity around the origin), sl(1) or sl(2), from
+    ``degenerate_support``: half the pairs nested, a third of the keep
+    sets keeping every weight."""
+    mode, dim = draw(st.sampled_from((("free", 1), ("sl", 1), ("sl", 2))))
+    if draw(st.booleans()):
+        v_list, w_list = draw(nested_supports(mode, dim))
+    else:
+        v_list, w_list = draw(degenerate_support(dim)), draw(degenerate_support(dim))
+    ctx = LatticeContext.sl(dim) if mode == "sl" else LatticeContext.free(dim)
+    Av, Aw = WeightSupport(v_list, ctx), WeightSupport(w_list, ctx)
+    if mode == "sl":
+        p = PairInstance(Av, Aw, deg_of_V(WeightSupport(Av.weights + Aw.weights, ctx), ctx))
+    else:
+        lo, hi = draw(st.integers(-2, -1)), draw(st.integers(1, 2))
+        q = 1
+        while not all(q * lo <= a <= q * hi for (a,) in Av.weights):
+            q += 1
+        p = PairInstance(Av, Aw, q + draw(st.integers(0, 1)),
+                         RationalPolytope([(lo,), (hi,)]))
+    weights = draw(degenerate_support(dim)) + draw(degenerate_support(dim))
+    if draw(st.sampled_from((True, False, False))):
+        keep = range(len(weights))
+    else:
+        keep = draw(st.sets(st.integers(0, len(weights) - 1), min_size=1))
+    return p, DegenerationProblem(weights, keep, ctx)
+
+
+def test_line_programs_from_every_caller_match_the_lp_path(monkeypatch):
+    # Semistability and stability witnesses, degeneration with dropped
+    # weights and the full-keep-set search, in free rank 1, sl(1) and
+    # sl(2): the closed form returns what the LP path returns.
+    seen = Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(line_cases())
+    def check(case):
+        p, prob = case
+        calls = recorded_directions(
+            monkeypatch, lambda: (verdict(FrameFamily([p])), find_degeneration(prob)))
+        for caller, ctx, rows, objective, den, lam in calls:
+            assert lam == lp_path_direction(ctx, rows, objective, den)
+            seen[caller] += 1
+            seen[ctx.mode, ctx.ambient_dim, lam is not None] += 1
+
+    check()
+    for key in ("_semistability_witness", "_stability_witness", "find_degeneration",
+                "_nonzero_annihilator", ("free", 1, True), ("free", 1, False),
+                ("sl", 1, False), ("sl", 2, True), ("sl", 2, False)):
+        assert seen[key] > 0, (key, seen)
+
+
+@pytest.mark.parametrize("ctx", [LatticeContext.free(1), LatticeContext.sl(1),
+                                 LatticeContext.sl(2)])
+def test_line_path_rejects_a_row_that_is_not_homogeneous(ctx):
+    # feasible at the origin, but with right-hand side -1
+    row = lp.Constraint((1,) * ctx.ambient_dim, lp.GEQ, -1, 1)
+    objective = (1,) + (0,) * (ctx.ambient_dim - 1)
+    with pytest.raises(RuntimeError, match="not homogeneous"):
+        stability._best_direction(ctx, [row], objective, 1)
+
+
+def test_line_path_raises_on_an_unbounded_program():
+    # maximize c subject to c >= <lam, 1>: c has no upper bound at any lam
+    ctx = LatticeContext.free(1)
+    rows = [lp.Constraint((-1, 1), lp.GEQ, 0, 1)]
+    with pytest.raises(RuntimeError, match="unbounded"):
+        stability._best_direction(ctx, rows, (0, 1), 1)
+    with pytest.raises(RuntimeError, match="unbounded"):
+        lp_path_direction(ctx, rows, (0, 1), 1)
+
+
+@st.composite
+def homogeneous_line_programs(draw):
+    """A homogeneous program in free rank 1, sl(1) or sl(2), with or without
+    an extra variable c: small integer rows of every relation over
+    denominators 1-3.  With c, two of the rows bound it from below and
+    from above, so the program is bounded, and the others may leave no c
+    at a direction."""
+    ctx = draw(st.sampled_from((LatticeContext.free(1), LatticeContext.sl(1),
+                                LatticeContext.sl(2))))
+    d = ctx.ambient_dim
+    extra = draw(st.booleans())
+    coeffs = st.tuples(*[st.integers(-2, 2)] * (d + extra))
+    rows = draw(st.lists(st.builds(lp.Constraint, coeffs, st.sampled_from((lp.LEQ, lp.EQ, lp.GEQ)),
+                                   st.just(0), st.integers(1, 3)), max_size=4))
+    if extra:
+        direction = st.tuples(*[st.integers(-2, 2)] * d)
+        rows += [lp.Constraint(draw(direction) + (b,), lp.GEQ, 0, 1) for b in (1, -1)]
+    return ctx, draw(st.permutations(rows)), draw(coeffs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(homogeneous_line_programs())
+def test_line_path_matches_the_lp_path_on_homogeneous_programs(case):
+    ctx, rows, objective = case
+    expected = lp_path_direction(ctx, rows, objective, 1)
+    assert stability._best_direction(ctx, rows, objective, 1) == expected
