@@ -18,8 +18,9 @@ lam_k; the feasible set is symmetric under lam -> -lam, so maximizing
 -lam_k is positive exactly when maximizing lam_k is, and is not tried.  All
 of these programs go through ``stability._best_direction``, which drops the
 all-zero equality of a kept weight that repeats the base weight: it
-constrains nothing, and without it the simplex takes the same pivots.  In
-free rank 1, sl(1) and sl(2) that helper solves no LP.
+constrains nothing, and without it the simplex takes the same pivots.  Up
+to a plane (free rank <= 2, sl(<= 3)) that helper solves no LP but the
+least-l1 stage of an sl(3) tie.
 """
 
 from __future__ import annotations

@@ -23,16 +23,17 @@ The package's geometry runs on exact facet descriptions, not on LPs.  The
 programs solved here only extract directions: the semistability and
 stability witnesses and degeneration directions, all through one helper,
 ``stability._best_direction``, which calls ``solve_min_l1`` on a box frame
-and rationalizes the optimal direction (where the directions span at most
-a line it settles the program in closed form, and no LP is solved).  Those
-programs, and the least-l1
-stages built from them, are feasible and bounded (a run that finds
-otherwise raises RuntimeError); the first are feasible at the origin, so
-``solve_min_l1`` starts its first stage there, with no phase 1.  When its
-positive optimum is not provably a single point, it minimizes the l1 norm
-on the optimal face in the same tableau, decides exactly whether the
-least-l1 point is unique, and runs the two-phase least-l1 stage (``solve``
-on a larger program) only when it is not.
+and rationalizes the optimal direction.  Where the directions span at most
+a plane (free rank <= 2, sl(<= 3)) it settles the program in closed form
+instead, and calls only ``least_l1_stage``, on an sl(3) tie.  Those
+programs, and the least-l1 stages built from them, are feasible and
+bounded (a run that finds otherwise raises RuntimeError); the first are
+feasible at the origin, so ``solve_min_l1`` starts its first stage there,
+with no phase 1.  When its positive optimum is not provably a single
+point, it minimizes the l1 norm on the optimal face in the same tableau,
+decides exactly whether the least-l1 point is unique in the coordinates
+asked for, and runs the two-phase ``least_l1_stage`` (``solve`` on a
+larger program) only when it is not.
 """
 
 from __future__ import annotations
@@ -477,8 +478,8 @@ def _is_unique(tab: _Tableau) -> bool:
 
 def _face_min_l1(tab: _Tableau, over: Sequence[int]) -> tuple[Fraction, ...] | None:
     """Minimize sum(|x_j|, j in over) on the optimal face of an optimal
-    tableau, in place, and return the least-l1 point when it is unique,
-    else None.
+    tableau, in place, and return a least-l1 point when the least-l1 set
+    is one point in the coordinates ``over``, else None.
 
     The optimal face is the feasible set with every column of positive
     reduced cost at 0, so those columns are fixed and the others priced
@@ -489,14 +490,17 @@ def _face_min_l1(tab: _Tableau, over: Sequence[int]) -> tuple[Fraction, ...] | N
     program.
 
     When ``_is_unique`` cannot tell, the columns of positive reduced cost
-    in this cost row are fixed too, and each coordinate x_k that some
-    free column moves is maximized and minimized with Bland's rule over
-    the free columns; a pivot on a column of zero reduced cost leaves both
-    cost rows as they were, so every basis visited stays on the least-l1
-    set.  The point is unique exactly when no coordinate moves, and then
-    every least-l1 stage returns it, whatever its pivot path.  A
+    in this cost row are fixed too, and each coordinate x_k in ``over``
+    that some free column moves is maximized and minimized with Bland's
+    rule over the free columns; a pivot on a column of zero reduced cost
+    leaves both cost rows as they were, so every basis visited stays on
+    the least-l1 set.  The point is unique in ``over`` exactly when none
+    of those coordinates moves, and then every least-l1 stage returns it
+    there, whatever its pivot path; callers read no other coordinate.  A
     coordinate that no free column moves is constant on the set, as every
     feasible direction is a nonnegative combination of the free columns'.
+    The other coordinates are never maximized, so one that no row bounds,
+    such as an extra variable outside the objective, raises nothing.
     """
     n, width = tab.n, tab.art_start
     fixed = frozenset([j for j in range(width) if tab.zrow[j] > 0])
@@ -506,10 +510,10 @@ def _face_min_l1(tab: _Tableau, over: Sequence[int]) -> tuple[Fraction, ...] | N
     tab._reset_costs(costs)
     # -l1 is at most 0, so this program is bounded
     tab.run([j for j in range(width) if j not in fixed])
-    moves = [move for move in _moves(tab, fixed) if any(move)]
+    moves = [move for move in _moves(tab, fixed) if any([move[k] for k in over])]
     if moves:
         free = [j for j in range(width) if not tab.zrow[j] and j not in fixed]
-        for k in range(n):
+        for k in over:
             if not any(move[k] for move in moves):
                 continue
             for sign in (1, -1):
@@ -536,33 +540,42 @@ def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
     a single point, which any least-l1 stage would return, so it comes back
     at once.  Otherwise ``_face_min_l1`` minimizes the l1 norm on the
     optimal face, on the same dense tableau, and decides exactly whether
-    the least-l1 point is unique; when it is, it comes back, for the same
-    reason.
-
-    Otherwise the points of least l1 norm tie, and the second stage runs,
-    two-phase and fully exact, on the original program through ``solve``
-    and its sparse tableau: the first optimum becomes an equality
-    constraint, then the sum of absolute values of the chosen variables is
-    minimized through the usual t_i >= +/- x_i envelope.  Keeps witnesses
-    canonical instead of whatever vertex of a degenerate optimal face the
-    pivot order happens to visit first; on such a face the pivot path of
-    this stage breaks the ties.  It is feasible (the first point with
-    t = |x|) and bounded (its objective is at most 0).
+    the least-l1 point is unique in ``over``; when it is, it comes back,
+    for the same reason.  Otherwise the points of least l1 norm tie, and
+    ``least_l1_stage`` picks one.
     """
     tab = _Tableau(prog, at_origin=True)
     first = _optimize(tab, prog)
     if first.value <= 0 or _is_unique(tab):
         return first
     point = _face_min_l1(tab, over)
-    if point is not None:
-        return LpResult(OPTIMAL, first.value, point)
+    if point is None:
+        point = least_l1_stage(prog, over, first.value)
+    return LpResult(OPTIMAL, first.value, point)
+
+
+def least_l1_stage(prog: LinearProgram, over: Sequence[int],
+                   value: Fraction) -> tuple[Fraction, ...]:
+    """The least-l1 stage of ``solve_min_l1``: an optimal point of ``prog``,
+    whose optimum is ``value``, of least l1 norm over ``over``.
+
+    It runs two-phase and fully exact on the original program through
+    ``solve`` and its sparse tableau: the optimum becomes an equality
+    constraint, then the sum of absolute values of the chosen variables is
+    minimized through the usual t_i >= +/- x_i envelope.  Keeps witnesses
+    canonical instead of whatever vertex of a degenerate optimal face the
+    pivot order happens to visit first; on such a face the pivot path of
+    this stage breaks the ties, and that path depends on ``prog`` and
+    ``value`` alone.  It is feasible (an optimal point with t = |x|) and
+    bounded (its objective is at most 0).
+    """
     n = prog.num_vars
     k = len(over)
     pad = (0,) * k
     cons = [Constraint(con.coeffs + pad, con.relation, con.rhs, con.den)
             for con in prog.constraints]
-    # objective . x / objective_den = first.value
-    num, den = first.value.numerator, first.value.denominator
+    # objective . x / objective_den = value
+    num, den = value.numerator, value.denominator
     cons.append(Constraint(tuple([c * den for c in prog.objective]) + pad, EQ,
                            num * prog.objective_den, den * prog.objective_den))
     for slot, j in enumerate(over):
@@ -572,8 +585,7 @@ def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
         cons.append(Constraint(tuple(row), GEQ, 0, 1))  # t >= x
         row[j] = 1
         cons.append(Constraint(tuple(row), GEQ, 0, 1))  # t >= -x
-    second = solve(LinearProgram(n + k, tuple(cons), (0,) * n + (-1,) * k, 1))
-    return LpResult(OPTIMAL, first.value, second.point[:n])
+    return solve(LinearProgram(n + k, tuple(cons), (0,) * n + (-1,) * k, 1)).point[:n]
 
 
 def rationalize_direction(point: Sequence) -> tuple[int, ...]:

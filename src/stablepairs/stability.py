@@ -36,8 +36,10 @@ standalone machine-checkable certificate.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, product
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -209,13 +211,17 @@ class PairInstance(_Record):
 class FrameFamily(_Record):
     """Torus-aligned snapshots of one pair; verdicts conjoin over frames.
 
-    Equal frames, and equal tuples of them, built earlier are kept in place
-    of new ones.
+    Equal frames, equal tuples of them and an equal family built earlier
+    are kept in place of new ones: constructing a family returns the
+    shared instance.  Without frames, as copy and pickle call it, it
+    returns a blank instance for them to fill in.
     """
 
     __slots__ = _fields = ("frames",)
 
-    def __init__(self, frames: Iterable[PairInstance]):
+    def __new__(cls, frames: Iterable[PairInstance] | None = None):
+        if frames is None:
+            return super().__new__(cls)
         fr = tuple(frames)
         if not fr:
             raise InputError("a frame family must be nonempty")
@@ -223,7 +229,9 @@ class FrameFamily(_Record):
         for f in fr[1:]:
             if f.context != ctx or f.q != q:
                 raise InputError("frames must share context and q")
-        object.__setattr__(self, "frames", _shared(tuple([_shared(f) for f in fr])))
+        family = super().__new__(cls)
+        object.__setattr__(family, "frames", _shared(tuple([_shared(f) for f in fr])))
+        return _shared(family)
 
 
 class StabilityVerdict(_Record):
@@ -250,8 +258,9 @@ class StabilityVerdict(_Record):
 # become "optimum > 0") and to the trace-zero hyperplane in sl mode.  Every
 # row is written in integers over one denominator (``lp.Constraint``),
 # straight from the integer vertex rows of the polytopes, and is
-# homogeneous (right-hand side 0).  Where the directions form a line (free
-# rank 1, sl(2)) or a point (sl(1)), the program is settled in closed form.
+# homogeneous (right-hand side 0).  Where the directions span at most a
+# plane (free rank <= 2, sl(<= 3)), the program is settled in closed form,
+# and an LP runs only for the least-l1 stage of an sl(3) tie.
 
 def _direction_frame_constraints(ctx: LatticeContext, num_vars: int) -> list:
     d = ctx.ambient_dim
@@ -269,6 +278,8 @@ def _direction_frame_constraints(ctx: LatticeContext, num_vars: int) -> list:
 def _direction_program(ctx: LatticeContext, rows: list, objective: Sequence[int],
                        den: int) -> lp.LinearProgram:
     """The program of ``_best_direction``: the box frame, then ``rows``.
+    ``lp.solve_min_l1`` solves it from free rank 3 and sl(4) on; below, the
+    least-l1 stage of an sl(3) tie runs on it.
 
     A row with all-zero coefficients and right-hand side 0 constrains
     nothing and is dropped.  It has no entry in any other column, so it never
@@ -291,77 +302,147 @@ def _best_direction(ctx: LatticeContext, rows: list, objective: Sequence[int],
     carry one more, such as a separation level.  Callers' rows must be
     homogeneous (right-hand side 0), so the program is feasible at the
     origin, as ``lp.solve_min_l1`` requires; it must be bounded on the box,
-    so it has an optimum.  ``lp`` raises RuntimeError otherwise.  A positive optimum with
+    so it has an optimum.  RuntimeError otherwise.  A positive optimum with
     a single least-l1 point gives that point whatever the pivot path; where
     least-l1 points tie, the least-l1 stage picks one, breaking ties by its
     pivot path, so the row order of ``_direction_program`` fixes witnesses.
 
-    Where the directions span at most a line, no LP is solved: see
-    ``_best_on_line``, which returns what the LP would.
+    Where the directions span at most a plane, ``_best_in_plane`` settles
+    the program without an LP, but for the stage of a tie.
     """
     d = ctx.ambient_dim
-    if d - (ctx.mode == "sl") <= 1:
-        return _best_on_line(ctx, rows, objective)
+    if d - (ctx.mode == "sl") <= 2:
+        return _best_in_plane(ctx, rows, objective, den)
     result = lp.solve_min_l1(_direction_program(ctx, rows, objective, den), range(d))
     if result.value <= 0:
         return None
     return lp.rationalize_direction(result.point[:d])
 
 
-def _best_on_line(ctx: LatticeContext, rows: list, objective: Sequence[int]) -> IntVec | None:
-    """``_best_direction`` in closed form where the directions are t*e for
-    one primitive e, (1,) in free rank 1 and (1, -1) in sl(2), with t in
-    [-1, 1] by the box; in sl(1) e is 0, whose value is never positive.
+def _lift(basis: tuple[IntVec, ...], t: Sequence[int]) -> IntVec:
+    """The direction sum(t_i * basis_i)."""
+    return tuple([sum(map(mul, column, t)) for column in zip(*basis)])
 
-    The rows are homogeneous (RuntimeError otherwise), so the best value
-    F(t) over the extra variable, if any, is positively homogeneous in t:
-    F(t) = |t| F(sign t), and F(0) = 0 on a bounded program.  A positive
-    optimum therefore sits at t = 1 or t = -1 alone, where the least-l1
-    stage has nothing to choose.  F is concave, as the program is convex,
-    so F(1) and F(-1) are never both positive.
-    """
-    d = ctx.ambient_dim
-    if any(con.rhs for con in rows):
-        raise RuntimeError("internal: a direction row is not homogeneous")
-    e = (0,) if ctx.mode == "sl" and d == 1 else (1,) if d == 1 else (1, -1)
-    for lam in (e, tuple([-x for x in e])):
-        if _positive_at(rows, objective, lam):
-            return lam
-    return None
+
+@lru_cache(maxsize=16)
+def _plane(ctx: LatticeContext) -> tuple[tuple[IntVec, ...], tuple]:
+    """For a context whose directions span at most a plane: a basis of the
+    directions, e_i in free mode and e_i - e_d in sl mode, and the nonzero
+    points t of {-1, 0, 1}^k, k the dimension, whose direction
+    ``_lift(basis, t)`` lies in the box, as (t, direction) pairs.  Those
+    are the corners of the box frame and, in free rank 2, the midpoints of
+    its edges, where a coordinate changes sign; in sl(3), as on a line, a
+    coordinate changes sign only at corners."""
+    d, sl = ctx.ambient_dim, ctx.mode == "sl"
+    basis = tuple([tuple([(j == i) - (sl and j == d - 1) for j in range(d)])
+                   for i in range(d - sl)])
+    points = [(t, lam) for t in product((1, 0, -1), repeat=len(basis))
+              if any(t) and max(map(abs, lam := _lift(basis, t))) == 1]
+    return basis, tuple(points)
 
 
 _FLIPPED = {lp.LEQ: lp.GEQ, lp.EQ: lp.EQ, lp.GEQ: lp.LEQ}
 
 
-def _positive_at(rows: list, objective: Sequence[int], lam: IntVec) -> bool:
-    """Whether the best value of a homogeneous program at the direction
-    ``lam``, over its extra variable c if any, is positive; False where no
-    c satisfies the rows.  With k its value at lam, a row reads
-    k + b*c (relation) 0, which bounds c by -k/b when b is not 0.  Whether
-    c is bounded where the objective rises does not depend on lam, and
-    when it is not, the program is unbounded (RuntimeError)."""
-    d = len(lam)
+def _best_in_plane(ctx: LatticeContext, rows: list, objective: Sequence[int],
+                   den: int) -> IntVec | None:
+    """``_best_direction`` where the directions span at most a plane: free
+    rank <= 2 and sl(<= 3).  Every row and the objective are read in the
+    coordinates t of ``_plane``'s basis.
+
+    The rows are homogeneous (RuntimeError otherwise), so the best value
+    F(t) over the extra variable c, if any, is concave and positively
+    homogeneous on the cone of directions where some c satisfies the rows.
+    A row reads k + b*c (relation) 0 at t, with k its value there, which
+    bounds c by -k/b when b is not 0.  Whether c is bounded where the
+    objective rises does not depend on t; when it is not, the program is
+    unbounded (RuntimeError).  A positive optimum lies on the frame's
+    boundary, where scaling t up would not raise it, and the frame's gauge
+    is max |lam_i|.  Along that boundary F changes slope, or the cone ends,
+    only at a corner or where a line through the origin crosses: the zero
+    set of a row without c, or a tie of two bounds on c.  The least-l1
+    maximizer lies at one of those points or where a coordinate changes
+    sign.  So the candidates are ``_plane``'s points and the two boundary
+    points of every such line, and each is evaluated exactly: its value
+    over its gauge, compared by cross-multiplication.
+
+    The maximizers form one segment of one edge of the frame.  In free rank
+    2 the l1 norm on an edge (1, s) is 1 + |s|, so one candidate has the
+    least.  On a hexagon edge in sl(3) it is 2, so a segment of positive
+    length is a tie: ``lp.least_l1_stage`` then picks from
+    ``_direction_program`` with the exact optimum, as ``lp.solve_min_l1``
+    would.  On a line the candidates are the two unit directions +-e, and
+    F(e) + F(-e) <= 2 F(0) = 0, so at most one is positive; sl(1) has none.
+    """
+    d = ctx.ambient_dim
+    basis, points = _plane(ctx)
     rise = objective[d] if len(objective) > d else 0  # on c
-    feasible, lows, highs = True, [], []
+    pure, lows, highs = {}, [], []  # a for a.t >= 0; (a, b) for c >=, <= a.t / b
     for con in rows:
-        k = sum(map(mul, con.coeffs, lam))
+        if con.rhs:
+            raise RuntimeError("internal: a direction row is not homogeneous")
+        a, relation = [sum(map(mul, con.coeffs, e)) for e in basis], con.relation
         b = con.coeffs[d] if len(con.coeffs) > d else 0
-        if b:
-            relation = con.relation if b > 0 else _FLIPPED[con.relation]
-            if relation != lp.LEQ:
-                lows.append(Fraction(-k, b))
-            if relation != lp.GEQ:
-                highs.append(Fraction(-k, b))
-        elif k and con.relation != (lp.GEQ if k > 0 else lp.LEQ):
-            feasible = False
+        if not b:
+            if any(a):
+                g = gcd(*a)
+                for sign in {lp.LEQ: (-g,), lp.EQ: (g, -g), lp.GEQ: (g,)}[relation]:
+                    pure[tuple([x // sign for x in a])] = None
+            continue
+        if b > 0:
+            a = [-x for x in a]
+        else:
+            b, relation = -b, _FLIPPED[relation]
+        if relation != lp.LEQ:
+            lows.append((a, b))
+        if relation != lp.GEQ:
+            highs.append((a, b))
     if rise > 0 and not highs or rise < 0 and not lows:
         raise RuntimeError("internal: the program is unbounded")
-    if not feasible or lows and highs and max(lows) > min(highs):
-        return False
-    value = sum(map(mul, objective, lam))
-    if rise:
-        value += rise * (min(highs) if rise > 0 else max(lows))
-    return value > 0
+
+    candidates = dict(points)
+    if len(basis) == 2:
+        ties = [(l, h) for l in lows for h in highs]
+        ties += combinations(highs if rise > 0 else lows if rise < 0 else (), 2)
+        # a.t / x = c.t / y on the line (y a - x c).t = 0
+        for p, q in [*pure, *[[y * u - x * v for u, v in zip(a, c)] for (a, x), (c, y) in ties]]:
+            if p or q:
+                g = gcd(p, q)
+                for t in ((q // g, -p // g), (-q // g, p // g)):
+                    if t not in candidates:
+                        candidates[t] = _lift(basis, t)
+
+    gain = [sum(map(mul, objective, e)) for e in basis]  # the objective on t
+    best_num, best_den, tied = 0, 1, []
+    for t, lam in candidates.items():
+        if any(sum(map(mul, a, t)) < 0 for a in pure):
+            continue
+        low = high = None
+        for a, b in lows:
+            k = sum(map(mul, a, t))
+            if low is None or k * low[1] > low[0] * b:
+                low = (k, b)
+        for a, b in highs:
+            k = sum(map(mul, a, t))
+            if high is None or k * high[1] < high[0] * b:
+                high = (k, b)
+        if low and high and low[0] * high[1] > high[0] * low[1]:
+            continue
+        c = high if rise > 0 else low if rise < 0 else (0, 1)
+        num = sum(map(mul, gain, t)) * c[1] + rise * c[0]
+        num_den = c[1] * max(map(abs, lam))
+        if num * best_den > best_num * num_den:
+            best_num, best_den, tied = num, num_den, [lam]
+        elif num * best_den == best_num * num_den and num > 0:
+            tied.append(lam)
+    if len(tied) > 1:
+        norms = [Fraction(sum(map(abs, lam)), max(map(abs, lam))) for lam in tied]
+        tied = [lam for lam, norm in zip(tied, norms) if norm == min(norms)]
+    if len(tied) <= 1:
+        return tied[0] if tied else None
+    point = lp.least_l1_stage(_direction_program(ctx, rows, objective, den), range(d),
+                              Fraction(best_num, best_den * den))
+    return lp.rationalize_direction(point[:d])
 
 
 def _argmin_constraints(B: Sequence[int], mb: int, points: Sequence, mp: int) -> list:

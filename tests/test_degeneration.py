@@ -11,6 +11,7 @@ from stablepairs import (
     InputError,
     LatticeContext,
     WeightSupport,
+    degeneration,
     find_degeneration,
     limit_support,
     lp,
@@ -306,10 +307,25 @@ def test_matches_reference_on_random_problems(monkeypatch):
 
 def test_full_keep_set_skips_the_negated_objective(monkeypatch):
     # lam_1 = 0 is forced: maximizing lam_1 gives 0, maximizing lam_2
-    # gives 1 (two direction LPs); the reference also maximizes -lam_1
-    # before moving on
+    # gives 1 (two direction programs); the reference also maximizes
+    # -lam_1 before moving on.  In free rank 2 the two programs are settled
+    # in closed form, in free rank 3 they are two LPs.
     prob = DegenerationProblem([(0, 0), (1, 0)], [0, 1], FREE2)
-    lam, solves = recorded(monkeypatch, find_degeneration, prob)
-    assert (lam, len(solves)) == ((0, 1), 2)
+    posed = []
+    best = degeneration._best_direction
+
+    def counting(*args):
+        posed.append(args)
+        return best(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(degeneration, "_best_direction", counting)
+        lam, solves = recorded(m, find_degeneration, prob)
+    assert (lam, len(posed), len(solves)) == ((0, 1), 2, 0)
     lam, solves = recorded(monkeypatch, reference_degeneration, prob)
     assert (lam, len(solves)) == ((0, 1), 3)
+    prob = DegenerationProblem([(0, 0, 0), (1, 0, 0)], [0, 1], LatticeContext.free(3))
+    lam, solves = recorded(monkeypatch, find_degeneration, prob)
+    assert (lam, len(solves)) == ((0, 1, 0), 2)
+    lam, solves = recorded(monkeypatch, reference_degeneration, prob)
+    assert (lam, len(solves)) == ((0, 1, 0), 3)

@@ -180,8 +180,11 @@ def test_default_round_solves_only_witness_lps(monkeypatch):
     # Only witnesses cost LPs: building the default-seed corpus, hull
     # vertices included, solves none, deciding it solves only the direction
     # LPs that pick witnesses, and membership and segment reaches never
-    # solve one.  19 of the 153 direction LPs run the least-l1 stage; the
-    # programs of sl(2) frames solve none.
+    # solve one.  Of the 225 direction programs, the 215 of free rank-2,
+    # sl(2) and sl(3) frames are settled in closed form, so 10 free rank-3
+    # programs reach lp.solve_min_l1 (153 did before the closed form took
+    # the plane).  19 least-l1 stages run, as before: 4 of those 10 LPs,
+    # and 15 sl(3) ties that the closed form hands to the stage directly.
     directions = {"build": 0, "decide": 0, "geometry": 0}
     stages = dict(directions)
     stage = ["build"]
@@ -212,7 +215,7 @@ def test_default_round_solves_only_witness_lps(monkeypatch):
     stage[0] = "decide"
     for p in instances:
         verdict(FrameFamily([p]))
-    assert directions == {"build": 0, "decide": 153, "geometry": 0}
+    assert directions == {"build": 0, "decide": 10, "geometry": 0}
     assert stages == {"build": 0, "decide": 19, "geometry": 0}
 
 
@@ -272,31 +275,33 @@ def test_facet_stores_are_built_once_per_queried_polytope(monkeypatch):
 def test_stability_lp_runs_only_at_zero_reaches(monkeypatch):
     # Frame 156 of the default corpus.  From the one vertex (3, 0) of N(v)
     # the reaches towards the vertices of q*N(I) are 0, 2/3, 0 and 1.  The
-    # LP at the first zero reach is not positive, the one at the second
-    # gives the witness: two direction LPs, where a scan from the first zero
-    # reach on also solved one at reach 2/3.  The witness's optimum is a
-    # single point, so neither runs the least-l1 stage.
+    # program at the first zero reach is not positive, the one at the
+    # second gives the witness: two direction programs, where a scan from
+    # the first zero reach on also posed one at reach 2/3.  In free rank 2
+    # the closed form settles both, so no LP runs.
     p = PairInstance(WeightSupport([(3, 0)], FREE2),
                      WeightSupport([(-1, -1), (1, -2), (3, 0)], FREE2),
                      3, identity_polytope("diamond", 2))
     assert [p.hull_w.reach((3, 0), b) for b in p.q_identity.vertices] == \
         [0, Fraction(2, 3), 0, 1]
-    directions = []
-    stages = []
+    solves = []
     solve, solve_min_l1 = lp.solve, lp.solve_min_l1
 
     def counting(prog):
-        stages.append(prog)
+        solves.append(prog)
         return solve(prog)
 
     def counting_min_l1(prog, over):
-        directions.append(prog)
+        solves.append(prog)
         return solve_min_l1(prog, over)
 
     monkeypatch.setattr(lp, "solve", counting)
     monkeypatch.setattr(lp, "solve_min_l1", counting_min_l1)
+    calls = recorded_directions(monkeypatch, lambda: verdict(FrameFamily([p])))
+    assert [(caller, lam) for caller, *_, lam, _ in calls] == \
+        [("_stability_witness", None), ("_stability_witness", (1, -4))]
     v = verdict(FrameFamily([p]))
-    assert (v.stable, v.witness, len(directions), len(stages)) == (False, (1, -4), 2, 0)
+    assert (v.stable, v.witness, solves) == (False, (1, -4), [])
 
 
 def verdict_keys_digest(instances) -> str:
@@ -366,10 +371,12 @@ def test_pair_instance_is_an_immutable_value(fix_b):
             setattr(twin, name, getattr(twin, name))
         with pytest.raises(AttributeError):
             delattr(twin, name)
-    # a frame family keeps the equal frames built before it
+    # a frame family keeps the equal frames built before it, and is the
+    # family built before it from equal frames
     first = FrameFamily([fix_b, fix_b])
     again = FrameFamily([twin, make_fix_b()])
     assert again.frames is first.frames and again.frames[1] is fix_b
+    assert again is first and FrameFamily([twin, make_fix_b()]) is first
 
 
 def test_equal_verdicts_are_shared(fix_b):
@@ -768,8 +775,18 @@ def test_family_verdict_follows_its_rule_over_single_frames():
     assert len(outcomes) == 4, outcomes
 
 
-# Direction programs on a line or a point: free rank 1, sl(1) and sl(2),
-# where ``_best_direction`` solves no LP.
+# Direction programs whose directions span at most a plane: free rank <= 2
+# and sl(<= 3), where ``_best_direction`` solves no LP but the least-l1
+# stage of an sl(3) tie.  The references are the LP path, and on a line
+# the closed form that ran there before the plane one, ``best_on_line``.
+
+LINES = (LatticeContext.free(1), LatticeContext.sl(1), LatticeContext.sl(2))
+PLANES = (FREE2, LatticeContext.sl(3))
+
+
+def direction_dim(ctx) -> int:
+    return ctx.ambient_dim - (ctx.mode == "sl")
+
 
 def lp_path_direction(ctx, rows, objective, den):
     """``_best_direction`` by its LP path in any dimension: the least-l1
@@ -779,20 +796,94 @@ def lp_path_direction(ctx, rows, objective, den):
     return lp.rationalize_direction(result.point[:d]) if result.value > 0 else None
 
 
+def lp_path(ctx, rows, objective, den):
+    """``lp_path_direction`` and the least-l1 stages it runs, as
+    (program, over, optimum)."""
+    stages = []
+    stage = lp.least_l1_stage
+
+    def recording(prog, over, value):
+        stages.append((prog, list(over), value))
+        return stage(prog, over, value)
+
+    lp.least_l1_stage = recording
+    try:
+        return lp_path_direction(ctx, rows, objective, den), stages
+    finally:
+        lp.least_l1_stage = stage
+
+
+_FLIPPED = {lp.LEQ: lp.GEQ, lp.EQ: lp.EQ, lp.GEQ: lp.LEQ}
+
+
+def positive_at(rows, objective, lam) -> bool:
+    """Whether the best value of a homogeneous program at the direction
+    ``lam``, over its extra variable c if any, is positive; False where no
+    c satisfies the rows.  With k its value at lam, a row reads
+    k + b*c (relation) 0, which bounds c by -k/b when b is not 0.  Whether
+    c is bounded where the objective rises does not depend on lam, and
+    when it is not, the program is unbounded (RuntimeError)."""
+    d = len(lam)
+    rise = objective[d] if len(objective) > d else 0  # on c
+    feasible, lows, highs = True, [], []
+    for con in rows:
+        k = sum(c * x for c, x in zip(con.coeffs, lam))
+        b = con.coeffs[d] if len(con.coeffs) > d else 0
+        if b:
+            relation = con.relation if b > 0 else _FLIPPED[con.relation]
+            if relation != lp.LEQ:
+                lows.append(Fraction(-k, b))
+            if relation != lp.GEQ:
+                highs.append(Fraction(-k, b))
+        elif k and con.relation != (lp.GEQ if k > 0 else lp.LEQ):
+            feasible = False
+    if rise > 0 and not highs or rise < 0 and not lows:
+        raise RuntimeError("internal: the program is unbounded")
+    if not feasible or lows and highs and max(lows) > min(highs):
+        return False
+    value = sum(c * x for c, x in zip(objective, lam))
+    if rise:
+        value += rise * (min(highs) if rise > 0 else max(lows))
+    return value > 0
+
+
+def best_on_line(ctx, rows, objective):
+    """``_best_direction`` on a line as it was settled before the plane
+    closed form: the directions are t*e for one primitive e, (1,) in free
+    rank 1 and (1, -1) in sl(2), with t in [-1, 1], and a positive optimum
+    sits at t = 1 or t = -1 alone; in sl(1) e is 0."""
+    d = ctx.ambient_dim
+    if any(con.rhs for con in rows):
+        raise RuntimeError("internal: a direction row is not homogeneous")
+    e = (0,) if ctx.mode == "sl" and d == 1 else (1,) if d == 1 else (1, -1)
+    for lam in (e, tuple([-x for x in e])):
+        if positive_at(rows, objective, lam):
+            return lam
+    return None
+
+
 def recorded_directions(monkeypatch, run):
     """run() with every ``_best_direction`` call recorded as (caller name,
-    context, rows, objective, den, returned direction)."""
-    calls = []
-    best = stability._best_direction
+    context, rows, objective, den, returned direction, the least-l1 stages
+    it ran as (program, over, optimum))."""
+    calls, stages = [], []
+    best, stage = stability._best_direction, lp.least_l1_stage
 
     def recording(ctx, rows, objective, den):
+        stages.clear()
         lam = best(ctx, rows, objective, den)
-        calls.append((sys._getframe(1).f_code.co_name, ctx, rows, objective, den, lam))
+        calls.append((sys._getframe(1).f_code.co_name, ctx, rows, objective, den, lam,
+                      list(stages)))
         return lam
+
+    def recording_stage(prog, over, value):
+        stages.append((prog, list(over), value))
+        return stage(prog, over, value)
 
     with monkeypatch.context() as m:
         m.setattr(stability, "_best_direction", recording)
         m.setattr(degeneration, "_best_direction", recording)
+        m.setattr(lp, "least_l1_stage", recording_stage)
         run()
     return calls
 
@@ -800,18 +891,40 @@ def recorded_directions(monkeypatch, run):
 @pytest.mark.parametrize("seed,count", [(20260810, 72), (11, 75)])
 def test_line_programs_of_the_corpus_match_the_lp_path(monkeypatch, seed, count):
     # Every direction program of an sl(2) frame met deciding the corpus:
-    # the closed form returns what the LP path returns.  Each is positive:
-    # on a line, a zero reach from a towards b puts a at the end of N(w),
-    # and so of N(v), on the side of b, and the stability LP there always
-    # gives a witness.
+    # the closed form returns what the LP path and the line reference
+    # return.  Each is positive: on a line, a zero reach from a towards b
+    # puts a at the end of N(w), and so of N(v), on the side of b, and the
+    # stability LP there always gives a witness.
     instances = build_corpus(seed)
     calls = recorded_directions(
         monkeypatch, lambda: [verdict(FrameFamily([p])) for p in instances])
-    line = [call for call in calls if call[1].ambient_dim - (call[1].mode == "sl") <= 1]
+    line = [call for call in calls if direction_dim(call[1]) <= 1]
     assert len(line) == count
-    for _, ctx, rows, objective, den, lam in line:
-        assert lam == lp_path_direction(ctx, rows, objective, den)
-    assert {lam for *_, lam in line} == {(1, -1), (-1, 1)}
+    for _, ctx, rows, objective, den, lam, stages in line:
+        assert (lam, stages) == (lp_path_direction(ctx, rows, objective, den), [])
+        assert lam == best_on_line(ctx, rows, objective)
+    assert {lam for *_, lam, _ in line} == {(1, -1), (-1, 1)}
+
+
+@pytest.mark.parametrize("seed,count,ties,nones", [(20260810, 143, 15, 4), (11, 142, 15, 3)])
+def test_plane_programs_of_the_corpus_match_the_lp_path(monkeypatch, seed, count, ties, nones):
+    # Every direction program of a free rank-2 or sl(3) frame met deciding
+    # the corpus: the closed form returns what the LP path returns, and it
+    # runs the least-l1 stage exactly where the LP path does, on the same
+    # program and optimum.  Those are sl(3) ties; free rank 2 never ties.
+    # The programs that are not positive are stability LPs at a zero reach.
+    instances = build_corpus(seed)
+    calls = recorded_directions(
+        monkeypatch, lambda: [verdict(FrameFamily([p])) for p in instances])
+    plane = [call for call in calls if direction_dim(call[1]) == 2]
+    assert len(plane) == count
+    tied = [ctx for _, ctx, *_, stages in plane if stages]
+    assert len(tied) == ties and set(tied) == {LatticeContext.sl(3)}
+    none = [caller for caller, *_, lam, _ in plane if lam is None]
+    assert none == ["_stability_witness"] * nones
+    for _, ctx, rows, objective, den, lam, stages in plane:
+        assert (lam, stages) == lp_path(ctx, rows, objective, den)
+        assert len(stages) <= 1
 
 
 @st.composite
@@ -836,18 +949,48 @@ def line_cases(draw):
             q += 1
         p = PairInstance(Av, Aw, q + draw(st.integers(0, 1)),
                          RationalPolytope([(lo,), (hi,)]))
+    return p, draw(degeneration_problems(ctx))
+
+
+@st.composite
+def degeneration_problems(draw, ctx):
+    """A degeneration problem in ``ctx`` from ``degenerate_support``, a
+    third of them keeping every weight."""
+    dim = ctx.ambient_dim
     weights = draw(degenerate_support(dim)) + draw(degenerate_support(dim))
     if draw(st.sampled_from((True, False, False))):
         keep = range(len(weights))
     else:
         keep = draw(st.sets(st.integers(0, len(weights) - 1), min_size=1))
-    return p, DegenerationProblem(weights, keep, ctx)
+    return DegenerationProblem(weights, keep, ctx)
+
+
+@st.composite
+def plane_cases(draw):
+    """A pair and a degeneration problem in free rank 2 (with a box or
+    diamond identity) or sl(3), from ``degenerate_support``: half the pairs
+    nested, so that many are semistable, the others unrelated."""
+    mode, dim = draw(st.sampled_from((("free", 2), ("sl", 3))))
+    if draw(st.booleans()):
+        v_list, w_list = draw(nested_supports(mode, dim))
+    else:
+        v_list, w_list = draw(degenerate_support(dim)), draw(degenerate_support(dim))
+    ctx = LatticeContext.sl(dim) if mode == "sl" else FREE2
+    Av, Aw = WeightSupport(v_list, ctx), WeightSupport(w_list, ctx)
+    if mode == "sl":
+        p = PairInstance(Av, Aw, deg_of_V(WeightSupport(Av.weights + Aw.weights, ctx), ctx))
+    else:
+        shape = draw(st.sampled_from(("box", "diamond")))
+        p = PairInstance(Av, Aw, _free_q(shape, v_list) + draw(st.integers(0, 1)),
+                         identity_polytope(shape, dim))
+    return p, draw(degeneration_problems(ctx))
 
 
 def test_line_programs_from_every_caller_match_the_lp_path(monkeypatch):
     # Semistability and stability witnesses, degeneration with dropped
     # weights and the full-keep-set search, in free rank 1, sl(1) and
-    # sl(2): the closed form returns what the LP path returns.
+    # sl(2): the closed form returns what the LP path and the line
+    # reference return.
     seen = Counter()
 
     @settings(max_examples=300, deadline=None)
@@ -856,8 +999,9 @@ def test_line_programs_from_every_caller_match_the_lp_path(monkeypatch):
         p, prob = case
         calls = recorded_directions(
             monkeypatch, lambda: (verdict(FrameFamily([p])), find_degeneration(prob)))
-        for caller, ctx, rows, objective, den, lam in calls:
-            assert lam == lp_path_direction(ctx, rows, objective, den)
+        for caller, ctx, rows, objective, den, lam, stages in calls:
+            assert (lam, stages) == (lp_path_direction(ctx, rows, objective, den), [])
+            assert lam == best_on_line(ctx, rows, objective)
             seen[caller] += 1
             seen[ctx.mode, ctx.ambient_dim, lam is not None] += 1
 
@@ -868,8 +1012,35 @@ def test_line_programs_from_every_caller_match_the_lp_path(monkeypatch):
         assert seen[key] > 0, (key, seen)
 
 
-@pytest.mark.parametrize("ctx", [LatticeContext.free(1), LatticeContext.sl(1),
-                                 LatticeContext.sl(2)])
+def test_plane_programs_from_every_caller_match_the_lp_path(monkeypatch):
+    # The same four callers in free rank 2 and sl(3): the closed form
+    # returns what the LP path returns and runs the least-l1 stage exactly
+    # where it does, on the same program and optimum; free rank 2 never
+    # reaches the stage.
+    seen = Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(plane_cases())
+    def check(case):
+        p, prob = case
+        calls = recorded_directions(
+            monkeypatch, lambda: (verdict(FrameFamily([p])), find_degeneration(prob)))
+        for caller, ctx, rows, objective, den, lam, stages in calls:
+            assert (lam, stages) == lp_path(ctx, rows, objective, den)
+            assert not (stages and ctx == FREE2)
+            seen[caller, "tie" if stages else lam is not None] += 1
+            seen[ctx.mode, lam is not None] += 1
+
+    check()
+    for caller in ("_semistability_witness", "_stability_witness", "find_degeneration",
+                   "_nonzero_annihilator"):
+        assert seen[caller, True] > 0, (caller, seen)
+    for key in (("free", True), ("free", False), ("sl", True), ("sl", False),
+                ("find_degeneration", False), ("_stability_witness", "tie")):
+        assert seen[key] > 0, (key, seen)
+
+
+@pytest.mark.parametrize("ctx", LINES + PLANES)
 def test_line_path_rejects_a_row_that_is_not_homogeneous(ctx):
     # feasible at the origin, but with right-hand side -1
     row = lp.Constraint((1,) * ctx.ambient_dim, lp.GEQ, -1, 1)
@@ -888,15 +1059,54 @@ def test_line_path_raises_on_an_unbounded_program():
         lp_path_direction(ctx, rows, (0, 1), 1)
 
 
+@pytest.mark.parametrize("ctx", PLANES)
+def test_plane_path_raises_on_an_unbounded_program(ctx):
+    # minimize c subject to c <= <lam, 1> and <lam, e_0> >= 0: c has no
+    # lower bound at any lam
+    d = ctx.ambient_dim
+    rows = [lp.Constraint((1,) * d + (-1,), lp.GEQ, 0, 1),
+            lp.Constraint((1,) + (0,) * d, lp.GEQ, 0, 1)]
+    objective = (0,) * d + (-1,)
+    with pytest.raises(RuntimeError, match="unbounded"):
+        stability._best_direction(ctx, rows, objective, 1)
+    with pytest.raises(RuntimeError, match="unbounded"):
+        lp_path_direction(ctx, rows, objective, 1)
+
+
+def test_an_extra_variable_in_no_row_is_no_error(monkeypatch):
+    # Maximize lam_0 with an extra variable that no row bounds and the
+    # objective ignores: the program is bounded.  The LP face phase used to
+    # maximize that variable too and raise "unbounded"; it now tests only
+    # the direction's coordinates.  Free rank 2 is settled in closed form,
+    # sl(3) is a tie (the hexagon edge lam_0 = 1) left to the least-l1
+    # stage, and free ranks 3 and 4 end in the face phase.
+    stages = []
+    stage = lp.least_l1_stage
+
+    def recording(prog, over, value):
+        stages.append(value)
+        return stage(prog, over, value)
+
+    monkeypatch.setattr(lp, "least_l1_stage", recording)
+    cases = [(FREE2, (1, 0), []), (LatticeContext.sl(3), (1, -1, 0), [1]),
+             (LatticeContext.free(3), (1, 0, 0), []),
+             (LatticeContext.free(4), (1, 0, 0, 0), [])]
+    for ctx, expected, stage_values in cases:
+        stages.clear()
+        d = ctx.ambient_dim
+        assert stability._best_direction(ctx, [], (1,) + (0,) * d, 1) == expected
+        assert stages == stage_values
+
+
 @st.composite
-def homogeneous_line_programs(draw):
-    """A homogeneous program in free rank 1, sl(1) or sl(2), with or without
-    an extra variable c: small integer rows of every relation over
+def homogeneous_programs(draw, contexts):
+    """A homogeneous program in one of ``contexts``, with or without an
+    extra variable c: small integer rows of every relation over
     denominators 1-3.  With c, two of the rows bound it from below and
-    from above, so the program is bounded, and the others may leave no c
-    at a direction."""
-    ctx = draw(st.sampled_from((LatticeContext.free(1), LatticeContext.sl(1),
-                                LatticeContext.sl(2))))
+    from above, so the program is bounded; those two leave no c where the
+    lower bound passes the upper, and the other rows, which may hold no c,
+    cut off rays or bound c again."""
+    ctx = draw(st.sampled_from(contexts))
     d = ctx.ambient_dim
     extra = draw(st.booleans())
     coeffs = st.tuples(*[st.integers(-2, 2)] * (d + extra))
@@ -909,8 +1119,46 @@ def homogeneous_line_programs(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(homogeneous_line_programs())
+@given(homogeneous_programs(LINES))
 def test_line_path_matches_the_lp_path_on_homogeneous_programs(case):
     ctx, rows, objective = case
     expected = lp_path_direction(ctx, rows, objective, 1)
     assert stability._best_direction(ctx, rows, objective, 1) == expected
+    assert best_on_line(ctx, rows, objective) == expected
+
+
+def test_plane_path_matches_the_lp_path_on_homogeneous_programs(monkeypatch):
+    # Random homogeneous programs in free rank 2 and sl(3): the closed form
+    # returns the LP path's direction and runs the least-l1 stage exactly
+    # where it does, on the same program and optimum.  The draws hold
+    # directions where the interval of c is empty, rays that a row without
+    # c cuts off, and ties.
+    seen = Counter()
+
+    @settings(max_examples=500, deadline=None)
+    @given(homogeneous_programs(PLANES))
+    def check(case):
+        ctx, rows, objective = case
+        [(*_, lam, stages)] = recorded_directions(
+            monkeypatch, lambda: stability._best_direction(ctx, rows, objective, 1))
+        assert (lam, stages) == lp_path(ctx, rows, objective, 1)
+        assert not (stages and ctx == FREE2)
+        seen[ctx.mode, "tie" if stages else lam is not None] += 1
+        d = ctx.ambient_dim
+        for _, point in stability._plane(ctx)[1]:
+            ks = [sum(c * x for c, x in zip(con.coeffs, point)) for con in rows]
+            bounds = [(Fraction(-k, con.coeffs[d]), con.relation, con.coeffs[d] > 0)
+                      for k, con in zip(ks, rows) if len(con.coeffs) > d and con.coeffs[d]]
+            lows = [t for t, rel, up in bounds if rel == lp.EQ or (rel == lp.GEQ) == up]
+            highs = [t for t, rel, up in bounds if rel == lp.EQ or (rel == lp.LEQ) == up]
+            if lows and highs and max(lows) > min(highs):
+                seen["empty interval"] += 1
+            if any(k and (len(con.coeffs) == d or not con.coeffs[d])
+                   and con.relation != (lp.GEQ if k > 0 else lp.LEQ)
+                   for k, con in zip(ks, rows)):
+                seen["ray cut off"] += 1
+
+    check()
+    for key in (("free", True), ("free", False), ("sl", True), ("sl", False), ("sl", "tie"),
+                "empty interval", "ray cut off"):
+        assert seen[key] > 0, (key, seen)
