@@ -2,17 +2,11 @@
 
 A small two-phase simplex with Bland's pivot rule, so termination is
 unconditional and identical programs yield bit-identical answers.  Every row
-of a program, the objective too, is stored as integers over one positive
+of a program, the objective too, is given as integers over one positive
 row denominator, written there directly from integer weight rows; results
-come back as Fractions.  Two tableaux take the same pivot path and share
-phase 2 and the read-out.  The dense ``_Tableau`` pivots over integers with
-one common denominator (Bareiss/Edmonds fraction-free elimination), which
-needs no gcd per entry; it runs the first stage and the face phase of
-``solve_min_l1``, where tableaux are small and dense.  ``solve`` runs the
-sparse ``_Sparse``, which keeps each row's nonzero entries over the row's
-own scale, so a pivot touches only the rows with an entry in the entering
-column; it runs the least-l1 stage, whose tableaux are larger and mostly
-zero.
+come back as Fractions.  One sparse tableau runs every stage: each row keeps
+its nonzero entries as integers over the row's own positive scale, so a
+pivot touches only the rows with an entry in the entering column.
 
 Variables are free (unrestricted sign); nonnegativity, boxes, and
 normalization slices are expressed as ordinary constraints by the callers.
@@ -40,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .lattice import InputError, _Record, as_rat_vec
 
@@ -48,8 +42,6 @@ LEQ = "<="
 EQ = "="
 GEQ = ">="
 _RELATIONS = (LEQ, EQ, GEQ)
-
-OPTIMAL = "optimal"
 
 
 class Constraint(_Record):
@@ -96,212 +88,104 @@ class LinearProgram(_Record):
 
 class LpResult(_Record):
     """The optimal value and an optimal point; every program solved here has
-    one, so ``status`` is always ``OPTIMAL`` and ``ray`` always None."""
+    both, so ``ray`` is always None."""
 
-    __slots__ = _fields = ("status", "value", "point", "ray")
+    __slots__ = _fields = ("value", "point", "ray")
 
-    def __init__(self, status: str, value: Fraction | None = None,
-                 point: tuple[Fraction, ...] | None = None,
+    def __init__(self, value: Fraction, point: tuple[Fraction, ...],
                  ray: tuple[Fraction, ...] | None = None):
-        object.__setattr__(self, "status", status)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "ray", ray)
 
 
 class _Tableau:
-    """Dense simplex tableau over integers with one common denominator.
+    """Sparse simplex tableau with one positive scale per row.
 
-    Column layout: [x+_0..x+_{n-1}, x-_0..x-_{n-1}, slacks, artificials],
-    and each row carries its right-hand side as one more last entry.
+    Column layout: [x+_0..x+_{n-1}, x-_0..x-_{n-1}, slacks, artificials].
     Artificial columns never re-enter the basis and nothing reads them, so
     they are not stored: only their basis indices art_start + i remain.
+    Each row keeps only its nonzero entries, as a dict from column to
+    integer, with the right-hand side at column ``art_start``; it stands
+    for the tableau row divided by its scale, the entry in its basic column
+    (for a basic artificial, the artificial's implicit entry).  The cost
+    row is kept the same way over ``zscale``.
 
-    Every stored entry is an integer numerator over the common denominator
-    ``den``; results go out as Fractions.  The rows start as the
-    constraints times the lcm of their least row denominators,
-    con.den // gcd(con.den, con.rhs, *con.coeffs), which is the lcm of the
-    denominators of all their entries as reduced fractions, however a row
-    is written; ``den`` starts at 1 and the artificial columns at 1.  That
-    rescales every artificial variable by the same positive factor, so the
-    signs of the reduced costs, the ratio-test order and Bland's ties are
-    those of the rational tableau, and the pivot path is the same.  A pivot
-    on p turns every other row x, the cost row included, into
-    (p*x - a*pivot_row) // den and then sets den = p: the integer-preserving
-    elimination of Bareiss and Edmonds.  Every entry stays, up to sign, a
-    minor of the starting matrix, so each division is exact.
-
+    The rows start as the constraints times the lcm ``scale`` of their
+    least row denominators, con.den // gcd(con.den, con.rhs, *con.coeffs),
+    which is the lcm of the denominators of all their entries as reduced
+    fractions, however a row is written, with each slack entry at +-scale.
     The start basis is one of two.  By default every row i keeps the
-    artificial art_i, for the two-phase method.  ``at_origin`` starts from
-    the point x = 0, which must be feasible: a ">=" row with right-hand
-    side 0 is negated, so every inequality reads "<=" with b >= 0 and its
-    slack is basic at b, and only the "=" rows (all with b = 0) keep their
-    artificials.  Such a row keeps its slack entry at ``den`` times the
-    row scale, not at ``den``: it is a positive multiple of its rational
-    row, which changes no ratio-test order and no reduced cost, and every
-    division stays exact, as the elimination is exact from any integer
-    start at ``den`` = 1.
+    artificial art_i, at implicit entry and scale 1, for the two-phase
+    method; that rescales every artificial variable by the same positive
+    factor.  ``at_origin`` starts from the point x = 0, which must be
+    feasible: a ">=" row with right-hand side 0 is negated, so every
+    inequality reads "<=" with b >= 0 and its slack is basic at b, over
+    ``scale``, and only the "=" rows (all with b = 0) keep their
+    artificials, at scale 1.
+
+    The ratio test compares b_i / a_ij and Bland's entering rule reads
+    only the signs of reduced costs; both are invariant under positive row
+    scaling, so the pivot path is that of the rational tableau.  A pivot on
+    p in row r turns every row x with an entry q in the entering column
+    into p*x - q*pivot_row over its scale times p, over the union of the
+    two supports, and divides it by the gcd of its entries and scale; every
+    other row stays as it is.
     """
 
     def __init__(self, lp: LinearProgram, at_origin: bool = False):
         n = lp.num_vars
         cons = lp.constraints
-        m = len(cons)
-        slack_count = sum(1 for c in cons if c.relation != EQ)
-        width = 2 * n + slack_count
+        width = 2 * n + sum(1 for c in cons if c.relation != EQ)
         self.n = n
-        self.m = m
         self.art_start = width
         least = [con.den // gcd(con.den, con.rhs, *con.coeffs) for con in cons]
         scale = lcm(*least)
 
-        rows: list[list[int]] = []
+        rows: list[dict] = []
+        scales: list[int] = []
         basis: list[int] = []
         slack_at = 2 * n
         for i, (con, d) in enumerate(zip(cons, least)):
             g, k = con.den // d, scale // d
-            coeffs = [c // g * k for c in con.coeffs]
             b = con.rhs // g * k
             rel = con.relation
             if b < 0 or (at_origin and b == 0 and rel == GEQ):
-                coeffs = [-c for c in coeffs]
-                b = -b
+                k, b = -k, -b
                 rel = {LEQ: GEQ, GEQ: LEQ, EQ: EQ}[rel]
             if at_origin and (rel == GEQ or (rel == EQ and b)):
                 raise InputError(f"constraint {i} does not hold at the origin")
-            row = coeffs + [-c for c in coeffs] + [0] * slack_count + [b]
+            row = {}
+            for j, c in enumerate(con.coeffs):
+                if c:
+                    row[j] = c // g * k
+                    row[n + j] = -row[j]
+            if b:
+                row[width] = b
             if rel == EQ or not at_origin:
                 basis.append(width + i)
+                scales.append(1)
             else:
                 basis.append(slack_at)
+                scales.append(scale)
             if rel != EQ:
                 row[slack_at] = scale if rel == LEQ else -scale
                 slack_at += 1
             rows.append(row)
 
         self.rows = rows
-        self.den = 1
+        self.scales = scales
         self.basis = basis
-        self.zrow = [0] * (width + 1)
+        self.zrow: dict = {}
+        self.zscale = 1
 
-    # Cost row convention: zrow[j] = z_j - c_j and zrow[-1] = the current
-    # objective, each times den and one positive cost scale.  Only signs are
-    # read until phase 2 ends, when the value is zrow[-1] / (den * scale).
+    # Cost row convention: zrow[j] = z_j - c_j and zrow[art_start] = the
+    # current objective, each times zscale and one positive cost scale.
+    # Only signs are read until phase 2 ends, when the value is
+    # zrow[art_start] / (zscale * scale).
     def _reset_costs(self, costs: list[int], art_cost: int = 0):
         """Price out the basis for integer costs on the stored columns and
         one common cost for every artificial."""
-        den = self.den
-        zrow = [-den * c for c in costs] + [0]
-        for i, bi in enumerate(self.basis):
-            cb = costs[bi] if bi < self.art_start else art_cost
-            if cb:
-                zrow = [z + cb * x for z, x in zip(zrow, self.rows[i])]
-        self.zrow = zrow
-
-    def _pivot(self, r: int, j: int):
-        prow = self.rows[r]
-        p = prow[j]
-        den = self.den
-
-        def eliminate(row):
-            a = row[j]
-            if a:
-                return [(p * x - a * y) // den for x, y in zip(row, prow)]
-            if p != den:
-                return [p * x // den for x in row]
-            return row
-
-        rows = self.rows
-        for i in range(self.m):
-            if i != r:
-                rows[i] = eliminate(rows[i])
-        self.zrow = eliminate(self.zrow)
-        if p < 0:
-            # Only the artificial pivot-out step pivots on a negative entry;
-            # negating everything keeps the common denominator positive.
-            self.rows = [[-x for x in row] for row in rows]
-            self.zrow = [-x for x in self.zrow]
-            p = -p
-        self.den = p
-        self.basis[r] = j
-
-    def _ratio_row(self, j: int) -> int | None:
-        """Bland leaving row: min ratio, ties broken by smallest basic index.
-
-        Ratios rhs_i / a_ij share the denominator, so they are compared by
-        cross-multiplication of the numerators."""
-        best = None
-        for i, row in enumerate(self.rows):
-            a = row[j]
-            if a > 0:
-                if best is not None:
-                    lhs, rhs = row[-1] * best_a, best_b * a
-                    if lhs > rhs or (lhs == rhs and self.basis[i] > self.basis[best]):
-                        continue
-                best, best_a, best_b = i, a, row[-1]
-        return best
-
-    def _entering(self, columns: Sequence[int]) -> int | None:
-        """Bland entering column: the first of ``columns`` with a negative
-        reduced cost."""
-        zrow = self.zrow
-        for j in columns:
-            if zrow[j] < 0:
-                return j
-        return None
-
-    def run(self, columns: Sequence[int]) -> None:
-        """Bland simplex loop over the given columns, in increasing order,
-        to optimality.  Every program solved here is bounded, so a ratio
-        test without a leaving row is an internal error."""
-        while True:
-            enter = self._entering(columns)
-            if enter is None:
-                return
-            leave = self._ratio_row(enter)
-            if leave is None:
-                raise RuntimeError("internal: the program is unbounded")
-            self._pivot(leave, enter)
-
-    def _first_entry(self, i: int) -> int | None:
-        """The first stored column with a nonzero entry in row i."""
-        row = self.rows[i]
-        return next((j for j in range(self.art_start) if row[j]), None)
-
-    def _value(self) -> tuple[int, int]:
-        """The cost row's objective value, as a numerator and a positive
-        denominator."""
-        return self.zrow[-1], self.den
-
-    def _x(self) -> tuple[Fraction, ...]:
-        """The basic solution in x = x+ - x-."""
-        return _in_x(self.n, self.den, [(b, row[-1]) for b, row in zip(self.basis, self.rows)])
-
-
-class _Sparse(_Tableau):
-    """Sparse simplex tableau with one positive scale per row.
-
-    Each row keeps only its nonzero entries, as a dict from column to
-    integer, with the right-hand side at column ``art_start``; it stands
-    for the tableau row divided by its scale, the entry in its basic
-    column (for a basic artificial, the artificial's implicit entry).  The
-    cost row is kept the same way over ``zscale``.  The ratio test compares
-    b_i / a_ij and Bland's entering rule reads only the signs of reduced
-    costs; both are invariant under positive row scaling, so the pivot
-    path is that of ``_Tableau``.  A pivot on p in row r turns every row x
-    with an entry q in the entering column into p*x - q*pivot_row over its
-    scale times p, over the union of the two supports, and divides it by
-    the gcd of its entries and scale; every other row stays as it is.
-    """
-
-    def __init__(self, lp: LinearProgram):
-        super().__init__(lp)
-        self.rows = [{j: x for j, x in enumerate(row) if x} for row in self.rows]
-        self.scales = [1] * self.m
-        self.zrow = {}
-        self.zscale = 1
-
-    def _reset_costs(self, costs: list[int], art_cost: int = 0):
         width = self.art_start
         cb = [costs[b] if b < width else art_cost for b in self.basis]
         scale = lcm(*[s for c, s in zip(cb, self.scales) if c])
@@ -333,6 +217,10 @@ class _Sparse(_Tableau):
         self.basis[r] = j
 
     def _ratio_row(self, j: int) -> int | None:
+        """Bland leaving row: min ratio, ties broken by smallest basic index.
+
+        A ratio b_i / a_ij does not depend on the row's scale; ratios are
+        compared by cross-multiplication."""
         end, basis = self.art_start, self.basis
         best = None
         for i, row in enumerate(self.rows):
@@ -346,20 +234,21 @@ class _Sparse(_Tableau):
                 best, best_a, best_b = i, a, b
         return best
 
-    def _entering(self, columns: Sequence[int]) -> int | None:
-        return min([j for j, z in self.zrow.items() if z < 0 and j in columns], default=None)
-
-    def _first_entry(self, i: int) -> int | None:
-        return min([j for j in self.rows[i] if j < self.art_start], default=None)
-
-    def _value(self) -> tuple[int, int]:
-        return self.zrow.get(self.art_start, 0), self.zscale
-
-    def _x(self) -> tuple[Fraction, ...]:
-        x_rows = [(b, row, s) for b, row, s in zip(self.basis, self.rows, self.scales)
-                  if b < 2 * self.n]
-        den, rhs = lcm(*[s for _, _, s in x_rows]), self.art_start
-        return _in_x(self.n, den, [(b, row.get(rhs, 0) * (den // s)) for b, row, s in x_rows])
+    def run(self, columns: Collection[int]) -> None:
+        """Bland simplex loop to optimality: each time the least of
+        ``columns`` (a range or a set, tested by membership) with a
+        negative reduced cost enters.  Every program solved here is
+        bounded, so a ratio test without a leaving row is an internal
+        error."""
+        while True:
+            enter = min([j for j, z in self.zrow.items() if z < 0 and j in columns],
+                        default=None)
+            if enter is None:
+                return
+            leave = self._ratio_row(enter)
+            if leave is None:
+                raise RuntimeError("internal: the program is unbounded")
+            self._pivot(leave, enter)
 
 
 def _eliminate(row: dict, scale: int, p: int, q: int, prow: dict) -> int:
@@ -393,12 +282,12 @@ def solve(lp: LinearProgram) -> LpResult:
     """Solve a feasible, bounded program exactly, two-phase: the optimal
     value and an optimal point.  An infeasible or unbounded program is an
     internal error and raises RuntimeError."""
-    tab = _Sparse(lp)
+    tab = _Tableau(lp)
 
     # Phase 1: drive the artificial variables to zero.
     tab._reset_costs([0] * tab.art_start, art_cost=-1)
     tab.run(range(tab.art_start))
-    if tab._value()[0] < 0:
+    if tab.zrow.get(tab.art_start, 0) < 0:
         raise RuntimeError("internal: the program is infeasible")
     return _optimize(tab, lp)
 
@@ -411,7 +300,7 @@ def _optimize(tab: _Tableau, prog: LinearProgram) -> LpResult:
     # are zero on every structural column are redundant and stay put.
     for i, b in enumerate(tab.basis):
         if b >= width:
-            j = tab._first_entry(i)
+            j = min([j for j in tab.rows[i] if j < width], default=None)
             if j is not None:
                 tab._pivot(i, j)
 
@@ -425,20 +314,24 @@ def _optimize(tab: _Tableau, prog: LinearProgram) -> LpResult:
         costs[n + j] = -costs[j]
     tab._reset_costs(costs)
     tab.run(range(width))
-    num, den = tab._value()
-    return LpResult(OPTIMAL, value=Fraction(num, den * cost_scale), point=tab._x())
+    value = Fraction(tab.zrow.get(width, 0), tab.zscale * cost_scale)
+    return LpResult(value, _point(tab))
 
 
-def _in_x(n: int, den: int, values) -> tuple[Fraction, ...]:
-    """A vector in x = x+ - x- from (column, integer over den) pairs of the
-    standard variables; pairs on slack or artificial columns do not count."""
+def _point(tab: _Tableau) -> tuple[Fraction, ...]:
+    """The basic solution in x = x+ - x-."""
+    n, end = tab.n, tab.art_start
+    x_rows = [(b, row.get(end, 0), s) for b, row, s in zip(tab.basis, tab.rows, tab.scales)
+              if b < 2 * n]
+    common = lcm(*[s for _, _, s in x_rows])
     x = [0] * n
-    for j, v in values:
-        if j < n:
-            x[j] += v
-        elif j < 2 * n:
-            x[j - n] -= v
-    return tuple([Fraction(v, den) for v in x])
+    for b, v, s in x_rows:
+        v *= common // s
+        if b < n:
+            x[b] += v
+        else:
+            x[b - n] -= v
+    return tuple([Fraction(v, common) for v in x])
 
 
 def _moves(tab: _Tableau, fixed: frozenset):
@@ -446,20 +339,25 @@ def _moves(tab: _Tableau, fixed: frozenset):
     an optimal tableau, how raising it moves x = x+ - x-, one integer per
     coordinate.  The mirror of a basic x+- column moves nothing, as x+ and
     x- then rise together."""
-    n, den, rows, zrow = tab.n, tab.den, tab.rows, tab.zrow
+    n, zrow = tab.n, tab.zrow
     skip = fixed.union(tab.basis)
-    # Row, sign and variable of every basic x+- column; its row stores den
-    # on its own column, so rows[i][j] / den is the drop per unit of j.
-    x_rows = [(i, 1 if b < n else -1, b % n)
-              for i, b in enumerate(tab.basis) if b < 2 * n]
+    # Every basic x+- column's row, brought to the lcm of their scales:
+    # the row's entry in column j times its factor is the drop per unit of
+    # j over that lcm, with the sign of the column's variable in x.
+    x_rows = [(i, b) for i, b in enumerate(tab.basis) if b < 2 * n]
+    common = lcm(*[tab.scales[i] for i, _ in x_rows])
+    x_rows = [(tab.rows[i], (1 if b < n else -1) * (common // tab.scales[i]), b % n)
+              for i, b in x_rows]
     for j in range(tab.art_start):
-        if zrow[j] or j in skip:
+        if j in zrow or j in skip:
             continue
         move = [0] * n
         if j < 2 * n:
-            move[j % n] = den if j < n else -den
-        for i, sign, k in x_rows:
-            move[k] -= sign * rows[i][j]
+            move[j % n] = common if j < n else -common
+        for row, f, k in x_rows:
+            a = row.get(j)
+            if a:
+                move[k] -= f * a
         yield move
 
 
@@ -503,16 +401,16 @@ def _face_min_l1(tab: _Tableau, over: Sequence[int]) -> tuple[Fraction, ...] | N
     such as an extra variable outside the objective, raises nothing.
     """
     n, width = tab.n, tab.art_start
-    fixed = frozenset([j for j in range(width) if tab.zrow[j] > 0])
+    fixed = frozenset([j for j, z in tab.zrow.items() if z > 0 and j < width])
     costs = [0] * width
     for j in over:
         costs[j] = costs[n + j] = -1
     tab._reset_costs(costs)
     # -l1 is at most 0, so this program is bounded
-    tab.run([j for j in range(width) if j not in fixed])
+    tab.run(set(range(width)).difference(fixed))
     moves = [move for move in _moves(tab, fixed) if any([move[k] for k in over])]
     if moves:
-        free = [j for j in range(width) if not tab.zrow[j] and j not in fixed]
+        free = {j for j in range(width) if j not in tab.zrow and j not in fixed}
         for k in over:
             if not any(move[k] for move in moves):
                 continue
@@ -520,11 +418,11 @@ def _face_min_l1(tab: _Tableau, over: Sequence[int]) -> tuple[Fraction, ...] | N
                 costs = [0] * width
                 costs[k], costs[n + k] = sign, -sign
                 tab._reset_costs(costs)
-                start = Fraction(*tab._value())
+                start = Fraction(tab.zrow.get(width, 0), tab.zscale)
                 tab.run(free)
-                if Fraction(*tab._value()) != start:
+                if Fraction(tab.zrow.get(width, 0), tab.zscale) != start:
                     return None
-    return tab._x()
+    return _point(tab)
 
 
 def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
@@ -539,9 +437,9 @@ def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
     moves the original variables (``_is_unique``), the positive optimum is
     a single point, which any least-l1 stage would return, so it comes back
     at once.  Otherwise ``_face_min_l1`` minimizes the l1 norm on the
-    optimal face, on the same dense tableau, and decides exactly whether
-    the least-l1 point is unique in ``over``; when it is, it comes back,
-    for the same reason.  Otherwise the points of least l1 norm tie, and
+    optimal face, in the same tableau, and decides exactly whether the
+    least-l1 point is unique in ``over``; when it is, it comes back, for
+    the same reason.  Otherwise the points of least l1 norm tie, and
     ``least_l1_stage`` picks one.
     """
     tab = _Tableau(prog, at_origin=True)
@@ -551,7 +449,7 @@ def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
     point = _face_min_l1(tab, over)
     if point is None:
         point = least_l1_stage(prog, over, first.value)
-    return LpResult(OPTIMAL, first.value, point)
+    return LpResult(first.value, point)
 
 
 def least_l1_stage(prog: LinearProgram, over: Sequence[int],
@@ -560,14 +458,13 @@ def least_l1_stage(prog: LinearProgram, over: Sequence[int],
     whose optimum is ``value``, of least l1 norm over ``over``.
 
     It runs two-phase and fully exact on the original program through
-    ``solve`` and its sparse tableau: the optimum becomes an equality
-    constraint, then the sum of absolute values of the chosen variables is
-    minimized through the usual t_i >= +/- x_i envelope.  Keeps witnesses
-    canonical instead of whatever vertex of a degenerate optimal face the
-    pivot order happens to visit first; on such a face the pivot path of
-    this stage breaks the ties, and that path depends on ``prog`` and
-    ``value`` alone.  It is feasible (an optimal point with t = |x|) and
-    bounded (its objective is at most 0).
+    ``solve``: the optimum becomes an equality constraint, then the sum of
+    absolute values of the chosen variables is minimized through the usual
+    t_i >= +/- x_i envelope.  Keeps witnesses canonical instead of whatever
+    vertex of a degenerate optimal face the pivot order happens to visit
+    first; on such a face the pivot path of this stage breaks the ties, and
+    that path depends on ``prog`` and ``value`` alone.  It is feasible (an
+    optimal point with t = |x|) and bounded (its objective is at most 0).
     """
     n = prog.num_vars
     k = len(over)

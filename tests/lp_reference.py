@@ -4,19 +4,32 @@
 all of them feasible and bounded.  Tests also pose programs from rational
 data, some infeasible or unbounded: ``linear_program`` builds them as
 ``lp.LinearProgram``, and ``reference_solve`` solves any of them on a
-Fraction tableau that shares no code with ``lp``'s solvers, so references
+Fraction tableau that shares no code with ``lp``'s solver, so references
 that need a general LP (hull membership, segment reach, the extent of a
-least-l1 set) do not call the code they check.
+least-l1 set) do not call the code they check.  The tableau takes the
+same Bland pivots as ``lp``'s, from the artificial basis or from the
+origin, so it is also the reference for ``lp``'s pivot path.
 """
 
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from stablepairs import lp
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+
+class Result(NamedTuple):
+    """A reference answer: its status, and for an optimal program the
+    optimal value and an optimal point."""
+
+    status: str
+    value: Fraction | None = None
+    point: tuple[Fraction, ...] | None = None
+
 
 def _over_lcm(values) -> tuple[tuple[int, ...], int]:
     """Rationals as integers over the lcm of their denominators, and that
@@ -65,38 +78,48 @@ class _ReferenceTableau:
     until a Fraction reaches them.
 
     Column layout: [x+_0..x+_{n-1}, x-_0..x-_{n-1}, slacks, artificials].
-    Row i keeps the artificial variable art_i as its initial basic variable;
-    artificial columns are never allowed to re-enter the basis.
+    By default row i keeps the artificial variable art_i as its initial
+    basic variable.  ``at_origin`` starts from the point x = 0, which must
+    be feasible: a ">=" row with right-hand side 0 is negated, every
+    inequality's slack is basic at its right-hand side, and only the "="
+    rows keep their artificials.  Artificial columns are never allowed to
+    re-enter the basis.
     """
 
-    def __init__(self, prog):
+    def __init__(self, prog, at_origin: bool = False):
         n = prog.num_vars
-        m = len(prog.constraints)
         slack_count = sum(1 for c in prog.constraints if c.relation != lp.EQ)
         self.n = n
-        self.m = m
         self.art_start = 2 * n + slack_count
         self.rows: list[dict] = []
         self.rhs: list = []
+        self.basis: list[int] = []
 
         slack_at = 2 * n
         for i, (coeffs, rel, b) in enumerate(rational_rows(prog)):
             *coeffs, b = _lean(coeffs + [b])
-            if b < 0:
+            if b < 0 or (at_origin and b == 0 and rel == lp.GEQ):
                 coeffs = [-c for c in coeffs]
                 b = -b
                 rel = {lp.LEQ: lp.GEQ, lp.GEQ: lp.LEQ, lp.EQ: lp.EQ}[rel]
+            assert not at_origin or rel == lp.LEQ or (rel == lp.EQ and b == 0), \
+                f"constraint {i} does not hold at the origin"
             row = {}
             for j, c in enumerate(coeffs):
                 if c:
                     row[j], row[n + j] = c, -c
+            if at_origin and rel == lp.LEQ:
+                self.basis.append(slack_at)
+            else:
+                row[self.art_start + i] = 1
+                self.basis.append(self.art_start + i)
             if rel != lp.EQ:
                 row[slack_at] = 1 if rel == lp.LEQ else -1
                 slack_at += 1
-            row[self.art_start + i] = 1
             self.rows.append(row)
             self.rhs.append(b)
-        self.basis = [self.art_start + i for i in range(m)]
+        self.zrow: dict = {}
+        self.zval = 0
 
     # Cost row convention: zrow[j] = z_j - c_j, zval = current objective.
     def _reset_costs(self, costs: dict):
@@ -147,14 +170,14 @@ class _ReferenceTableau:
                     best_ratio = ratio
         return best
 
-    def run(self, allowed: int) -> int | None:
-        """Bland simplex loop over columns < allowed.
+    def run(self, columns) -> int | None:
+        """Bland simplex loop over the given columns, a range or a set.
 
         Returns None at optimality, or the entering column index when the
         program is unbounded in that direction.
         """
         while True:
-            enter = min([j for j, z in self.zrow.items() if j < allowed and z < 0],
+            enter = min([j for j, z in self.zrow.items() if j in columns and z < 0],
                         default=None)
             if enter is None:
                 return None
@@ -174,25 +197,33 @@ def _add(target: dict, f, row: dict):
             del target[k]
 
 
-def reference_solve(prog) -> lp.LpResult:
+def reference_solve(prog) -> Result:
     """Any program, two-phase on a Fraction tableau: the optimal value and
     point, ``INFEASIBLE`` or ``UNBOUNDED``.  On a program ``lp.solve``
     solves, both take the same pivots, so the results are identical, field
     by field."""
-    tab = _ReferenceTableau(prog)
-    n, m = tab.n, tab.m
+    return reference_tableau(prog)[1]
 
-    # Phase 1: drive the artificial variables to zero.
-    tab._reset_costs({tab.art_start + i: -1 for i in range(m)})
-    tab.run(tab.art_start)
-    if tab.zval < 0:
-        return lp.LpResult(INFEASIBLE)
+
+def reference_tableau(prog, at_origin: bool = False) -> tuple[_ReferenceTableau, Result]:
+    """A Fraction tableau of prog after ``reference_solve``, or after the
+    first stage of ``lp.solve_min_l1`` with ``at_origin`` (no phase 1), and
+    its result."""
+    tab = _ReferenceTableau(prog, at_origin)
+    n, width = tab.n, tab.art_start
+
+    if not at_origin:
+        # Phase 1: drive the artificial variables to zero.
+        tab._reset_costs({width + i: -1 for i in range(len(tab.rows))})
+        tab.run(range(width))
+        if tab.zval < 0:
+            return tab, Result(INFEASIBLE)
 
     # Degenerate basic artificials: pivot them out where possible; rows that
     # are zero on every structural column are redundant and stay put.
-    for i in range(m):
-        if tab.basis[i] >= tab.art_start:
-            j = min([j for j in tab.rows[i] if j < tab.art_start], default=None)
+    for i, b in enumerate(tab.basis):
+        if b >= width:
+            j = min([j for j in tab.rows[i] if j < width], default=None)
             if j is not None:
                 tab._pivot(i, j)
 
@@ -202,9 +233,9 @@ def reference_solve(prog) -> lp.LpResult:
         if c:
             costs[j], costs[n + j] = c, -c
     tab._reset_costs(costs)
-    if tab.run(tab.art_start) is not None:
-        return lp.LpResult(UNBOUNDED)
+    if tab.run(range(width)) is not None:
+        return tab, Result(UNBOUNDED)
 
     std = dict(zip(tab.basis, tab.rhs))
     point = tuple(Fraction(std.get(j, 0) - std.get(n + j, 0)) for j in range(n))
-    return lp.LpResult(OPTIMAL, value=Fraction(tab.zval), point=point)
+    return tab, Result(OPTIMAL, Fraction(tab.zval), point)

@@ -191,7 +191,7 @@ def reference_annihilator(prob, equalities):
             objective = [Fraction(0)] * d
             objective[k] = Fraction(sign)
             result = lp.solve_min_l1(linear_program(d, cons, objective), range(d))
-            if result.status == lp.OPTIMAL and result.value > 0:
+            if result.value > 0:
                 return lp.rationalize_direction(result.point)
     return None
 
@@ -218,7 +218,6 @@ def reference_degeneration(prob):
         cons.append((rows[i] + [Fraction(-1)], lp.GEQ, 0))
     objective = [Fraction(0)] * d + [Fraction(1)]
     result = lp.solve_min_l1(linear_program(nv, cons, objective), range(d))
-    assert result.status == lp.OPTIMAL
     if result.value <= 0:
         return None
     return lp.rationalize_direction(result.point[:d])

@@ -12,8 +12,8 @@ from stablepairs import lp
 
 from conftest import build_corpus
 from lp_reference import (
-    INFEASIBLE, OPTIMAL, UNBOUNDED, linear_program, rational_objective, rational_rows,
-    reference_solve,
+    INFEASIBLE, OPTIMAL, UNBOUNDED, _ReferenceTableau, linear_program, rational_objective,
+    rational_rows, reference_solve, reference_tableau,
 )
 from test_degeneration import duplicated_keep_problems, random_problems
 
@@ -21,7 +21,6 @@ from test_degeneration import duplicated_keep_problems, random_problems
 def test_single_variable_maximum():
     prog = linear_program(1, [([1], lp.LEQ, 3), ([1], lp.GEQ, 0)], [1])
     result = lp.solve(prog)
-    assert result.status == lp.OPTIMAL
     assert result.value == 3
     assert result.point == (Fraction(3),)
 
@@ -30,7 +29,6 @@ def test_edge_optimum_deterministic():
     cons = [([1, 1], lp.LEQ, 1), ([1, 0], lp.GEQ, 0), ([0, 1], lp.GEQ, 0)]
     prog = linear_program(2, cons, [1, 1])
     result = lp.solve(prog)
-    assert result.status == lp.OPTIMAL
     assert result.value == 1
     # any point of the optimal edge is acceptable; the pivot rule is
     # deterministic and lands on (1, 0)
@@ -42,7 +40,6 @@ def test_edge_optimum_deterministic():
 def test_equality_system():
     prog = linear_program(2, [([1, 1], lp.EQ, 1), ([1, -1], lp.EQ, 1)], [0, 1])
     result = lp.solve(prog)
-    assert result.status == lp.OPTIMAL
     assert result.point == (Fraction(1), Fraction(0))
     assert result.value == 0
 
@@ -90,7 +87,6 @@ def test_resubstitution_of_optimal_points():
         n, m, A, b, u, c = _random_bounded_program(rng)
         prog = _primal(n, m, A, b, u, c)
         result = lp.solve(prog)
-        assert result.status == lp.OPTIMAL
         x = result.point
         for row, rel, rhs in [(con.coeffs, con.relation, con.rhs)
                               for con in prog.constraints]:
@@ -111,7 +107,6 @@ def test_duality_spot_check():
     for _ in range(40):
         n, m, A, b, u, c = _random_bounded_program(rng)
         primal = lp.solve(_primal(n, m, A, b, u, c))
-        assert primal.status == lp.OPTIMAL
         rows = A + [[Fraction(1) if k == j else Fraction(0) for k in range(n)]
                     for j in range(n)]
         rhs = b + u
@@ -124,7 +119,6 @@ def test_duality_spot_check():
             row[i] = Fraction(1)
             cons.append((row, lp.GEQ, 0))
         dual = lp.solve(linear_program(nd, cons, [-v for v in rhs]))
-        assert dual.status == lp.OPTIMAL
         assert -dual.value == primal.value
 
 
@@ -151,10 +145,10 @@ def test_solve_min_l1_prefers_sparse_optimum():
         sum(abs(c) for c in plain.point[:2])
 
     # a zero optimum is not refined: the whole box in (x1, x2) is optimal,
-    # and some optimal point comes back with the status and the value
+    # and some optimal point comes back with the value
     zero = linear_program(3, cons, [0, 0, 1])
     result = lp.solve_min_l1(zero, range(2))
-    assert (result.status, result.value) == (lp.OPTIMAL, 0)
+    assert result.value == 0
     assert_optimal_point(zero, result)
 
 
@@ -176,7 +170,7 @@ def test_solve_min_l1_needs_a_feasible_origin():
         box = [([1, 0], lp.LEQ, 5), ([0, 1], lp.LEQ, 5),
                ([1, 0], lp.GEQ, -5), ([0, 1], lp.GEQ, -5)]
         prog = linear_program(2, box + [row], [1, 1])
-        assert lp.solve(prog).status == lp.OPTIMAL
+        assert lp.solve(prog).value == reference_solve(prog).value
         with pytest.raises(InputError, match="constraint 4 does not hold at the origin"):
             lp.solve_min_l1(prog, range(2))
 
@@ -189,61 +183,45 @@ def test_rationalize_direction_examples():
         lp.rationalize_direction([0, 0])
 
 
-def assert_same_as_reference(prog):
-    """lp.solve against the Fraction reference on a program it finds
-    optimal."""
-    got, want = lp.solve(prog), reference_solve(prog)
-    assert want.status == OPTIMAL, prog
-    # repr also tells an int apart from an equal Fraction
-    assert repr((got.status, got.value, got.point, got.ray)) == \
-        repr((want.status, want.value, want.point, want.ray)), prog
-
-
 # ---------------------------------------------------------------------------
-# Reference: the dense integer tableau, which ``lp.solve`` ran before its
-# sparse row-scaled one.  Both must take the same pivots in the same order.
+# Reference: the Fraction tableau of ``lp_reference``, which takes the same
+# Bland pivots as ``lp``'s tableau in the same order, two-phase and from the
+# origin.
 
-def dense_solve(prog):
-    """``lp.solve`` on the dense tableau ``lp._Tableau``: phase 1 from the
-    artificial basis, then the phase 2 and read-out both tableaux share."""
-    tab = lp._Tableau(prog)
-    tab._reset_costs([0] * tab.art_start, art_cost=-1)
-    tab.run(range(tab.art_start))
-    if tab._value()[0] < 0:
-        raise RuntimeError("infeasible")
-    return lp._optimize(tab, prog)
-
-
-def pivot_path(solver, prog):
-    """solver(prog), and the (entering, leaving) columns of every pivot it
-    takes on either tableau."""
-    path = []
-    pivots = {cls: cls.__dict__["_pivot"] for cls in (lp._Tableau, lp._Sparse)}
+def pivot_path(solver, *args):
+    """solver(*args), and the (entering, leaving) columns of every pivot it
+    takes on the first tableau it pivots, ``lp``'s or the reference's.  In
+    ``lp.solve_min_l1`` that is the tableau from the origin: the least-l1
+    stage builds its own, and only after a positive optimum, which no
+    tableau reaches from the origin without a pivot."""
+    pivots = []
+    originals = {cls: cls.__dict__["_pivot"] for cls in (lp._Tableau, _ReferenceTableau)}
 
     def recording(pivot):
         def wrapped(tab, r, j):
-            path.append((j, tab.basis[r]))
+            pivots.append((tab, j, tab.basis[r]))
             pivot(tab, r, j)
         return wrapped
 
-    for cls, pivot in pivots.items():
+    for cls, pivot in originals.items():
         cls._pivot = recording(pivot)
     try:
-        result = solver(prog)
+        result = solver(*args)
     finally:
-        for cls, pivot in pivots.items():
+        for cls, pivot in originals.items():
             cls._pivot = pivot
-    return result, path
+    return result, [(j, leave) for tab, j, leave in pivots if tab is pivots[0][0]]
 
 
-def assert_same_pivots_as_dense(prog):
-    """lp.solve takes the dense tableau's pivots and returns its result,
-    field by field."""
+def assert_same_as_reference(prog):
+    """lp.solve takes the pivots of the Fraction reference, on a program it
+    finds optimal, and returns its value and point."""
     got, path = pivot_path(lp.solve, prog)
-    want, dense_path = pivot_path(dense_solve, prog)
-    assert path == dense_path, prog
+    want, want_path = pivot_path(reference_solve, prog)
+    assert want.status == OPTIMAL, prog
+    assert path == want_path, prog
     # repr also tells an int apart from an equal Fraction
-    assert repr(got) == repr(want), prog
+    assert repr((got.value, got.point)) == repr((want.value, want.point)), prog
 
 
 def least_l1_rows(prog, over, value):
@@ -266,29 +244,45 @@ def least_l1_rows(prog, over, value):
 
 def reference_solve_min_l1(prog, over):
     """``lp.solve_min_l1`` as it was before the first stage started at the
-    origin: two-phase ``dense_solve`` on the program, then, at a positive
-    optimum, the least-l1 stage, whatever the shape of the optimal set."""
-    first = dense_solve(prog)
+    origin: two-phase ``reference_solve`` on the program, then, at a
+    positive optimum, the least-l1 stage, whatever the shape of the optimal
+    set."""
+    first = reference_solve(prog)
     if first.value <= 0:
         return first
     n, k = prog.num_vars, len(over)
-    second = dense_solve(linear_program(n + k, least_l1_rows(prog, over, first.value),
-                                        [0] * n + [-1] * k))
-    return lp.LpResult(lp.OPTIMAL, first.value, second.point[:n])
+    second = reference_solve(linear_program(n + k, least_l1_rows(prog, over, first.value),
+                                            [0] * n + [-1] * k))
+    return first._replace(point=second.point[:n])
+
+
+def reference_from_origin(prog, runs):
+    """The first stage of ``lp.solve_min_l1`` on the Fraction reference,
+    from the origin, then one Bland run for each (costs, columns) pair of
+    runs, in order; the first stage's result."""
+    tab, first = reference_tableau(prog, at_origin=True)
+    for costs, columns in runs:
+        tab._reset_costs({j: c for j, c in enumerate(costs) if c})
+        tab.run(columns)
+    return first
 
 
 def assert_min_l1_as_reference(prog, over) -> str:
     """lp.solve_min_l1 against the reference, and which way it went.
 
+    Its tableau from the origin must take the pivots of the reference's:
+    the first stage's, and in the face phase those of the reference priced
+    with each cost row that phase prices and run over the same columns.
     A positive optimum must come back identical, field by field: "unique"
     when the first optimum was one point, and "least-l1" when it ran that
-    stage, whose program must take the dense tableau's pivots.  "face",
-    when the least-l1 set on the first optimum's face was one point in the
+    stage, whose program must take the reference's pivots.  "face", when
+    the least-l1 set on the first optimum's face was one point in the
     coordinates ``over``, must have the reference's value and its point in
     those coordinates, and an optimal point.  A non-positive optimum ("not
     positive") must have the reference's value and an optimal point."""
     stages = []
     faces = []
+    runs = []
     solve, face_min_l1 = lp.solve, lp._face_min_l1
 
     def counting(program):
@@ -297,13 +291,26 @@ def assert_min_l1_as_reference(prog, over) -> str:
 
     def on_face(tab, over):
         faces.append(over)
+        reset, run = tab._reset_costs, tab.run
+
+        def recording_reset(costs):
+            runs.append([costs, None])
+            reset(costs)
+
+        def recording_run(columns):
+            runs[-1][1] = columns
+            run(columns)
+
+        tab._reset_costs, tab.run = recording_reset, recording_run
         return face_min_l1(tab, over)
 
     lp.solve, lp._face_min_l1 = counting, on_face
     try:
-        got = lp.solve_min_l1(prog, over)
+        got, path = pivot_path(lp.solve_min_l1, prog, over)
     finally:
         lp.solve, lp._face_min_l1 = solve, face_min_l1
+    first, origin_path = pivot_path(reference_from_origin, prog, runs)
+    assert path == origin_path and got.value == first.value, prog
     want = reference_solve_min_l1(prog, over)
     if want.value <= 0:
         assert not stages and not faces and got.value == want.value, prog
@@ -314,10 +321,12 @@ def assert_min_l1_as_reference(prog, over) -> str:
         # coordinates outside over may take any value on the least-l1 set
         assert_optimal_point(prog, got)
         got, want = [(r.value, [r.point[j] for j in over]) for r in (got, want)]
+    else:
+        got, want = [(r.value, r.point) for r in (got, want)]
     # repr also tells an int apart from an equal Fraction
     assert repr(got) == repr(want), prog
     for program in stages:
-        assert_same_pivots_as_dense(program)
+        assert_same_as_reference(program)
     return "least-l1" if stages else "face" if faces else "unique"
 
 
@@ -425,9 +434,11 @@ def test_replay_of_corpus_decisions_matches_reference(corpus):
     # solve none, and the 215 programs of free rank-2, sl(2) and sl(3)
     # frames are settled in closed form (they were 153 LPs before the
     # closed form took the plane).  4 of the 10 run the least-l1 stage and
-    # 6 end with a single least-l1 point on the optimal face.  The closed
-    # form hands 15 sl(3) ties to the stage directly, so 19 stages run,
-    # each on a true tie, and take the dense tableau's pivots.
+    # 6 end with a single least-l1 point on the optimal face; the first
+    # stage and the face phase of each take the pivots of the Fraction
+    # reference from the origin.  The closed form hands 15 sl(3) ties to
+    # the stage directly, so 19 stages run, each on a true tie, and take
+    # the reference's pivots.
     directions, stages = record_direction_lps(corpus)
     assert (len(directions), len(stages)) == (10, 19)
     ways = Counter(assert_min_l1_as_reference(prog, over) for prog, over in directions)
@@ -440,7 +451,7 @@ def test_seed_11_corpus_decisions_match_reference():
     # The same on the seed-11 corpus: 10 direction LPs (152 before the
     # plane closed form), all free rank 3, and 17 least-l1 stages, 15 of
     # them sl(3) ties entered from the closed form; every direction LP
-    # identical to the dense reference and every stage on its pivots.
+    # identical to the reference and every tableau on its pivots.
     directions, stages = record_direction_lps(build_corpus(11))
     assert (len(directions), len(stages)) == (10, 17)
     ways = Counter(assert_min_l1_as_reference(prog, over) for prog, over in directions)
@@ -551,10 +562,10 @@ def small_programs(draw):
 
 
 def test_small_programs_match_reference():
-    # lp.solve against the Fraction reference, and pivot for pivot against
-    # the dense tableau, on every program the reference finds optimal; on
-    # an infeasible or unbounded one lp.solve raises, as such a program is
-    # never posed by the package.
+    # lp.solve against the Fraction reference, pivot for pivot, on every
+    # program the reference finds optimal; on an infeasible or unbounded
+    # one lp.solve raises, as such a program is never posed by the
+    # package.
     statuses = Counter()
 
     @settings(max_examples=300, deadline=None)
@@ -564,45 +575,12 @@ def test_small_programs_match_reference():
         statuses[status] += 1
         if status == OPTIMAL:
             assert_same_as_reference(prog)
-            assert_same_pivots_as_dense(prog)
         else:
             with pytest.raises(RuntimeError, match=status):
                 lp.solve(prog)
 
     check()
     assert all(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)), statuses
-
-
-@settings(max_examples=300, deadline=None)
-@given(small_programs(), st.lists(st.integers(1, 12), min_size=9, max_size=9))
-def test_integer_rows_give_the_tableau_of_their_rational_rows(prog, factors):
-    # The tableau starts from the rational entries times the lcm of their
-    # denominators, however the rows are written over integers: each row and
-    # the objective times a positive factor, over that factor times their
-    # denominator, give the same integers and the same result.
-    assert len(prog.constraints) < len(factors)
-    scaled = lp.LinearProgram(
-        prog.num_vars,
-        tuple([lp.Constraint(tuple([c * k for c in con.coeffs]), con.relation,
-                             con.rhs * k, con.den * k)
-               for con, k in zip(prog.constraints, factors)]),
-        tuple([c * factors[-1] for c in prog.objective]), prog.objective_den * factors[-1])
-    rows = rational_rows(prog)
-    scale = lcm(*[f.denominator for coeffs, _, rhs in rows for f in (*coeffs, rhs)])
-    n = prog.num_vars
-    expected = [[c * scale * (1 if rhs >= 0 else -1) for c in coeffs + [rhs]]
-                for coeffs, _, rhs in rows]
-    tab = lp._Tableau(prog)
-    assert [row[:n] + row[-1:] for row in tab.rows] == expected
-    twin = lp._Tableau(scaled)
-    assert (twin.rows, twin.den, twin.basis) == (tab.rows, tab.den, tab.basis)
-    status = reference_solve(prog).status
-    if status == OPTIMAL:
-        assert repr(lp.solve(scaled)) == repr(lp.solve(prog))
-    else:
-        for program in (prog, scaled):
-            with pytest.raises(RuntimeError, match=status):
-                lp.solve(program)
 
 
 @st.composite
@@ -661,6 +639,78 @@ def origin_programs(draw):
 TIED_FACE = (linear_program(2, [([1, 0], lp.LEQ, 2), ([1, 0], lp.GEQ, -2),
                                 ([1, 1], lp.LEQ, 1)], [1, 1]), range(2))
 SINGLE_ON_FACE = (TIED_FACE[0], range(1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_programs(), origin_programs().map(lambda case: case[0])),
+       st.lists(st.integers(1, 12), min_size=20, max_size=20))
+def test_integer_rows_give_the_tableau_of_their_rational_rows(prog, factors):
+    # The tableau starts from the rational entries times the lcm of their
+    # denominators, however the rows are written over integers: each row and
+    # the objective times a positive factor, over that factor times their
+    # denominator, give the same integers and the same result.  A row keeps
+    # its nonzero entries, the right-hand side at art_start.  From the
+    # artificial basis every row has scale 1.  From the origin, where the
+    # program is feasible there, every inequality's slack is basic, at that
+    # lcm as its entry and the row's scale, and every "=" row keeps its
+    # artificial at scale 1.
+    assert len(prog.constraints) < len(factors)
+    scaled = lp.LinearProgram(
+        prog.num_vars,
+        tuple([lp.Constraint(tuple([c * k for c in con.coeffs]), con.relation,
+                             con.rhs * k, con.den * k)
+               for con, k in zip(prog.constraints, factors)]),
+        tuple([c * factors[-1] for c in prog.objective]), prog.objective_den * factors[-1])
+    rows = rational_rows(prog)
+    scale = lcm(*[f.denominator for coeffs, _, rhs in rows for f in (*coeffs, rhs)])
+    n = prog.num_vars
+    tab = lp._Tableau(prog)
+    end = tab.art_start
+
+    def leading(tab):
+        """Every row's entries on the x+ columns and its right-hand side."""
+        return [{j: x for j, x in row.items() if j < n or j == end} for row in tab.rows]
+
+    def expected(negated):
+        """The same of the rational rows times the lcm, each row negated
+        where negated(relation, rhs) holds."""
+        out = []
+        for coeffs, rel, rhs in rows:
+            f = -scale if negated(rel, rhs) else scale
+            row = {j: c * f for j, c in enumerate(coeffs) if c}
+            if rhs:
+                row[end] = rhs * f
+            out.append(row)
+        return out
+
+    assert leading(tab) == expected(lambda rel, rhs: rhs < 0)
+    assert tab.scales == [1] * len(rows)
+    assert tab.basis == [end + i for i in range(len(rows))]
+    twin = lp._Tableau(scaled)
+    assert (twin.rows, twin.scales, twin.basis) == (tab.rows, tab.scales, tab.basis)
+    if all({lp.LEQ: rhs >= 0, lp.GEQ: rhs <= 0, lp.EQ: rhs == 0}[rel] for _, rel, rhs in rows):
+        origin = lp._Tableau(prog, at_origin=True)
+        assert leading(origin) == expected(lambda rel, rhs: rel == lp.GEQ)
+        assert [b for b in origin.basis if b < end] == list(range(2 * n, end))
+        for i, (_, rel, _) in enumerate(rows):
+            b = origin.basis[i]
+            if rel == lp.EQ:
+                assert (b, origin.scales[i]) == (end + i, 1)
+            else:
+                assert origin.rows[i][b] == origin.scales[i] == scale
+        twin = lp._Tableau(scaled, at_origin=True)
+        assert (twin.rows, twin.scales, twin.basis) == \
+            (origin.rows, origin.scales, origin.basis)
+    else:
+        with pytest.raises(InputError, match="does not hold at the origin"):
+            lp._Tableau(prog, at_origin=True)
+    status = reference_solve(prog).status
+    if status == OPTIMAL:
+        assert repr(lp.solve(scaled)) == repr(lp.solve(prog))
+    else:
+        for program in (prog, scaled):
+            with pytest.raises(RuntimeError, match=status):
+                lp.solve(program)
 
 
 def test_solve_min_l1_matches_reference_on_origin_programs():

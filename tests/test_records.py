@@ -48,9 +48,8 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpResult:
-    status: str
-    value: Fraction | None = None
-    point: tuple[Fraction, ...] | None = None
+    value: Fraction
+    point: tuple[Fraction, ...]
     ray: tuple[Fraction, ...] | None = None
 
 
