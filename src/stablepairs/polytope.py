@@ -5,18 +5,18 @@ which every computation reads; the shared Fraction tuples of the API are
 built on the first read of ``vertices``, so the decision path builds none.
 Construction runs one integer row reduction, which gives the affine hull
 and its rank r with r pivot coordinates on it.  Below rank 3 that settles
-the vertices without a further pass: the two ends of a segment, or
-Andrew's monotone chain on the two pivot coordinates of a polygon.  From
-rank 3 on, and for every facet description whatever its rank, one exact
-integer pass, ``_hull``, gives the facets in the pivot coordinates with the
-points on each by the double-description method; hull vertices are read
-off these incidences.  Membership, inclusion and segment reaches read the
-facet description of the vertex rows (an H-representation), built by that
-pass on a polytope's first query and kept on it.  Degenerate hulls
-(points, segments, lower-dimensional polytopes) are first-class: inside
-its affine hull every polytope is full-dimensional.  The pass sweeps the
-current facets once per point, it does not enumerate r-subsets, and no LP
-is solved.
+the vertices and the facets without a further pass: the two ends of a
+segment, or Andrew's monotone chain on the two pivot coordinates of a
+polygon, whose edges are its facets.  Double description runs only from
+rank 3 on: one exact integer pass, ``_hull``, gives the facets in the pivot
+coordinates with the points on each, and hull vertices are read off these
+incidences.  Membership, inclusion and segment reaches read the facet
+description of the vertex rows (an H-representation), built on a
+polytope's first query and kept on it.  Degenerate hulls (points,
+segments, lower-dimensional polytopes) are first-class: inside its affine
+hull every polytope is full-dimensional.  The pass sweeps the current
+facets once per point, it does not enumerate r-subsets, and no LP is
+solved.
 """
 
 from __future__ import annotations
@@ -250,11 +250,11 @@ def _vertex_rows(points: Iterable[Sequence], scale: int) -> tuple[tuple, int]:
     one ``_affine_pivots`` elimination gives the affine rank r, and the
     pivot coordinates are affine coordinates on the affine hull that order
     the rows as the rows themselves sort.  Below rank 3 no
-    double-description pass runs: of collinear rows the first and last
-    are the vertices, and at rank 2 the monotone chain on the two pivot
-    coordinates gives them (``_chain``).  From rank 3 on, one ``_hull``
-    pass on that elimination does, and a row is a vertex unless another
-    one lies on every facet it lies on."""
+    double-description pass runs: the monotone chain on the first and last
+    pivot coordinates gives the vertices (``_chain``), the two ends of
+    collinear rows.  From rank 3 on, one ``_hull`` pass on that elimination
+    does, and a row is a vertex unless another one lies on every facet it
+    lies on."""
     pts = list(points)
     if type(scale) is not int or scale < 1:
         raise InputError("scale must be a positive integer")
@@ -273,10 +273,8 @@ def _vertex_rows(points: Iterable[Sequence], scale: int) -> tuple[tuple, int]:
     if len(rows) > 2:
         elimination = _affine_pivots(rows)
         pivots = elimination[1]
-        if len(pivots) < 2:
-            rows = [rows[0], rows[-1]]
-        elif len(pivots) == 2:
-            rows = _chain(rows, *pivots)
+        if len(pivots) < 3:
+            rows = sorted(_chain(rows, pivots[0], pivots[-1]))
         else:
             on = [(1 << len(rows)) - 1] * len(rows)  # per row, the rows on all its facets
             for _, _, mask in _hull(rows, elimination)[2]:
@@ -287,10 +285,12 @@ def _vertex_rows(points: Iterable[Sequence], scale: int) -> tuple[tuple, int]:
     return _canonical(rows, scale)
 
 
-def _chain(rows: list[tuple], i: int, j: int) -> list[tuple]:
-    """The vertices of the hull of distinct sorted rows of affine rank 2,
-    in order, by Andrew's monotone chain (1979) on the pivot coordinates i
-    and j of ``_affine_pivots``.
+def _chain(rows: Sequence[tuple], i: int, j: int) -> list[tuple]:
+    """The vertices of the hull of distinct sorted rows of affine rank 1 or
+    2 by Andrew's monotone chain (1979) on the pivot coordinates i <= j of
+    ``_affine_pivots``: counterclockwise in (x_i, x_j) from the first row,
+    and with i = j at rank 1, where no turn is to the left, the first row
+    and the last.
 
     The rows agree before column i, and each column between i and j is an
     affine function of column i on their plane, so lexicographic order is
@@ -300,15 +300,39 @@ def _chain(rows: list[tuple], i: int, j: int) -> list[tuple]:
     def turns_left(a, b, c):
         return (b[i] - a[i]) * (c[j] - a[j]) > (b[j] - a[j]) * (c[i] - a[i])
 
-    kept = set()
+    ring = []
     for sweep in (rows, rows[::-1]):  # the lower chain, then the upper
         chain = []
         for row in sweep:
             while len(chain) > 1 and not turns_left(chain[-2], chain[-1], row):
                 chain.pop()
             chain.append(row)
-        kept.update(chain)
-    return [row for row in rows if row in kept]
+        ring += chain[:-1]  # each chain's last row starts the other
+    return ring
+
+
+def _faces(rows: Sequence[tuple]) -> tuple[list[list[int]], list[int], list]:
+    """``_hull`` of a polytope's vertex rows, sorted and distinct, without a
+    double-description pass below affine rank 3: no facet at rank 0; at
+    rank 1 the two ends, -1 and +1 on the pivot coordinate; at rank 2 one
+    facet per edge (a, b) of the counterclockwise chain, whose outward
+    normal in the pivot coordinates (i, j) is (b_j - a_j, a_i - b_i)."""
+    elimination = _affine_pivots(rows)
+    reduced, pivots, _ = elimination
+    if len(pivots) > 2:
+        return _hull(rows, elimination)
+    facets = []
+    if len(pivots) == 2:
+        i, j = pivots
+        ring = _chain(rows, i, j)
+        bits = {row: 1 << k for k, row in enumerate(rows)}
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            n = (b[j] - a[j], a[i] - b[i])
+            facets.append(_primitive(n, n[0] * a[i] + n[1] * a[j]) + (bits[a] | bits[b],))
+    elif pivots:
+        (c,) = pivots
+        facets = [((-1,), -rows[0][c], 1), ((1,), rows[1][c], 2)]
+    return reduced, pivots, facets
 
 
 def hull_vertices(points: Iterable[Sequence], scale: int = 1) -> tuple[RatVec, ...]:
@@ -374,12 +398,12 @@ class RationalPolytope:
         return row, m
 
     def _facets(self) -> _Facets:
-        """The H-representation of the hull of the vertex rows, from one
-        ``_hull`` pass on the first query; a polytope that is never queried
-        holds none."""
+        """The H-representation of the hull of the vertex rows, built on the
+        first query by ``_faces``, a ``_hull`` pass only from affine rank 3
+        on; a polytope that is never queried holds none."""
         if self._store is None:
             rows = self.rows
-            reduced, pivots, facets = _hull(rows)
+            reduced, pivots, facets = _faces(rows)
             equations = [_primitive(e, sum(map(mul, e, rows[0])))
                          for e in _kernel(reduced, pivots, len(rows[0]))]
             facets.sort()

@@ -213,11 +213,28 @@ def pivot_path(solver, *args):
     return result, [(j, leave) for tab, j, leave in pivots if tab is pivots[0][0]]
 
 
+_REFERENCE_PATHS = {}
+
+
+def reference_path(prog):
+    """``pivot_path(reference_solve, prog)``, memoized by the rational rows
+    and objective of prog, which alone fix the reference's pivots and
+    result.  The tests pose many programs more than once: a least-l1 stage
+    is solved by ``reference_solve_min_l1`` and again by
+    ``assert_same_as_reference``, and decisions repeat direction programs.
+    """
+    key = (prog.num_vars, tuple([(tuple(c), rel, b) for c, rel, b in rational_rows(prog)]),
+           tuple(rational_objective(prog)))
+    if key not in _REFERENCE_PATHS:
+        _REFERENCE_PATHS[key] = pivot_path(reference_solve, prog)
+    return _REFERENCE_PATHS[key]
+
+
 def assert_same_as_reference(prog):
     """lp.solve takes the pivots of the Fraction reference, on a program it
     finds optimal, and returns its value and point."""
     got, path = pivot_path(lp.solve, prog)
-    want, want_path = pivot_path(reference_solve, prog)
+    want, want_path = reference_path(prog)
     assert want.status == OPTIMAL, prog
     assert path == want_path, prog
     # repr also tells an int apart from an equal Fraction
@@ -247,12 +264,12 @@ def reference_solve_min_l1(prog, over):
     origin: two-phase ``reference_solve`` on the program, then, at a
     positive optimum, the least-l1 stage, whatever the shape of the optimal
     set."""
-    first = reference_solve(prog)
+    first = reference_path(prog)[0]
     if first.value <= 0:
         return first
     n, k = prog.num_vars, len(over)
-    second = reference_solve(linear_program(n + k, least_l1_rows(prog, over, first.value),
-                                            [0] * n + [-1] * k))
+    second = reference_path(linear_program(n + k, least_l1_rows(prog, over, first.value),
+                                           [0] * n + [-1] * k))[0]
     return first._replace(point=second.point[:n])
 
 

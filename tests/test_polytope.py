@@ -23,9 +23,10 @@ from stablepairs import (
     standard_simplex,
     support_value,
 )
-from stablepairs import lp, polytope
+from stablepairs import FrameFamily, lp, polytope, stability, verdict
 from stablepairs.polytope import _int_rows, _kernel, _primitive, _shared
 
+from conftest import build_corpus
 from lp_reference import OPTIMAL, linear_program, reference_solve
 
 SL2 = LatticeContext.sl(2)
@@ -709,11 +710,63 @@ def test_low_rank_vertices_match_the_double_description_pass(case):
     ints, _ = _int_rows([tuple(Fraction(c) for c in p) for p in points])
     assert len(polytope._affine_pivots(sorted(set(map(tuple, ints))))[1]) <= 2
     assert polytope._vertex_rows(points, scale) == dd_vertex_rows(points, scale)
+    # and so do the facets, with no double-description pass
+    P = RationalPolytope(points, scale)
+    expected = dd_store(P)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(polytope, "_hull", None)
+        assert P._facets() == expected
+
+
+def dd_store(P) -> tuple:
+    """The facet description of P's vertex rows by the double-description
+    pass at every affine rank, fields as in ``polytope._Facets``."""
+    rows = P.rows
+    reduced, pivots, facets = polytope._hull(rows)
+    equations = [_primitive(e, sum(map(mul, e, rows[0])))
+                 for e in _kernel(reduced, pivots, len(rows[0]))]
+    facets.sort()
+    return (P.scale, tuple(pivots), tuple(equations), tuple([(n, h) for n, h, _ in facets]),
+            tuple([mask for _, _, mask in facets]))
+
+
+@pytest.mark.parametrize("seed, stores, passes", [(20260810, 200, 14), (11, 204, 28)])
+def test_corpus_stores_match_the_double_description_pass(monkeypatch, seed, stores, passes):
+    # From empty shared caches, building and deciding a corpus fills the
+    # facet stores of its queried polytopes.  Each equals the store of the
+    # double-description pass, field by field, and that pass runs only on
+    # rows of affine rank 3: at construction, and for the stores of rank
+    # 3 (212 passes at every rank on the default corpus before the chain
+    # gave the facets below rank 3).
+    for cache in (polytope._shared, stability._sl_identity):
+        cache.cache_clear()
+    ranks = []
+    hull = polytope._hull
+
+    def recording(rows, elimination=None):
+        result = hull(rows, elimination)
+        ranks.append(len(result[1]))
+        return result
+
+    monkeypatch.setattr(polytope, "_hull", recording)
+    instances = build_corpus(seed)
+    for p in instances:
+        verdict(FrameFamily([p]))
+    assert ranks == [3] * passes
+    monkeypatch.undo()
+    polytopes = {id(P): P for p in instances
+                 for P in (p.hull_v, p.hull_w, p.identity_geom, p.q_identity)}
+    filled = [P for P in polytopes.values() if P._store is not None]
+    assert len(filled) == stores
+    for P in filled:
+        assert P._store == dd_store(P), P
 
 
 def test_construction_runs_one_elimination_and_at_most_one_hull_pass(monkeypatch):
     # A rank-3 set runs one elimination and one double-description pass on
-    # it; a rank-2 set only the elimination.
+    # it; a rank-2 set only the elimination.  The first query builds the
+    # facet store from one more elimination, and a double-description pass
+    # only from rank 3 on.
     calls = Counter()
     for name in ("_affine_pivots", "_hull"):
         def counting(*args, fn=getattr(polytope, name), name=name):
@@ -723,5 +776,9 @@ def test_construction_runs_one_elimination_and_at_most_one_hull_pass(monkeypatch
     cube = RationalPolytope(CUBE + [(HALF, HALF, HALF), (HALF, HALF, 0)])
     assert cube.rows == tuple(map(tuple, CUBE)) and calls == {"_affine_pivots": 1, "_hull": 1}
     calls.clear()
+    assert cube.contains_point((HALF, 0, 1)) and calls == {"_affine_pivots": 1, "_hull": 1}
+    calls.clear()
     square = RationalPolytope([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1), (HALF, HALF, 1)])
     assert len(square.rows) == 4 and calls == {"_affine_pivots": 1}
+    calls.clear()
+    assert square.contains_point((HALF, 0, 1)) and calls == {"_affine_pivots": 1}
