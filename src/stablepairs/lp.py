@@ -23,11 +23,10 @@ instead, and calls only ``least_l1_stage``, on an sl(3) tie.  Those
 programs, and the least-l1 stages built from them, are feasible and
 bounded (a run that finds otherwise raises RuntimeError); the first are
 feasible at the origin, so ``solve_min_l1`` starts its first stage there,
-with no phase 1.  When its positive optimum is not provably a single
-point, it minimizes the l1 norm on the optimal face in the same tableau,
-decides exactly whether the least-l1 point is unique in the coordinates
-asked for, and runs the two-phase ``least_l1_stage`` (``solve`` on a
-larger program) only when it is not.
+with no phase 1.  At a positive optimum it minimizes the l1 norm on the
+optimal face in the same tableau, decides exactly whether the least-l1
+point is unique in the coordinates asked for, and runs the two-phase
+``least_l1_stage`` (``solve`` on a larger program) only when it is not.
 """
 
 from __future__ import annotations
@@ -361,19 +360,6 @@ def _moves(tab: _Tableau, fixed: frozenset):
         yield move
 
 
-def _is_unique(tab: _Tableau) -> bool:
-    """Whether the optimum in an optimal tableau is the only optimal point,
-    in the original variables x = x+ - x-.
-
-    Every optimal point is reached from the optimal basis by raising
-    nonbasic columns of zero reduced cost (a positive one must stay at 0).
-    When none of those columns moves x, the optimal set is one point.  The
-    test is sufficient, not necessary: a column blocked by a degenerate row
-    counts as moving, and ``_face_min_l1`` settles that case exactly.
-    """
-    return not any(map(any, _moves(tab, frozenset())))
-
-
 def _face_min_l1(tab: _Tableau, over: Sequence[int]) -> tuple[Fraction, ...] | None:
     """Minimize sum(|x_j|, j in over) on the optimal face of an optimal
     tableau, in place, and return a least-l1 point when the least-l1 set
@@ -387,18 +373,20 @@ def _face_min_l1(tab: _Tableau, over: Sequence[int]) -> tuple[Fraction, ...] | N
     the least-l1 points of the face are the optimal points of this
     program.
 
-    When ``_is_unique`` cannot tell, the columns of positive reduced cost
-    in this cost row are fixed too, and each coordinate x_k in ``over``
-    that some free column moves is maximized and minimized with Bland's
-    rule over the free columns; a pivot on a column of zero reduced cost
-    leaves both cost rows as they were, so every basis visited stays on
-    the least-l1 set.  The point is unique in ``over`` exactly when none
-    of those coordinates moves, and then every least-l1 stage returns it
-    there, whatever its pivot path; callers read no other coordinate.  A
-    coordinate that no free column moves is constant on the set, as every
-    feasible direction is a nonnegative combination of the free columns'.
-    The other coordinates are never maximized, so one that no row bounds,
-    such as an extra variable outside the objective, raises nothing.
+    Then the columns of positive reduced cost in this cost row are fixed
+    too, and each coordinate x_k in ``over`` that some free column moves
+    is maximized and minimized with Bland's rule over the free columns; a
+    pivot on a column of zero reduced cost leaves both cost rows as they
+    were, so every basis visited stays on the least-l1 set.  A coordinate
+    that no free column moves is constant on the set, as every feasible
+    direction is a nonnegative combination of the free columns'.  A column
+    that a degenerate row blocks may count as moving a coordinate that is
+    fixed, which the two runs tell.  The point is unique in ``over``
+    exactly when no coordinate there moves, and then every least-l1 stage
+    returns it there, whatever its pivot path; callers read no other
+    coordinate.  The other coordinates are never maximized, so one that no
+    row bounds, such as an extra variable outside the objective, raises
+    nothing.
     """
     n, width = tab.n, tab.art_start
     fixed = frozenset([j for j, z in tab.zrow.items() if z > 0 and j < width])
@@ -433,18 +421,16 @@ def solve_min_l1(prog: LinearProgram, over: Sequence[int]) -> LpResult:
     The first stage starts from the origin's slack basis (no phase 1); it
     raises InputError when the origin is infeasible, RuntimeError when the
     program is unbounded.  A non-positive optimum comes back with some
-    optimal point, which every caller discards.  When no optimal column
-    moves the original variables (``_is_unique``), the positive optimum is
-    a single point, which any least-l1 stage would return, so it comes back
-    at once.  Otherwise ``_face_min_l1`` minimizes the l1 norm on the
-    optimal face, in the same tableau, and decides exactly whether the
-    least-l1 point is unique in ``over``; when it is, it comes back, for
-    the same reason.  Otherwise the points of least l1 norm tie, and
+    optimal point, which every caller discards.  At a positive optimum
+    ``_face_min_l1`` minimizes the l1 norm on the optimal face, in the same
+    tableau, and decides exactly whether the least-l1 point is unique in
+    ``over``; when it is, it comes back, as every least-l1 stage would
+    return it there.  Otherwise the points of least l1 norm tie, and
     ``least_l1_stage`` picks one.
     """
     tab = _Tableau(prog, at_origin=True)
     first = _optimize(tab, prog)
-    if first.value <= 0 or _is_unique(tab):
+    if first.value <= 0:
         return first
     point = _face_min_l1(tab, over)
     if point is None:

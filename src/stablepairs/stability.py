@@ -299,13 +299,17 @@ def _best_direction(ctx: LatticeContext, rows: list, objective: Sequence[int],
     (``lp.Constraint``), or None when the optimum is not positive.
 
     The first ``ambient_dim`` variables are the direction; a program may
-    carry one more, such as a separation level.  Callers' rows must be
-    homogeneous (right-hand side 0), so the program is feasible at the
-    origin, as ``lp.solve_min_l1`` requires; it must be bounded on the box,
-    so it has an optimum.  RuntimeError otherwise.  A positive optimum with
-    a single least-l1 point gives that point whatever the pivot path; where
-    least-l1 points tie, the least-l1 stage picks one, breaking ties by its
-    pivot path, so the row order of ``_direction_program`` fixes witnesses.
+    carry one more, c, such as a separation level.  Every caller keeps one
+    contract: the rows are homogeneous (right-hand side 0), so the program
+    is feasible at the origin, as ``lp.solve_min_l1`` requires; a row that
+    holds c is a ">=" row with a negative coefficient on c, an upper bound
+    on c; the objective does not lower c, and raises it only where a row
+    bounds it, so the program has an optimum.  ``_best_in_plane`` raises
+    RuntimeError on any other program, the LP path on an unbounded one.
+    A positive optimum with a single least-l1 point gives that point
+    whatever the pivot path; where least-l1 points tie, the least-l1 stage
+    picks one, breaking ties by its pivot path, so the row order of
+    ``_direction_program`` fixes witnesses.
 
     Where the directions span at most a plane, ``_best_in_plane`` settles
     the program without an LP, but for the stage of a tie.
@@ -341,22 +345,20 @@ def _plane(ctx: LatticeContext) -> tuple[tuple[IntVec, ...], tuple]:
     return basis, tuple(points)
 
 
-_FLIPPED = {lp.LEQ: lp.GEQ, lp.EQ: lp.EQ, lp.GEQ: lp.LEQ}
-
-
 def _best_in_plane(ctx: LatticeContext, rows: list, objective: Sequence[int],
                    den: int) -> IntVec | None:
     """``_best_direction`` where the directions span at most a plane: free
     rank <= 2 and sl(<= 3).  Every row and the objective are read in the
-    coordinates t of ``_plane``'s basis.
+    coordinates t of ``_plane``'s basis.  A program outside the contract of
+    ``_best_direction`` raises RuntimeError.
 
-    The rows are homogeneous (RuntimeError otherwise), so the best value
-    F(t) over the extra variable c, if any, is concave and positively
-    homogeneous on the cone of directions where some c satisfies the rows.
-    A row reads k + b*c (relation) 0 at t, with k its value there, which
-    bounds c by -k/b when b is not 0.  Whether c is bounded where the
-    objective rises does not depend on t; when it is not, the program is
-    unbounded (RuntimeError).  A positive optimum lies on the frame's
+    A row without the extra variable c reads a.t >= 0 (a "<=" row is its
+    negation, an "=" row both), and a row with c bounds it from above,
+    c <= a.t / b with b > 0.  Where the objective raises c, the best value
+    F(t) is gain.t + rise * min(a.t / b) over those bounds; where it
+    ignores c, c can sit below every bound and F(t) is gain.t.  Either way
+    F is concave and positively homogeneous on the cone of directions
+    where the rows without c hold.  A positive optimum lies on the frame's
     boundary, where scaling t up would not raise it, and the frame's gauge
     is max |lam_i|.  Along that boundary F changes slope, or the cone ends,
     only at a corner or where a line through the origin crosses: the zero
@@ -377,35 +379,32 @@ def _best_in_plane(ctx: LatticeContext, rows: list, objective: Sequence[int],
     d = ctx.ambient_dim
     basis, points = _plane(ctx)
     rise = objective[d] if len(objective) > d else 0  # on c
-    pure, lows, highs = {}, [], []  # a for a.t >= 0; (a, b) for c >=, <= a.t / b
+    pure, highs = {}, []  # a for a.t >= 0; (a, b) for c <= a.t / b
     for con in rows:
         if con.rhs:
             raise RuntimeError("internal: a direction row is not homogeneous")
-        a, relation = [sum(map(mul, con.coeffs, e)) for e in basis], con.relation
+        a = [sum(map(mul, con.coeffs, e)) for e in basis]
         b = con.coeffs[d] if len(con.coeffs) > d else 0
-        if not b:
-            if any(a):
-                g = gcd(*a)
-                for sign in {lp.LEQ: (-g,), lp.EQ: (g, -g), lp.GEQ: (g,)}[relation]:
-                    pure[tuple([x // sign for x in a])] = None
-            continue
-        if b > 0:
-            a = [-x for x in a]
-        else:
-            b, relation = -b, _FLIPPED[relation]
-        if relation != lp.LEQ:
-            lows.append((a, b))
-        if relation != lp.GEQ:
-            highs.append((a, b))
-    if rise > 0 and not highs or rise < 0 and not lows:
+        if b:
+            if b > 0 or con.relation != lp.GEQ:
+                raise RuntimeError("internal: a direction row bounds the extra variable "
+                                   "other than from above")
+            highs.append((a, -b))
+        elif any(a):
+            g = gcd(*a)
+            for sign in {lp.LEQ: (-g,), lp.EQ: (g, -g), lp.GEQ: (g,)}[con.relation]:
+                pure[tuple([x // sign for x in a])] = None
+    if rise < 0 or rise and not highs:
         raise RuntimeError("internal: the program is unbounded")
+    if not rise:
+        highs = []  # c sits below every bound, so none of them counts
 
     candidates = dict(points)
     if len(basis) == 2:
-        ties = [(l, h) for l in lows for h in highs]
-        ties += combinations(highs if rise > 0 else lows if rise < 0 else (), 2)
         # a.t / x = c.t / y on the line (y a - x c).t = 0
-        for p, q in [*pure, *[[y * u - x * v for u, v in zip(a, c)] for (a, x), (c, y) in ties]]:
+        ties = [[y * u - x * v for u, v in zip(a, c)]
+                for (a, x), (c, y) in combinations(highs, 2)]
+        for p, q in [*pure, *ties]:
             if p or q:
                 g = gcd(p, q)
                 for t in ((q // g, -p // g), (-q // g, p // g)):
@@ -417,20 +416,14 @@ def _best_in_plane(ctx: LatticeContext, rows: list, objective: Sequence[int],
     for t, lam in candidates.items():
         if any(sum(map(mul, a, t)) < 0 for a in pure):
             continue
-        low = high = None
-        for a, b in lows:
-            k = sum(map(mul, a, t))
-            if low is None or k * low[1] > low[0] * b:
-                low = (k, b)
+        high = None  # the least bound on c, k / b
         for a, b in highs:
             k = sum(map(mul, a, t))
             if high is None or k * high[1] < high[0] * b:
                 high = (k, b)
-        if low and high and low[0] * high[1] > high[0] * low[1]:
-            continue
-        c = high if rise > 0 else low if rise < 0 else (0, 1)
-        num = sum(map(mul, gain, t)) * c[1] + rise * c[0]
-        num_den = c[1] * max(map(abs, lam))
+        k, b = high or (0, 1)
+        num = sum(map(mul, gain, t)) * b + rise * k
+        num_den = b * max(map(abs, lam))
         if num * best_den > best_num * num_den:
             best_num, best_den, tied = num, num_den, [lam]
         elif num * best_den == best_num * num_den and num > 0:

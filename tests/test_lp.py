@@ -290,10 +290,10 @@ def assert_min_l1_as_reference(prog, over) -> str:
     Its tableau from the origin must take the pivots of the reference's:
     the first stage's, and in the face phase those of the reference priced
     with each cost row that phase prices and run over the same columns.
-    A positive optimum must come back identical, field by field: "unique"
-    when the first optimum was one point, and "least-l1" when it ran that
-    stage, whose program must take the reference's pivots.  "face", when
-    the least-l1 set on the first optimum's face was one point in the
+    Every positive optimum runs the face phase once.  "least-l1", when it
+    then ran that stage, must come back identical, field by field, and the
+    stage's program must take the reference's pivots.  "face", when the
+    least-l1 set on the first optimum's face was one point in the
     coordinates ``over``, must have the reference's value and its point in
     those coordinates, and an optimal point.  A non-positive optimum ("not
     positive") must have the reference's value and an optimal point."""
@@ -333,8 +333,8 @@ def assert_min_l1_as_reference(prog, over) -> str:
         assert not stages and not faces and got.value == want.value, prog
         assert_optimal_point(prog, got)
         return "not positive"
-    assert len(stages) <= len(faces) <= 1
-    if faces and not stages:
+    assert len(stages) <= len(faces) == 1
+    if not stages:
         # coordinates outside over may take any value on the least-l1 set
         assert_optimal_point(prog, got)
         got, want = [(r.value, [r.point[j] for j in over]) for r in (got, want)]
@@ -344,7 +344,7 @@ def assert_min_l1_as_reference(prog, over) -> str:
     assert repr(got) == repr(want), prog
     for program in stages:
         assert_same_as_reference(program)
-    return "least-l1" if stages else "face" if faces else "unique"
+    return "least-l1" if stages else "face"
 
 
 def test_face_phase_answers_only_a_unique_least_l1_point():
@@ -366,9 +366,9 @@ def test_exact_test_sees_past_a_degenerate_row():
     # optimum x = -1 pins y to 0, so the optimal set is the one point
     # (-1, 0).  Three rows are tight there, and the optimal basis keeps y
     # nonbasic with zero reduced cost: raising or lowering y would move the
-    # point, but the rows y >= 0 and y <= x + 1, basic at 0, block it.  The
-    # sufficient test fails on the first optimum and again on the face;
-    # the exact test finds the point unique, so lp.solve never runs.
+    # point, but the rows y >= 0 and y <= x + 1, basic at 0, block it.  A
+    # column still moves x after the face phase; the exact test finds the
+    # point unique, so lp.solve never runs.
     box = [([1, 0], lp.LEQ, 1), ([1, 0], lp.GEQ, -1)]
     pinned = linear_program(2, box + [([1, -1], lp.GEQ, -1), ([0, 1], lp.GEQ, 0)],
                                [-1, 0])
@@ -394,7 +394,7 @@ def test_exact_test_sees_past_a_degenerate_row():
             assert assert_min_l1_as_reference(prog, over) == "face"
         finally:
             lp._moves = moves
-        assert moved == [True, True]
+        assert moved == [True]
         assert lp.solve_min_l1(prog, over).point == (-1,) + (0,) * (prog.num_vars - 1)
         assert coordinates_are_fixed(prog, over)
 
@@ -731,9 +731,9 @@ def test_integer_rows_give_the_tableau_of_their_rational_rows(prog, factors):
 
 
 def test_solve_min_l1_matches_reference_on_origin_programs():
-    # Positive optima come back identical to the two-stage reference, on
-    # all three ways: a single optimal point, a single least-l1 point on
-    # the optimal face, and the least-l1 stage.
+    # Positive optima come back as from the two-stage reference, both
+    # ways: a single least-l1 point on the optimal face, and the least-l1
+    # stage.
     ways = Counter()
 
     @settings(max_examples=300, deadline=None)
@@ -743,7 +743,7 @@ def test_solve_min_l1_matches_reference_on_origin_programs():
         ways[assert_min_l1_as_reference(*case)] += 1
 
     check()
-    assert ways["unique"] > 0 and ways["face"] > 0 and ways["least-l1"] > 0, ways
+    assert ways["face"] > 0 and ways["least-l1"] > 0, ways
 
 
 def test_unbounded_direction_program_raises():

@@ -887,6 +887,21 @@ def recorded_directions(monkeypatch, run):
     return calls
 
 
+def assert_posed(ctx, rows, objective):
+    """The contract of ``_best_direction``: homogeneous rows, every row
+    that holds the extra variable c a ">=" row with a negative coefficient
+    on it (an upper bound), and an objective that does not lower c and
+    raises it only where a row bounds it; the number of rows that bound
+    c."""
+    d = ctx.ambient_dim
+    assert all(con.rhs == 0 for con in rows)
+    bounds = [con for con in rows if len(con.coeffs) > d and con.coeffs[d]]
+    assert all(con.relation == lp.GEQ and con.coeffs[d] < 0 for con in bounds)
+    rise = objective[d] if len(objective) > d else 0
+    assert rise >= 0 and (bounds or not rise)
+    return len(bounds)
+
+
 @pytest.mark.parametrize("seed,count", [(20260810, 72), (11, 75)])
 def test_line_programs_of_the_corpus_match_the_lp_path(monkeypatch, seed, count):
     # Every direction program of an sl(2) frame met deciding the corpus:
@@ -924,6 +939,37 @@ def test_plane_programs_of_the_corpus_match_the_lp_path(monkeypatch, seed, count
     for _, ctx, rows, objective, den, lam, stages in plane:
         assert (lam, stages) == lp_path(ctx, rows, objective, den)
         assert len(stages) <= 1
+
+
+@pytest.mark.parametrize("seed,counts,bounds", [
+    (20260810, (119, 106, 222, 498), 879), (11, (140, 87, 206, 496), 816)])
+def test_every_direction_program_of_the_corpus_is_posed(monkeypatch, seed, counts, bounds):
+    # Every direction program met deciding the corpus, at every rank, and
+    # finding a degeneration of each w support that keeps its first weight
+    # alone or every weight, keeps the contract of ``_best_direction``:
+    # the closed form reads each row on the extra variable c as an upper
+    # bound and raises on any other, and the LP path takes the same rows.
+    # The semistability witness and the search with dropped weights bound
+    # c in every program; the stability LP and the full-keep-set search
+    # carry none.
+    instances = build_corpus(seed)
+
+    def run():
+        for p in instances:
+            verdict(FrameFamily([p]))
+            weights = p.Aw.weights
+            for keep in ([0], range(len(weights))):
+                find_degeneration(DegenerationProblem(weights, keep, p.context))
+
+    seen, rows_on_c = Counter(), 0
+    for caller, ctx, rows, objective, *_ in recorded_directions(monkeypatch, run):
+        bounded = assert_posed(ctx, rows, objective)
+        seen[caller, bool(bounded)] += 1
+        rows_on_c += bounded
+    assert seen == dict(zip([("_semistability_witness", True), ("_stability_witness", False),
+                             ("find_degeneration", True), ("_nonzero_annihilator", False)],
+                            counts))
+    assert rows_on_c == bounds
 
 
 @st.composite
@@ -999,6 +1045,7 @@ def test_line_programs_from_every_caller_match_the_lp_path(monkeypatch):
         calls = recorded_directions(
             monkeypatch, lambda: (verdict(FrameFamily([p])), find_degeneration(prob)))
         for caller, ctx, rows, objective, den, lam, stages in calls:
+            assert_posed(ctx, rows, objective)
             assert (lam, stages) == (lp_path_direction(ctx, rows, objective, den), [])
             assert lam == best_on_line(ctx, rows, objective)
             seen[caller] += 1
@@ -1025,6 +1072,7 @@ def test_plane_programs_from_every_caller_match_the_lp_path(monkeypatch):
         calls = recorded_directions(
             monkeypatch, lambda: (verdict(FrameFamily([p])), find_degeneration(prob)))
         for caller, ctx, rows, objective, den, lam, stages in calls:
+            assert_posed(ctx, rows, objective)
             assert (lam, stages) == lp_path(ctx, rows, objective, den)
             assert not (stages and ctx == FREE2)
             seen[caller, "tie" if stages else lam is not None] += 1
@@ -1049,13 +1097,34 @@ def test_line_path_rejects_a_row_that_is_not_homogeneous(ctx):
 
 
 def test_line_path_raises_on_an_unbounded_program():
-    # maximize c subject to c >= <lam, 1>: c has no upper bound at any lam
+    # maximize c, which no row bounds
+    with pytest.raises(RuntimeError, match="unbounded"):
+        stability._best_direction(LatticeContext.free(1), [], (0, 1), 1)
+
+
+def test_line_path_rejects_a_lower_bound_on_the_extra_variable():
+    # maximize c subject to c >= <lam, 1>: a lower bound on c, which no
+    # caller poses, is an internal error in the closed form; the LP path
+    # finds the program unbounded, as c has no upper bound at any lam
     ctx = LatticeContext.free(1)
     rows = [lp.Constraint((-1, 1), lp.GEQ, 0, 1)]
-    with pytest.raises(RuntimeError, match="unbounded"):
+    with pytest.raises(RuntimeError, match="other than from above"):
         stability._best_direction(ctx, rows, (0, 1), 1)
     with pytest.raises(RuntimeError, match="unbounded"):
         lp_path_direction(ctx, rows, (0, 1), 1)
+
+
+@pytest.mark.parametrize("ctx", LINES + PLANES)
+@pytest.mark.parametrize("relation,b", [(lp.LEQ, 1), (lp.LEQ, -1), (lp.EQ, -1), (lp.GEQ, 1)])
+def test_closed_form_rejects_a_row_that_bounds_c_other_than_from_above(ctx, relation, b):
+    # next to an upper bound c <= <lam, 1>, so the program is bounded: a
+    # "<=" row (even an upper bound written so), an "=" row, or a ">=" row
+    # with a positive coefficient on c
+    d = ctx.ambient_dim
+    rows = [lp.Constraint((1,) * d + (-1,), lp.GEQ, 0, 1),
+            lp.Constraint((0,) * d + (b,), relation, 0, 1)]
+    with pytest.raises(RuntimeError, match="other than from above"):
+        stability._best_direction(ctx, rows, (0,) * d + (1,), 1)
 
 
 @pytest.mark.parametrize("ctx", PLANES)
@@ -1099,28 +1168,34 @@ def test_an_extra_variable_in_no_row_is_no_error(monkeypatch):
 
 @st.composite
 def homogeneous_programs(draw, contexts):
-    """A homogeneous program in one of ``contexts``, with or without an
-    extra variable c: small integer rows of every relation over
-    denominators 1-3.  With c, two of the rows bound it from below and
-    from above, so the program is bounded; those two leave no c where the
-    lower bound passes the upper, and the other rows, which may hold no c,
-    cut off rays or bound c again."""
+    """A program posed as ``_best_direction`` requires, in one of
+    ``contexts``, with or without an extra variable c: up to four small
+    integer rows without c of every relation over denominators 1-3, which
+    cut off rays, and with c one to three ">=" rows with a negative
+    coefficient on it, which bound it from above, and an objective that
+    raises c or ignores it."""
     ctx = draw(st.sampled_from(contexts))
     d = ctx.ambient_dim
     extra = draw(st.booleans())
-    coeffs = st.tuples(*[st.integers(-2, 2)] * (d + extra))
-    rows = draw(st.lists(st.builds(lp.Constraint, coeffs, st.sampled_from((lp.LEQ, lp.EQ, lp.GEQ)),
-                                   st.just(0), st.integers(1, 3)), max_size=4))
+    direction = st.tuples(*[st.integers(-2, 2)] * d)
+    rows = [lp.Constraint(a + (0,) * extra, relation, 0, den)
+            for a, relation, den in draw(st.lists(st.tuples(
+                direction, st.sampled_from((lp.LEQ, lp.EQ, lp.GEQ)), st.integers(1, 3)),
+                max_size=4))]
+    objective = draw(direction)
     if extra:
-        direction = st.tuples(*[st.integers(-2, 2)] * d)
-        rows += [lp.Constraint(draw(direction) + (b,), lp.GEQ, 0, 1) for b in (1, -1)]
-    return ctx, draw(st.permutations(rows)), draw(coeffs)
+        rows += [lp.Constraint(a + (-b,), lp.GEQ, 0, den)
+                 for a, b, den in draw(st.lists(st.tuples(
+                     direction, st.integers(1, 2), st.integers(1, 3)), min_size=1, max_size=3))]
+        objective += (draw(st.integers(0, 2)),)
+    return ctx, draw(st.permutations(rows)), objective
 
 
 @settings(max_examples=400, deadline=None)
 @given(homogeneous_programs(LINES))
 def test_line_path_matches_the_lp_path_on_homogeneous_programs(case):
     ctx, rows, objective = case
+    assert_posed(ctx, rows, objective)
     expected = lp_path_direction(ctx, rows, objective, 1)
     assert stability._best_direction(ctx, rows, objective, 1) == expected
     assert best_on_line(ctx, rows, objective) == expected
@@ -1130,14 +1205,16 @@ def test_plane_path_matches_the_lp_path_on_homogeneous_programs(monkeypatch):
     # Random homogeneous programs in free rank 2 and sl(3): the closed form
     # returns the LP path's direction and runs the least-l1 stage exactly
     # where it does, on the same program and optimum.  The draws hold
-    # directions where the interval of c is empty, rays that a row without
-    # c cuts off, and ties.
+    # rays that a row without c cuts off, ties, and objectives that raise c
+    # under two or more bounds, whose pairwise ties add candidates.
     seen = Counter()
 
     @settings(max_examples=500, deadline=None)
     @given(homogeneous_programs(PLANES))
     def check(case):
         ctx, rows, objective = case
+        if assert_posed(ctx, rows, objective) > 1 and objective[-1]:
+            seen["c under two bounds"] += 1
         [(*_, lam, stages)] = recorded_directions(
             monkeypatch, lambda: stability._best_direction(ctx, rows, objective, 1))
         assert (lam, stages) == lp_path(ctx, rows, objective, 1)
@@ -1146,12 +1223,6 @@ def test_plane_path_matches_the_lp_path_on_homogeneous_programs(monkeypatch):
         d = ctx.ambient_dim
         for _, point in stability._plane(ctx)[1]:
             ks = [sum(c * x for c, x in zip(con.coeffs, point)) for con in rows]
-            bounds = [(Fraction(-k, con.coeffs[d]), con.relation, con.coeffs[d] > 0)
-                      for k, con in zip(ks, rows) if len(con.coeffs) > d and con.coeffs[d]]
-            lows = [t for t, rel, up in bounds if rel == lp.EQ or (rel == lp.GEQ) == up]
-            highs = [t for t, rel, up in bounds if rel == lp.EQ or (rel == lp.LEQ) == up]
-            if lows and highs and max(lows) > min(highs):
-                seen["empty interval"] += 1
             if any(k and (len(con.coeffs) == d or not con.coeffs[d])
                    and con.relation != (lp.GEQ if k > 0 else lp.LEQ)
                    for k, con in zip(ks, rows)):
@@ -1159,5 +1230,5 @@ def test_plane_path_matches_the_lp_path_on_homogeneous_programs(monkeypatch):
 
     check()
     for key in (("free", True), ("free", False), ("sl", True), ("sl", False), ("sl", "tie"),
-                "empty interval", "ray cut off"):
+                "ray cut off", "c under two bounds"):
         assert seen[key] > 0, (key, seen)
