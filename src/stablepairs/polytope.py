@@ -10,7 +10,7 @@ segment, or Andrew's monotone chain on the two pivot coordinates of a
 polygon, whose edges are its facets.  Double description runs only from
 rank 3 on: one exact integer pass, ``_hull``, gives the facets in the pivot
 coordinates with the points on each, and hull vertices are read off these
-incidences.  Membership, inclusion and segment reaches read the facet
+incidences.  Membership, inclusion and least segment reaches read the facet
 description of the vertex rows (an H-representation), built on a
 polytope's first query and kept on it.  Degenerate hulls (points,
 segments, lower-dimensional polytopes) are first-class: inside its affine
@@ -187,27 +187,28 @@ class _Facets(NamedTuple):
                 return False
         return True
 
-    def reach(self, A: Sequence[int], ma: int, B: Sequence[int], mb: int) -> tuple[int, int]:
-        """Largest t in [0, 1] with a + t(b - a) in the hull, for a = A/ma in
-        it and b = B/mb, as (numerator, positive denominator): 0 when b - a
-        leaves the direction space of the affine hull, otherwise the least t
-        at which the segment crosses a facet it rises towards, capped at 1.
-        """
-        step = [x * ma - y * mb for x, y in zip(B, A)]  # ma*mb*(b - a)
-        for e, _ in self.equations:
-            if sum(map(mul, e, step)):
-                return 0, 1
+    def reach(self, As: Sequence, ma: int, Bs: Sequence, mb: int) -> tuple[int, int]:
+        """Least t_ab, the largest t in [0, 1] with a + t(b - a) in the hull,
+        over a = A/ma in it for A in As and b = B/mb for B in Bs, as
+        (numerator, positive denominator).  0 when some b leaves the affine
+        hull.  Else, as t_ab falls with <n, a> and with <n, b>, a facet
+        n.x <= h whose largest value hB over the b exceeds h bounds every t_ab
+        by (h - hA)/(hB - hA), hA the largest value over the a; the least of
+        those bounds, capped at 1."""
         L = self.scale
-        AP = [A[c] for c in self.pivots]
-        SP = [step[c] for c in self.pivots]
+        for e, c in self.equations:
+            if any(sum(map(mul, e, B)) * L != c * mb for B in Bs):
+                return 0, 1
+        AP, BP = ([[X[c] for c in self.pivots] for X in Xs] for Xs in (As, Bs))
         num, den = 1, 1
         for n, h in self.facets:
-            rise = sum(map(mul, n, SP))
-            if rise > 0:
-                # <n, L(a + t(b - a))_P> = h at t = (h*ma - L<n, A_P>) mb / (L rise)
-                slack = (h * ma - L * sum(map(mul, n, AP))) * mb
-                if slack * den < num * L * rise:
-                    num, den = slack, L * rise
+            nb = max([sum(map(mul, n, Y)) for Y in BP])
+            if nb * L > h * mb:
+                na = max([sum(map(mul, n, X)) for X in AP])
+                # (h - hA)/(hB - hA) with hA = L na/ma and hB = L nb/mb
+                slack, rise = (h * ma - L * na) * mb, L * (nb * ma - na * mb)
+                if slack * den < num * rise:
+                    num, den = slack, rise
         return num, den
 
 
@@ -417,12 +418,13 @@ class RationalPolytope:
         return self._facets().contains(*self._row(y))
 
     def reach(self, a: Sequence, b: Sequence) -> Fraction:
-        """Largest t in [0, 1] with a + t*(b - a) in the polytope, for a
-        point a of the polytope; any other a is an ``InputError``."""
-        facets, A = self._facets(), self._row(a)
-        if not facets.contains(*A):
+        """Largest t in [0, 1] with a + t*(b - a) in the polytope, the facet
+        store's reach over one pair; an a outside is an ``InputError``."""
+        facets, (A, ma) = self._facets(), self._row(a)
+        if not facets.contains(A, ma):
             raise InputError("reach needs a starting point inside the polytope")
-        return Fraction(*facets.reach(*A, *self._row(b)))
+        B, mb = self._row(b)
+        return Fraction(*facets.reach([A], ma, [B], mb))
 
     def scaled(self, s) -> "RationalPolytope":
         """The polytope s*P for a rational s >= 0, without a hull pass: for

@@ -14,10 +14,12 @@ polytope geometry on the weight polytopes:
 For a semistable pair the last two are one question.  With t_ab the reach
 of the segment from a vertex a of N(v) towards a vertex b of q*N(I) inside
 N(w), the pair is stable exactly when every t_ab is positive, and then the
-least margin is m = ceil(1 / min t_ab).  So one pass of segment reaches,
-read off the facet description of N(w) without an LP, decides stability
-and fixes m.  A stability LP runs only at a pair of zero reach (elsewhere
-its optimum cannot be positive), to extract the witness of an unstable pair.
+least margin is m = ceil(1 / min t_ab).  That least reach takes no pair:
+each facet n.x <= h of N(w) needs only the largest values of n on N(v) and
+q*N(I), so one pass over the facets, without an LP, decides stability and
+fixes m.  Only a zero walks the pairs: a stability LP runs at each pair of
+zero reach (elsewhere its optimum cannot be positive) until one gives the
+witness of an unstable pair.
 
 In sl mode the geometry happens on the trace-zero projections of the
 integer weights, kept as integers N times over, while every weight
@@ -513,12 +515,10 @@ def _margin_or_witness(p: PairInstance) -> tuple[int | None, IntVec | None]:
 
     For vertices a of N(v) and b of q*N(I), t_ab is the largest t in [0, 1]
     with a + t(b - a) in N(w); each a lies in the convex N(w), so those t
-    form the interval [0, t_ab].  t_ab is read off the facet description of
-    N(w): 0 when b - a leaves the direction space of its affine hull, else
-    the least t at which the segment crosses a facet, capped at 1.  The
-    combination (1 - 1/m) N(v) + (1/m) q N(I) is the hull of the points
-    a + (1/m)(b - a), so it fits in N(w) exactly when 1/m <= t_ab for every
-    pair, and m is the ceiling of 1 / min t_ab.
+    form the interval [0, t_ab].  (1 - 1/m) N(v) + (1/m) q N(I) is the hull
+    of the points a + (1/m)(b - a), so it fits in N(w) exactly when
+    1/m <= t_ab for every pair.  ``_Facets.reach`` of both vertex sets gives
+    t = min t_ab in one pass over the facets of N(w), and m = ceil(1 / t).
 
     The frame is stable exactly when every t_ab is positive.  t_ab = 0 means
     b - a leaves the tangent cone of N(w) at a, i.e. some lam in the normal
@@ -528,24 +528,22 @@ def _margin_or_witness(p: PairInstance) -> tuple[int | None, IntVec | None]:
     t_{u p_hat} = 0.  In sl mode the same holds inside the trace-zero
     hyperplane, where all the projected points lie.
 
-    So the witness LP runs only at zero reaches, in the order of the pass.
-    A vertex a with a zero reach always yields a witness: the lam above
-    attains its minimum on q*N(I) at a vertex p_hat, and t_{a p_hat} = 0.
+    So only a zero least reach walks the pairs, a over the rows of N(v) and
+    then b over those of q*N(I), and the witness LP runs at each pair of
+    zero reach until one is positive.  A vertex a with a zero reach always
+    yields a witness: the lam above attains its minimum on q*N(I) at a
+    vertex p_hat, and t_{a p_hat} = 0.
     """
     V, Q = p.hull_v, p.q_identity
     facets = p.hull_w._facets()
-    num, den = 1, 1  # the least reach so far, num/den
-    for A in V.rows:
-        reaches = [facets.reach(A, V.scale, B, Q.scale) for B in Q.rows]
-        for B, (t, _) in zip(Q.rows, reaches):
-            if t == 0 and (lam := _stability_witness(p, A, B)) is not None:
-                return None, lam
-        for t, u in reaches:
-            if t == 0:
-                raise RuntimeError("internal: zero segment reach without a stability witness")
-            if t * den < num * u:
-                num, den = t, u
-    return -(-den // num), None
+    num, den = facets.reach(V.rows, V.scale, Q.rows, Q.scale)
+    if num:
+        return -(-den // num), None
+    for A, B in product(V.rows, Q.rows):
+        if not facets.reach([A], V.scale, [B], Q.scale)[0] and (
+                lam := _stability_witness(p, A, B)) is not None:
+            return None, lam
+    raise RuntimeError("internal: zero segment reach without a stability witness")
 
 
 def is_stable(p: PairInstance) -> tuple[bool, IntVec | None]:
@@ -559,7 +557,7 @@ def is_stable(p: PairInstance) -> tuple[bool, IntVec | None]:
 def minimal_uniform_m(p: PairInstance) -> int | None:
     """Least m >= 1 with (1 - 1/m) N(v) + (1/m) q N(I) inside N(w), or None
     when the instance is not stable.  A view of ``verdict`` on the single
-    frame; the margin comes from the same segment reaches that decide
+    frame; the margin comes from the same least segment reach that decides
     stability (see ``_margin_or_witness``)."""
     return verdict(FrameFamily([p])).uniform_m
 
@@ -579,10 +577,10 @@ def verdict(family: FrameFamily) -> StabilityVerdict:
     """Conjoin per-frame decisions; witness and frame index come from the
     first failing frame, and the uniform margin is the max over frames.
 
-    Semistability is decided first on every frame.  Then one pass of
-    segment reaches per frame decides stability and gives that frame's
-    margin; the per-(u, p_hat) stability LP runs only at the zero reaches
-    of the first frame found unstable, to extract its witness.
+    Semistability is decided first on every frame.  Then one least segment
+    reach per frame decides stability and gives that frame's margin; the
+    per-(u, p_hat) stability LP runs only at the zero reaches of the first
+    frame found unstable, to extract its witness.
     """
     for idx, frame in enumerate(family.frames):
         ok, wit = is_semistable(frame)

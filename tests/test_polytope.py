@@ -214,19 +214,26 @@ def reference_hull(points):
 def assert_facet_path_matches_lp(points, probes):
     """hull_vertices, contains_point and reach of the hull of the points
     against the LP references, at every probe, and from every probe inside
-    the hull towards every probe."""
+    the hull towards every probe; and the facet store's reach from all the
+    probes inside towards all the probes against the least of those."""
     P = RationalPolytope(points)
     assert P.vertices == reference_hull(points)
     probes = [tuple(Fraction(c) for c in y) for y in probes]
     inside = [y for y in probes if P.contains_point(y)]
     for y in probes:
         assert (y in inside) == _in_hull(P.vertices, y), (P, y)
+    least = 1
     for a in inside:
         for b in probes:
             # the hull is convex, so a segment between points inside is
             # inside; the LP reference answers the others
             want = 1 if b in inside else reference_reach(P.vertices, a, b)
             assert P.reach(a, b) == want, (P, a, b)
+            least = min(least, want)
+    if inside:
+        rows, scale = _int_rows(inside + probes)
+        got = P._facets().reach(rows[:len(inside)], scale, rows[len(inside):], scale)
+        assert Fraction(*got) == least, (P, inside, probes)
 
 
 def F(*xs):
@@ -318,6 +325,35 @@ def test_reach_needs_a_start_inside():
     for a, b in (((5, 5), (6, 6)), ((2, 2), (0, 0))):
         with pytest.raises(InputError, match="inside the polytope"):
             tri.reach(a, b)
+
+
+def test_reach_over_point_sets_is_the_least_pair_reach():
+    # Different facets bind different pairs: in the square [0, 4]^2 the
+    # first pair leaves through x = 4 at 3/5, and the least reach, 1/3,
+    # belongs to the next two, one through y = 4 and one through x = 4.
+    square = RationalPolytope([(0, 0), (4, 0), (0, 4), (4, 4)])
+    As, Bs = [(1, 3), (3, 1)], [(6, 1), (1, 6)]
+    assert [square.reach(a, b) for a in As for b in Bs] == \
+        [Fraction(3, 5), Fraction(1, 3), Fraction(1, 3), Fraction(3, 5)]
+    store = square._facets()
+    assert Fraction(*store.reach(As, 1, Bs, 1)) == Fraction(1, 3)
+    assert Fraction(*store.reach(As[:1], 1, Bs, 1)) == Fraction(1, 3)
+    # every b inside: capped at 1
+    assert Fraction(*store.reach(As, 1, [(4, 4), (2, 0)], 1)) == 1
+
+
+def test_reach_over_point_sets_is_zero_when_one_b_leaves_the_affine_hull():
+    # A segment and a triangle in space: one b off the affine hull gives 0,
+    # however far the others reach, and a b in the affine hull but outside
+    # the hull gives a positive reach.
+    segment = RationalPolytope([(0, 0), (4, 0)])
+    triangle = RationalPolytope([(0, 0, 0), (4, 0, 0), (0, 4, 0)])
+    for P, a, outside, off in ((segment, (2, 0), (8, 0), (2, 1)),
+                               (triangle, (1, 1, 0), (7, 1, 0), (1, 1, 1))):
+        store = P._facets()
+        assert Fraction(*store.reach([a], 1, [a, outside], 1)) == Fraction(1, 3)
+        assert Fraction(*store.reach([a], 1, [a, off, outside], 1)) == 0
+        assert P.reach(a, off) == 0
 
 
 def test_vertices_need_no_membership_lp(monkeypatch):

@@ -625,9 +625,32 @@ def reference_violation(p):
     return None
 
 
+def reference_margin_or_witness(p):
+    """The pair pass that decided a semistable frame before the least reach
+    over the facets of N(w): for each vertex row A of N(v), the reach towards
+    every vertex row B of q*N(I), the witness LP at each zero reach in turn,
+    then a running least reach over the row's reaches.  (m, None) when
+    stable, (None, lam) otherwise."""
+    V, Q = p.hull_v, p.q_identity
+    facets = p.hull_w._facets()
+    num, den = 1, 1  # the least reach so far, num/den
+    for A in V.rows:
+        reaches = [facets.reach([A], V.scale, [B], Q.scale) for B in Q.rows]
+        for B, (t, _) in zip(Q.rows, reaches):
+            if t == 0 and (lam := stability._stability_witness(p, A, B)) is not None:
+                return None, lam
+        for t, u in reaches:
+            if t == 0:
+                raise RuntimeError("internal: zero segment reach without a stability witness")
+            if t * den < num * u:
+                num, den = t, u
+    return -(-den // num), None
+
+
 def matches_reference(p) -> bool:
     """On a semistable instance, check verdict's stable flag and witness
-    against the reference scan and return True; return False otherwise."""
+    against the reference scan, and its margin and witness against the
+    pair pass, and return True; return False otherwise."""
     if not is_semistable(p)[0]:
         return False
     v = verdict(FrameFamily([p]))
@@ -636,11 +659,33 @@ def matches_reference(p) -> bool:
     assert v.stable == (expected is None)
     assert v.witness == expected
     assert (v.uniform_m is None) == (expected is not None)
+    assert (v.uniform_m, v.witness) == reference_margin_or_witness(p)
     return True
 
 
 def test_verdict_matches_reference_scan_on_corpus(corpus):
-    assert sum(matches_reference(p) for p in corpus) == 131
+    # the default-seed corpus and the one at seed 11
+    assert [sum(map(matches_reference, instances))
+            for instances in (corpus, build_corpus(11))] == [131, 110]
+
+
+def test_margin_of_a_large_free_rank_4_frame_matches_the_pair_pass():
+    # Far larger than any corpus frame: 30 v-weights in [-2, 2]^4, also
+    # among the w-weights, and 50 more w-weights in [-4, 4]^4, with q = 3
+    # and the box identity.  N(v) has 25 vertices, q*N(I) 16 and N(w) 135
+    # facets.  The least reach over the facets gives the pair pass's margin
+    # over all 400 pairs, and the combination fits at m but not at m - 1.
+    rng = random.Random(27)
+    v = [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(30)]
+    w = v + [tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(50)]
+    ctx = LatticeContext.free(4)
+    p = PairInstance(WeightSupport(v, ctx), WeightSupport(w, ctx), 3,
+                     identity_polytope("box", 4))
+    assert (len(p.hull_v.rows), len(p.q_identity.rows),
+            len(p.hull_w._facets().facets)) == (25, 16, 135)
+    assert reference_margin_or_witness(p) == (9, None)
+    assert minimal_uniform_m(p) == 9
+    assert included_at(p, 9) and not included_at(p, 8)
 
 
 @st.composite
