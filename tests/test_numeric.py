@@ -1,4 +1,7 @@
+import copy
+import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -45,6 +48,8 @@ def test_norm_sq_validation():
         norm_sq(TorusPoint((1.0,)), cw)
     with pytest.raises(InputError):
         TorusPoint((1.0, 0.0))
+    with pytest.raises(InputError):
+        TorusPoint((float("inf"), 1.0))
     with pytest.raises(InputError):
         CoefficientVector(DIAMOND, (1.0, 1.0, 1.0))
     with pytest.raises(InputError):
@@ -319,6 +324,78 @@ def test_numeric_layer_matches_reference_on_generic_floats():
 
         cv, cw = tied_support(), tied_support()
         assert_same_float(slope_along(lam, cv, cw), reference_slope_along(lam, cv, cw))
+
+
+@pytest.fixture(scope="module")
+def kernel_pairs():
+    """Pairs of coefficient vectors whose kernels stretch the generated
+    source: 2,000 weights, rank 40 with every coordinate nonzero, a support
+    with no coordinate terms, a single weight, repeated weights combined by
+    from_pairs, and a coordinate whose doubled coefficient overflows to inf."""
+    rng = random.Random(2828)
+
+    def mags(support):
+        return [10 ** rng.uniform(-2, 2) for _ in support.weights]
+
+    free3 = LatticeContext.free(3)
+    cube = list(itertools.product(range(-6, 7), repeat=3))
+    big = WeightSupport(rng.sample(cube, 2000), free3)
+    small = WeightSupport(rng.sample(cube, 7), free3)
+    free40 = LatticeContext.free(40)
+    nonzero = (-3, -2, -1, 1, 2, 3)
+
+    def dense(count):
+        return WeightSupport([tuple(rng.choice(nonzero) for _ in range(40))
+                              for _ in range(count)], free40)
+
+    dense_v, dense_w = dense(12), dense(25)
+    single = WeightSupport([(2, -1)], FREE2)
+    pts = [(1, 0), (0, 1), (1, 0), (-1, -1), (0, 1), (1, 0)]
+    repeated = CoefficientVector.from_pairs(
+        zip(pts, [10 ** rng.uniform(-2, 2) for _ in pts]), FREE2)
+    huge = WeightSupport([(10 ** 308, 0), (0, 1)], FREE2)
+    return [
+        (CoefficientVector(small, mags(small)), CoefficientVector(big, mags(big))),
+        (CoefficientVector(dense_v, mags(dense_v)),
+         CoefficientVector(dense_w, mags(dense_w))),
+        (CoefficientVector.units(ORIGIN), CoefficientVector(single, (3.7,))),
+        (CoefficientVector(single, (0.2,)), repeated),
+        (CoefficientVector.units(ORIGIN), CoefficientVector.units(huge)),
+    ]
+
+
+def test_kernels_match_reference_on_extreme_supports(kernel_pairs):
+    rng = random.Random(5)
+    for cv, cw in kernel_pairs:
+        dim = cv.support.context.ambient_dim
+        for _ in range(12):
+            lam = [0] * dim
+            while not any(lam):
+                lam = [rng.randint(-3, 3) for _ in range(dim)]
+            t = TorusPoint([2 ** rng.uniform(-1, 1) for _ in range(dim)])
+            assert_same_float(slope_along(lam, cv, cw),
+                              reference_slope_along(lam, cv, cw))
+            assert_same_float(p_value(t, cv, cw), reference_p_value(t, cv, cw))
+            assert_same_float(norm_sq(t, cv), reference_norm_sq(t, cv))
+            assert_same_float(norm_sq(t, cw), reference_norm_sq(t, cw))
+        # every coordinate of the direction is converted to a float, even
+        # one that no weight uses
+        with pytest.raises(OverflowError):
+            slope_along([10 ** 400] + [0] * (dim - 1), cv, cv)
+
+
+def test_kernels_survive_pickle_and_copy(kernel_pairs):
+    rng = random.Random(6)
+    for cv, cw in kernel_pairs:
+        dim = cv.support.context.ambient_dim
+        lam = [rng.randint(1, 3) for _ in range(dim)]
+        for back_v, back_w in ((pickle.loads(pickle.dumps(cv)),
+                                pickle.loads(pickle.dumps(cw))),
+                               (copy.copy(cv), copy.copy(cw))):
+            assert back_v == cv and back_w == cw
+            assert back_w._kernel is not cw._kernel
+            assert_same_float(slope_along(lam, back_v, back_w),
+                              slope_along(lam, cv, cw))
 
 
 def test_precomputed_terms_leave_equality_hash_and_repr_alone():
