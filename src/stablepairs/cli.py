@@ -1,4 +1,4 @@
-"""Command-line front end: instance files, verdicts, corpus generation.
+"""Command-line front end: instance files and verdicts.
 
 Instance files are UTF-8 JSON with every integer and rational carried as a
 string ("-3", "1/2") so that exact data never round-trips through floats.
@@ -418,8 +418,10 @@ def _cmd_slope(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    if args.dim < 1:
-        raise SchemaError("--dim must be positive")
+    from . import generate
+
+    if not 1 <= args.dim <= 16:  # a box identity has 2^dim points
+        raise SchemaError("--dim must be between 1 and 16")
     if args.max_coord < 1:
         raise SchemaError("--max-coord must be positive")
     if args.count < 1:
@@ -431,7 +433,7 @@ def _cmd_corpus(args) -> int:
         raise SchemaError(f"cannot create --out directory {out_dir}: {exc}") from exc
     rng = random.Random(args.seed)
     for i in range(args.count):
-        data = random_instance_dict(rng, args.dim, args.max_coord)
+        data = generate.instance_dict(rng, args.dim, args.max_coord)
         path = out_dir / f"corpus-{args.seed}-{i:03d}.json"
         try:
             path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n",
@@ -440,78 +442,6 @@ def _cmd_corpus(args) -> int:
             raise SchemaError(f"cannot write {path}: {exc}") from exc
         print(path)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# Random instances (reproducible from the caller's rng)
-
-_IDENTITY_SHAPES = ("box", "diamond")
-
-
-def _identity_points(shape: str, dim: int) -> list[tuple[int, ...]]:
-    if shape == "box":
-        return [tuple(s) for s in itertools.product((-1, 1), repeat=dim)]
-    points = []
-    for i in range(dim):
-        e = [0] * dim
-        e[i] = 1
-        points.append(tuple(e))
-        e2 = [0] * dim
-        e2[i] = -1
-        points.append(tuple(e2))
-    return points
-
-
-def _free_q(shape: str, weights) -> int:
-    """Least q >= 1 with every weight inside q times the unit box (max
-    absolute coordinate) or the unit diamond (l1 norm)."""
-    norm = max if shape == "box" else sum
-    return max([1] + [norm(abs(c) for c in a) for a in weights])
-
-
-def _random_support(rng: random.Random, dim: int, max_coord: int) -> list:
-    size = rng.randint(1, 4)
-    return [tuple(rng.randint(-max_coord, max_coord) for _ in range(dim))
-            for _ in range(size)]
-
-
-def random_instance_dict(rng: random.Random, dim: int, max_coord: int) -> dict:
-    """One schema-valid random instance; reproducible from the rng state."""
-    mode = rng.choice(("free", "sl")) if dim >= 2 else "free"
-    n_frames = 1 if rng.random() < 0.8 else 2
-
-    frames = []
-    supports = []
-    for _ in range(n_frames):
-        v = _random_support(rng, dim, max_coord)
-        w = _random_support(rng, dim, max_coord)
-        supports.append((v, w))
-        frames.append({
-            "v_support": [[str(c) for c in a] for a in v],
-            "w_support": [[str(c) for c in a] for a in w],
-        })
-
-    if mode == "free":
-        shape = rng.choice(_IDENTITY_SHAPES)
-        q = _free_q(shape, [a for v, _ in supports for a in v])
-        return {
-            "mode": "free",
-            "rank": str(dim),
-            "q": str(q),
-            "identity_polytope": [[str(c) for c in pt]
-                                  for pt in sorted(_identity_points(shape, dim))],
-            "frames": frames,
-        }
-
-    ctx = LatticeContext.sl(dim)
-    rep = sorted({a for v, w in supports for a in v + w})
-    q = stability.deg_of_V(WeightSupport(rep, ctx), ctx)
-    data = {"mode": "sl", "matrix_size": str(dim), "frames": frames}
-    if rng.random() < 0.5:
-        data["q"] = str(q)
-    else:
-        data["rep_weights"] = [[str(c) for c in a] for a in rep]
-    return data
 
 
 # ---------------------------------------------------------------------------

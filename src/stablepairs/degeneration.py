@@ -28,8 +28,7 @@ from __future__ import annotations
 from operator import sub
 from typing import Iterable, Sequence
 
-from . import lp
-from .lattice import InputError, IntVec, LatticeContext, _Record, dot
+from .lattice import EQ, GEQ, Constraint, InputError, IntVec, LatticeContext, _Record, dot
 from .stability import WeightSupport, _best_direction
 
 
@@ -103,7 +102,7 @@ def find_degeneration(prob: DegenerationProblem) -> IntVec | None:
     kept_rows = [diff_row(j) for j in kept[1:]]
 
     if not dropped:
-        equalities = [lp.Constraint(row, lp.EQ, 0, 1) for row in kept_rows]
+        equalities = [Constraint(row, EQ, 0, 1) for row in kept_rows]
         lam = _nonzero_annihilator(prob, equalities)
         if lam is None:
             return None
@@ -112,8 +111,8 @@ def find_degeneration(prob: DegenerationProblem) -> IntVec | None:
         return lam
 
     # variables: the direction, then the least slack over the dropped weights
-    rows = [lp.Constraint(row + (0,), lp.EQ, 0, 1) for row in kept_rows]
-    rows += [lp.Constraint(diff_row(i) + (-1,), lp.GEQ, 0, 1) for i in dropped]
+    rows = [Constraint(row + (0,), EQ, 0, 1) for row in kept_rows]
+    rows += [Constraint(diff_row(i) + (-1,), GEQ, 0, 1) for i in dropped]
     lam = _best_direction(ctx, rows, [0] * d + [1], 1)
     if lam is None:
         return None

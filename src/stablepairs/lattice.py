@@ -235,3 +235,21 @@ def standard_simplex(ctx: LatticeContext, k: int):
         e[i] = k
         verts.append(tuple(e))
     return RationalPolytope(verts)
+
+
+# The rows of ``lp``'s programs, here so that callers write them without it.
+_RELATIONS = LEQ, EQ, GEQ = ("<=", "=", ">=")
+
+
+class Constraint(_Record):
+    """One row ``coeffs . x  relation  rhs``, all of it divided by ``den``:
+    integer coefficients and right-hand side over one positive
+    denominator."""
+
+    __slots__ = _fields = ("coeffs", "relation", "rhs", "den")
+
+    def __init__(self, coeffs: tuple[int, ...], relation: str, rhs: int, den: int):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "den", den)

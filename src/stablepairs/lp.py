@@ -4,9 +4,12 @@ A small two-phase simplex with Bland's pivot rule, so termination is
 unconditional and identical programs yield bit-identical answers.  Every row
 of a program, the objective too, is given as integers over one positive
 row denominator, written there directly from integer weight rows; results
-come back as Fractions.  One sparse tableau runs every stage: each row keeps
-its nonzero entries as integers over the row's own positive scale, so a
-pivot touches only the rows with an entry in the entering column.
+come back as Fractions.  The row type, ``Constraint`` with its relations, is
+``lattice``'s, so callers write rows without loading this module, and
+``stability`` imports it only where a program is solved.  One sparse
+tableau runs every stage: each row keeps its nonzero entries as integers
+over the row's own positive scale, so a pivot touches only the rows with an
+entry in the entering column.
 
 Variables are free (unrestricted sign); nonnegativity, boxes, and
 normalization slices are expressed as ordinary constraints by the callers.
@@ -35,26 +38,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Collection, Sequence
 
-from .lattice import InputError, _Record, as_rat_vec
-
-LEQ = "<="
-EQ = "="
-GEQ = ">="
-_RELATIONS = (LEQ, EQ, GEQ)
-
-
-class Constraint(_Record):
-    """One row ``coeffs . x  relation  rhs``, all of it divided by ``den``:
-    integer coefficients and right-hand side over one positive
-    denominator."""
-
-    __slots__ = _fields = ("coeffs", "relation", "rhs", "den")
-
-    def __init__(self, coeffs: tuple[int, ...], relation: str, rhs: int, den: int):
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "den", den)
+from .lattice import EQ, GEQ, LEQ, _RELATIONS, Constraint, InputError, _Record, as_rat_vec
 
 
 class LinearProgram(_Record):

@@ -194,7 +194,7 @@ class _Facets(NamedTuple):
         hull.  Else, as t_ab falls with <n, a> and with <n, b>, a facet
         n.x <= h whose largest value hB over the b exceeds h bounds every t_ab
         by (h - hA)/(hB - hA), hA the largest value over the a; the least of
-        those bounds, capped at 1."""
+        those bounds, capped at 1.  A bound of 0 ends the sweep."""
         L = self.scale
         for e, c in self.equations:
             if any(sum(map(mul, e, B)) * L != c * mb for B in Bs):
@@ -207,6 +207,8 @@ class _Facets(NamedTuple):
                 na = max([sum(map(mul, n, X)) for X in AP])
                 # (h - hA)/(hB - hA) with hA = L na/ma and hB = L nb/mb
                 slack, rise = (h * ma - L * na) * mb, L * (nb * ma - na * mb)
+                if not slack:
+                    return 0, 1
                 if slack * den < num * rise:
                     num, den = slack, rise
         return num, den

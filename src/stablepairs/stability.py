@@ -45,16 +45,8 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from . import lp
-from .lattice import (
-    InputError,
-    IntVec,
-    LatticeContext,
-    ModeError,
-    _Record,
-    dot,
-    standard_simplex,
-)
+from .lattice import (EQ, GEQ, LEQ, Constraint, InputError, IntVec, LatticeContext, ModeError,
+                      _Record, dot, standard_simplex)
 from .polytope import (
     RationalPolytope,
     _first_outside,
@@ -258,7 +250,7 @@ class StabilityVerdict(_Record):
 # of them go through ``_best_direction``, which constrains the direction to
 # the box [-1, 1]^d (a compact normalization slice, so strict inequalities
 # become "optimum > 0") and to the trace-zero hyperplane in sl mode.  Every
-# row is written in integers over one denominator (``lp.Constraint``),
+# row is written in integers over one denominator (``lattice.Constraint``),
 # straight from the integer vertex rows of the polytopes, and is
 # homogeneous (right-hand side 0).  Where the directions span at most a
 # plane (free rank <= 2, sl(<= 3)), the program is settled in closed form,
@@ -266,28 +258,25 @@ class StabilityVerdict(_Record):
 
 def _direction_frame_constraints(ctx: LatticeContext, num_vars: int) -> list:
     d = ctx.ambient_dim
-    cons = []
-    for i in range(d):
-        row = [0] * num_vars
-        row[i] = 1
-        cons.append(lp.Constraint(tuple(row), lp.LEQ, 1, 1))
-        cons.append(lp.Constraint(tuple(row), lp.GEQ, -1, 1))
+    units = [tuple([int(j == i) for j in range(num_vars)]) for i in range(d)]
+    cons = [Constraint(e, rel, rhs, 1) for e in units for rel, rhs in ((LEQ, 1), (GEQ, -1))]
     if ctx.mode == "sl":
-        cons.append(lp.Constraint((1,) * d + (0,) * (num_vars - d), lp.EQ, 0, 1))
+        cons.append(Constraint((1,) * d + (0,) * (num_vars - d), EQ, 0, 1))
     return cons
 
 
 def _direction_program(ctx: LatticeContext, rows: list, objective: Sequence[int],
-                       den: int) -> lp.LinearProgram:
-    """The program of ``_best_direction``: the box frame, then ``rows``.
-    ``lp.solve_min_l1`` solves it from free rank 3 and sl(4) on; below, the
-    least-l1 stage of an sl(3) tie runs on it.
+                       den: int):
+    """The ``lp.LinearProgram`` of ``_best_direction``: the box frame, then
+    ``rows``.  ``lp.solve_min_l1`` solves it from free rank 3 and sl(4) on;
+    below, the least-l1 stage of an sl(3) tie runs on it.
 
     A row with all-zero coefficients and right-hand side 0 constrains
     nothing and is dropped.  It has no entry in any other column, so it never
     wins a ratio test or moves a reduced cost: Bland's rule takes the same
     pivots over the shifted column indices, and the result is the same.
     """
+    from . import lp
     num_vars = len(objective)
     cons = _direction_frame_constraints(ctx, num_vars)
     cons += [con for con in rows if con.rhs or any(con.coeffs)]
@@ -298,7 +287,7 @@ def _best_direction(ctx: LatticeContext, rows: list, objective: Sequence[int],
                     den: int) -> IntVec | None:
     """Primitive integral direction of least l1 norm among the maximizers of
     ``objective``/``den`` subject to the box frame and then ``rows``
-    (``lp.Constraint``), or None when the optimum is not positive.
+    (``lattice.Constraint``), or None when the optimum is not positive.
 
     The first ``ambient_dim`` variables are the direction; a program may
     carry one more, c, such as a separation level.  Every caller keeps one
@@ -314,11 +303,13 @@ def _best_direction(ctx: LatticeContext, rows: list, objective: Sequence[int],
     ``_direction_program`` fixes witnesses.
 
     Where the directions span at most a plane, ``_best_in_plane`` settles
-    the program without an LP, but for the stage of a tie.
+    the program without an LP, but for the stage of a tie; ``lp`` is
+    imported only where a program is solved.
     """
     d = ctx.ambient_dim
     if d - (ctx.mode == "sl") <= 2:
         return _best_in_plane(ctx, rows, objective, den)
+    from . import lp
     result = lp.solve_min_l1(_direction_program(ctx, rows, objective, den), range(d))
     if result.value <= 0:
         return None
@@ -388,13 +379,13 @@ def _best_in_plane(ctx: LatticeContext, rows: list, objective: Sequence[int],
         a = [sum(map(mul, con.coeffs, e)) for e in basis]
         b = con.coeffs[d] if len(con.coeffs) > d else 0
         if b:
-            if b > 0 or con.relation != lp.GEQ:
+            if b > 0 or con.relation != GEQ:
                 raise RuntimeError("internal: a direction row bounds the extra variable "
                                    "other than from above")
             highs.append((a, -b))
         elif any(a):
             g = gcd(*a)
-            for sign in {lp.LEQ: (-g,), lp.EQ: (g, -g), lp.GEQ: (g,)}[con.relation]:
+            for sign in {LEQ: (-g,), EQ: (g, -g), GEQ: (g,)}[con.relation]:
                 pure[tuple([x // sign for x in a])] = None
     if rise < 0 or rise and not highs:
         raise RuntimeError("internal: the program is unbounded")
@@ -435,6 +426,7 @@ def _best_in_plane(ctx: LatticeContext, rows: list, objective: Sequence[int],
         tied = [lam for lam, norm in zip(tied, norms) if norm == min(norms)]
     if len(tied) <= 1:
         return tied[0] if tied else None
+    from . import lp
     point = lp.least_l1_stage(_direction_program(ctx, rows, objective, den), range(d),
                               Fraction(best_num, best_den * den))
     return lp.rationalize_direction(point[:d])
@@ -443,7 +435,7 @@ def _best_in_plane(ctx: LatticeContext, rows: list, objective: Sequence[int],
 def _argmin_constraints(B: Sequence[int], mb: int, points: Sequence, mp: int) -> list:
     """<lam, p - b> >= 0 for every p, i.e. b attains the minimum, for b = B/mb
     and the points P/mp of the integer rows P in ``points``."""
-    return [lp.Constraint(tuple([x * mb - y * mp for x, y in zip(P, B)]), lp.GEQ, 0, mb * mp)
+    return [Constraint(tuple([x * mb - y * mp for x, y in zip(P, B)]), GEQ, 0, mb * mp)
             for P in points]
 
 
@@ -458,7 +450,7 @@ def _semistability_witness(p: PairInstance, X: Sequence[int]) -> IntVec:
     certifies w_lam(w) > w_lam(v); that is re-verified by direct evaluation.
     """
     W = p.hull_w
-    rows = [lp.Constraint(Y + (-W.scale,), lp.GEQ, 0, W.scale) for Y in W.rows]
+    rows = [Constraint(Y + (-W.scale,), GEQ, 0, W.scale) for Y in W.rows]
     L = p.hull_v.scale
     lam = _best_direction(p.context, rows, [-x for x in X] + [L], L)
     if lam is None:

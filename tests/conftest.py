@@ -12,14 +12,8 @@ import random
 
 import pytest
 
-from stablepairs import (
-    LatticeContext,
-    PairInstance,
-    RationalPolytope,
-    WeightSupport,
-    deg_of_V,
-)
-from stablepairs.cli import _free_q, _identity_points
+from stablepairs import LatticeContext, PairInstance, RationalPolytope, WeightSupport
+from stablepairs.generate import pair_instance
 
 FREE2 = LatticeContext.free(2)
 SL2 = LatticeContext.sl(2)
@@ -80,50 +74,12 @@ def fix_d():
     return make_fix_d()
 
 
-def identity_polytope(shape: str, dim: int) -> RationalPolytope:
-    return RationalPolytope(_identity_points(shape, dim))
-
-
-def random_support(rng: random.Random, dim: int, lo: int, hi: int) -> list:
-    return [
-        tuple(rng.randint(lo, hi) for _ in range(dim))
-        for _ in range(rng.randint(1, 4))
-    ]
-
-
-def random_pair_instance(rng: random.Random, dim: int, mode: str,
-                         max_coord: int, nonneg: bool = False) -> PairInstance:
-    lo = 0 if nonneg else -max_coord
-    v_list = random_support(rng, dim, lo, max_coord)
-    w_list = random_support(rng, dim, lo, max_coord)
-    if rng.random() < 0.4:
-        w_list = v_list + w_list  # nested supports: semistable by construction
-    if mode == "sl":
-        ctx = LatticeContext.sl(dim)
-        Av = WeightSupport(v_list, ctx)
-        Aw = WeightSupport(w_list, ctx)
-        rep = WeightSupport(Av.weights + Aw.weights, ctx)
-        return PairInstance(Av, Aw, deg_of_V(rep, ctx))
-    ctx = LatticeContext.free(dim)
-    Av = WeightSupport(v_list, ctx)
-    Aw = WeightSupport(w_list, ctx)
-    # Keep dimension-3 identity spreads small so oracle boxes stay tractable.
-    shape = "box" if dim == 3 else rng.choice(("box", "diamond"))
-    return PairInstance(Av, Aw, _free_q(shape, v_list), identity_polytope(shape, dim))
-
-
 def build_corpus(seed: int = 20260810) -> list[PairInstance]:
     """200 dimension-2 instances plus 50 dimension-3 instances."""
     rng = random.Random(seed)
-    instances = []
-    for i in range(200):
-        instances.append(
-            random_pair_instance(rng, 2, "sl" if i % 2 else "free", 3)
-        )
-    for _ in range(40):
-        instances.append(random_pair_instance(rng, 3, "sl", 1, nonneg=True))
-    for _ in range(10):
-        instances.append(random_pair_instance(rng, 3, "free", 1))
+    instances = [pair_instance(rng, 2, "sl" if i % 2 else "free", 3) for i in range(200)]
+    instances += [pair_instance(rng, 3, "sl", 1, nonneg=True) for _ in range(40)]
+    instances += [pair_instance(rng, 3, "free", 1) for _ in range(10)]
     return instances
 
 

@@ -37,9 +37,10 @@ from stablepairs import (
     weight,
 )
 from stablepairs import oracle
+from stablepairs.generate import support
 from stablepairs.lattice import dot
 
-from conftest import make_fix_a, make_fix_b, make_fix_c, make_fix_d, random_support
+from conftest import make_fix_a, make_fix_b, make_fix_c, make_fix_d
 from test_degeneration import brute_reachable, exhaustive_bound
 
 
@@ -80,7 +81,7 @@ def test_criterion_1_weight_identity():
     for _ in range(500):
         dim = rng.choice((1, 2, 3))
         ctx = LatticeContext.free(dim)
-        A = WeightSupport(random_support(rng, dim, -3, 3), ctx)
+        A = WeightSupport(support(rng, dim, -3, 3), ctx)
         hull = RationalPolytope(A.weights)
         for _ in range(50):
             lam = (0,) * dim

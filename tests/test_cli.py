@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import random
 import subprocess
@@ -9,7 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stablepairs import cli, stability
-from stablepairs.cli import SchemaError, instance_from_dict, main, random_instance_dict
+from stablepairs.cli import SchemaError, instance_from_dict, main
+from stablepairs.generate import instance_dict
+
+from conftest import build_corpus
 
 FIX_B = {
     "mode": "free",
@@ -320,22 +324,44 @@ def test_extreme_coefficients_do_not_change_the_verdict(tmp_path, capsys):
     assert runs[0][0] == 3
 
 
+# sha256 over the files of ``stablepairs corpus``, in name order, each file's
+# name and then its bytes, by (dim, max_coord, count, seed); and over the
+# instances of ``build_corpus(seed)``.  The generator draws as it always did.
+CORPUS_DIGESTS = {(2, 3, 50, 20260810): "1afb8e1cbc3aae33", (2, 3, 50, 11): "05f8cbdd8ecb7cb0",
+                  (3, 2, 20, 11): "4c16a5189ad27c4a", (4, 2, 10, 7): "94cbeb3e2b8c09e0",
+                  (1, 3, 10, 5): "71bc75b0da9e3319"}
+BUILD_CORPUS_DIGESTS = {20260810: "f3b3c7e7f6ffd9fc", 11: "5b0abe72bf2c4fac"}
+
+
 def test_corpus_round_trip_and_determinism(tmp_path, capsys):
-    out1 = tmp_path / "run1"
-    out2 = tmp_path / "run2"
-    for out in (out1, out2):
-        assert main(["corpus", "--dim", "2", "--max-coord", "3",
-                     "--count", "6", "--seed", "11", "--out", str(out)]) == 0
+    # Criterion 8 compares two runs in fresh processes; these compare with
+    # the pins.  Every file of dimension 1 to 4, free or sl, parses.
+    for (dim, max_coord, count, seed), want in CORPUS_DIGESTS.items():
+        out = tmp_path / f"{dim}-{seed}"
+        assert main(["corpus", "--dim", str(dim), "--max-coord", str(max_coord),
+                     "--count", str(count), "--seed", str(seed), "--out", str(out)]) == 0
         capsys.readouterr()
-    files1 = sorted(out1.iterdir())
-    files2 = sorted(out2.iterdir())
-    assert [f.name for f in files1] == [f.name for f in files2]
-    for f1, f2 in zip(files1, files2):
-        assert f1.read_bytes() == f2.read_bytes()
-    # every emitted file parses and validates
-    for f in files1:
-        inst = instance_from_dict(json.loads(f.read_text()))
-        assert inst.family.frames
+        digest = hashlib.sha256()
+        for f in sorted(out.iterdir()):
+            digest.update(f.name.encode("utf-8"))
+            digest.update(f.read_bytes())
+            assert instance_from_dict(json.loads(f.read_text())).family.frames
+        assert digest.hexdigest()[:16] == want, (dim, max_coord, count, seed)
+    for seed, want in BUILD_CORPUS_DIGESTS.items():
+        digest = hashlib.sha256()
+        for p in build_corpus(seed):
+            digest.update(repr((p.context, p.Av.weights, p.Aw.weights, p.q,
+                                p.identity.vertices if p.identity else None)).encode())
+        assert digest.hexdigest()[:16] == want, seed
+
+
+def test_corpus_dim_past_16_exits_2_before_writing(tmp_path, capsys):
+    # A box identity has 2^dim points: --dim 24 would need tens of GB.
+    for dim in ("0", "17", "24"):
+        assert main(["corpus", "--dim", dim, "--max-coord", "1", "--count", "1",
+                     "--seed", "1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: --dim must be between 1 and 16")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_corpus_out_that_cannot_be_written_exits_2(tmp_path, capsys):
@@ -350,14 +376,6 @@ def test_corpus_out_that_cannot_be_written_exits_2(tmp_path, capsys):
                      "--seed", "11", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}"), err
-
-
-def test_random_instances_round_trip_both_modes():
-    rng = random.Random(4)
-    for _ in range(30):
-        data = random_instance_dict(rng, rng.choice((2, 3)), 2)
-        inst = instance_from_dict(data)
-        assert inst.context.ambient_dim in (2, 3)
 
 
 def test_check_determinism_through_real_process(tmp_path):
@@ -375,20 +393,26 @@ def test_check_determinism_through_real_process(tmp_path):
     assert runs[0].stdout.strip()
 
 
-def test_import_does_not_load_numpy():
+def test_import_does_not_load_numpy(tmp_path):
     # numpy is the optional [oracle] extra; only the oracle module needs it.
     # dataclasses, degeneration and numeric stay off the command line's import
     # path too: every CLI call is a fresh interpreter that pays for each import.
     # Modules the interpreter loaded before (site, say) are not counted.
-    # The geometry needs no LP solver, so polytope does not import it.
+    # The geometry needs no LP solver, so polytope does not import it, and
+    # neither do the command line nor a dimension-2 check, which solves no
+    # program; only the corpus command loads the generator.
+    path = write(tmp_path, "b.json", FIX_B)
     code = (
-        "import sys; before = set(sys.modules)\n"
+        "import contextlib, io, sys; before = set(sys.modules)\n"
         "import stablepairs.polytope\n"
         "print('stablepairs.lp' in sys.modules)\n"
         "import stablepairs.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    stablepairs.cli.main(['check', {path!r}])\n"
         "loaded = set(sys.modules) - before\n"
         "print(sorted(loaded & {'numpy', 'dataclasses', 'stablepairs.degeneration',\n"
-        "                       'stablepairs.numeric'}))\n"
+        "                       'stablepairs.numeric', 'stablepairs.lp',\n"
+        "                       'stablepairs.generate'}))\n"
         "import stablepairs\n"
         "print(sorted(set(stablepairs.__all__) - set(dir(stablepairs))))\n"
         "print(all(getattr(stablepairs, name) is not None for name in stablepairs.__all__))\n"
@@ -408,9 +432,15 @@ def test_every_command_in_a_fresh_process(tmp_path, capsys):
     path_b = write(tmp_path, "b.json", FIX_B)
     path_c = write(tmp_path, "c.json", FIX_C)
     path_deg = write(tmp_path, "deg.json", deg)
+    # free rank 3: the witness program is an LP, and lp loads on first use
+    axes = [[str(s * (i == j)) for j in range(3)] for i in range(3) for s in (1, -1)]
+    path_3 = write(tmp_path, "rank3.json", {
+        "mode": "free", "rank": "3", "q": "1", "identity_polytope": axes,
+        "frames": [{"v_support": [["1", "0", "0"]], "w_support": [["0", "0", "1"]]}]})
     commands = [
         ["check", path_c, "--format", "json"],
         ["witness", path_c],
+        ["witness", path_3, "--format", "json"],
         ["min-m", path_b, "--format", "json"],
         ["degenerate", path_deg, "--keep", "3"],
         ["slope", path_b, "--lambda=-1,1"],
@@ -470,7 +500,7 @@ def _paths(node, path=()):
 @st.composite
 def mutated_instances(draw):
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    data = random_instance_dict(rng, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    data = instance_dict(rng, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(data))))
         parent, node = None, data

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from stablepairs import cli, degeneration, lattice, lp, numeric, stability
+from stablepairs import cli, degeneration, generate, lattice, lp, numeric, stability
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +158,7 @@ def samples(corpus):
             keep(prob)
             degeneration.find_degeneration(prob)
         for _ in range(30):
-            keep(cli.instance_from_dict(cli.random_instance_dict(rng, 2, 2)))
+            keep(cli.instance_from_dict(generate.instance_dict(rng, 2, 2)))
     finally:
         lp.solve = solve
     out = {}

@@ -32,10 +32,10 @@ from stablepairs import (
     weight,
 )
 from stablepairs import degeneration, lp, polytope, stability
-from stablepairs.cli import _free_q
+from stablepairs.generate import free_q, identity_points, pair_instance
 from stablepairs.polytope import first_outside_vertex
 from stablepairs.stability import _direction_frame_constraints
-from conftest import build_corpus, identity_polytope, make_fix_b, random_pair_instance
+from conftest import build_corpus, make_fix_b
 from lp_reference import linear_program
 
 FREE2 = LatticeContext.free(2)
@@ -281,7 +281,7 @@ def test_stability_lp_runs_only_at_zero_reaches(monkeypatch):
     # the closed form settles both, so no LP runs.
     p = PairInstance(WeightSupport([(3, 0)], FREE2),
                      WeightSupport([(-1, -1), (1, -2), (3, 0)], FREE2),
-                     3, identity_polytope("diamond", 2))
+                     3, RationalPolytope(identity_points("diamond", 2)))
     assert [p.hull_w.reach((3, 0), b) for b in p.q_identity.vertices] == \
         [0, Fraction(2, 3), 0, 1]
     solves = []
@@ -546,7 +546,7 @@ def test_frame_family_validation(fix_b, fix_c, fix_a):
 def test_witness_soundness_on_random_instances():
     rng = random.Random(99)
     for i in range(40):
-        p = random_pair_instance(rng, 2, "sl" if i % 2 else "free", 3)
+        p = pair_instance(rng, 2, "sl" if i % 2 else "free", 3)
         semi, wit = is_semistable(p)
         if not semi:
             assert weight(wit, p.Aw) > weight(wit, p.Av)
@@ -560,7 +560,7 @@ def test_witness_soundness_on_random_instances():
 def test_sl_coset_invariance_spot():
     rng = random.Random(31)
     for _ in range(15):
-        p = random_pair_instance(rng, 2, "sl", 3)
+        p = pair_instance(rng, 2, "sl", 3)
         for c in (1, -2):
             shifted = PairInstance(p.Av.shifted((c, c)), p.Aw.shifted((c, c)), p.q)
             assert is_semistable(shifted)[0] == is_semistable(p)[0]
@@ -584,7 +584,7 @@ def test_minkowski_monotonicity_around_threshold():
     rng = random.Random(17)
     found = 0
     while found < 8:
-        p = random_pair_instance(rng, 2, rng.choice(("free", "sl")), 3)
+        p = pair_instance(rng, 2, rng.choice(("free", "sl")), 3)
         m = minimal_uniform_m(p)
         if m is None:
             continue
@@ -680,7 +680,7 @@ def test_margin_of_a_large_free_rank_4_frame_matches_the_pair_pass():
     w = v + [tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(50)]
     ctx = LatticeContext.free(4)
     p = PairInstance(WeightSupport(v, ctx), WeightSupport(w, ctx), 3,
-                     identity_polytope("box", 4))
+                     RationalPolytope(identity_points("box", 4)))
     assert (len(p.hull_v.rows), len(p.q_identity.rows),
             len(p.hull_w._facets().facets)) == (25, 16, 135)
     assert reference_margin_or_witness(p) == (9, None)
@@ -745,9 +745,9 @@ def nested_degenerate_instances(draw):
         q = deg_of_V(WeightSupport(Av.weights + Aw.weights, ctx), ctx)
         return PairInstance(Av, Aw, q)
     shape = draw(st.sampled_from(("box", "diamond")))
-    q = _free_q(shape, v_list) + draw(st.integers(0, 2))
+    q = free_q(shape, v_list) + draw(st.integers(0, 2))
     return PairInstance(WeightSupport(v_list, FREE2), WeightSupport(w_list, FREE2),
-                        q, identity_polytope(shape, dim))
+                        q, RationalPolytope(identity_points(shape, dim)))
 
 
 @st.composite
@@ -777,8 +777,8 @@ def degenerate_families(draw):
                 for v, w in supports]
     ctx = LatticeContext.free(dim)
     shape = draw(st.sampled_from(("box", "diamond")))
-    q = _free_q(shape, [a for v, _ in supports for a in v]) + draw(st.integers(0, 1))
-    identity = identity_polytope(shape, dim)
+    q = free_q(shape, [a for v, _ in supports for a in v]) + draw(st.integers(0, 1))
+    identity = RationalPolytope(identity_points(shape, dim))
     return [PairInstance(WeightSupport(v, ctx), WeightSupport(w, ctx), q, identity)
             for v, w in supports]
 
@@ -1071,8 +1071,8 @@ def plane_cases(draw):
         p = PairInstance(Av, Aw, deg_of_V(WeightSupport(Av.weights + Aw.weights, ctx), ctx))
     else:
         shape = draw(st.sampled_from(("box", "diamond")))
-        p = PairInstance(Av, Aw, _free_q(shape, v_list) + draw(st.integers(0, 1)),
-                         identity_polytope(shape, dim))
+        p = PairInstance(Av, Aw, free_q(shape, v_list) + draw(st.integers(0, 1)),
+                         RationalPolytope(identity_points(shape, dim)))
     return p, draw(degeneration_problems(ctx))
 
 
