@@ -12,11 +12,13 @@ rank 3 on: one exact integer pass, ``_hull``, gives the facets in the pivot
 coordinates with the points on each, and hull vertices are read off these
 incidences.  Membership, inclusion and least segment reaches read the facet
 description of the vertex rows (an H-representation), built on a
-polytope's first query and kept on it.  Degenerate hulls (points,
-segments, lower-dimensional polytopes) are first-class: inside its affine
-hull every polytope is full-dimensional.  The pass sweeps the current
-facets once per point, it does not enumerate r-subsets, and no LP is
-solved.
+polytope's first query and kept on it: one list of integer inequalities
+over every coordinate, the facets lifted out of the pivot coordinates and
+each equation of the affine hull as two opposite rows, so that each query
+is one pass over that list.  Degenerate hulls (points, segments,
+lower-dimensional polytopes) are first-class: inside its affine hull every
+polytope is full-dimensional.  The pass sweeps the current facets once per
+point, it does not enumerate r-subsets, and no LP is solved.
 """
 
 from __future__ import annotations
@@ -162,49 +164,38 @@ def _new_facets(facets: list, values: list[int], f: tuple, value: int, r: int, b
 class _Facets(NamedTuple):
     """Integer H-representation of the hull of vertex rows with scale L.
 
-    A point y lies in the hull exactly when <e, L*y> = c for every (e, c) in
-    ``equations`` and <n, (L*y)_P> <= h for every (n, h) in ``facets``,
-    where (.)_P keeps the ``pivots`` coordinates.  The equations cut out the
-    affine hull; every normal is primitive and the facets are sorted, each
-    with the bitmask of the vertex rows on it in ``incidences``.
+    A point y lies in the hull exactly when <n, L*y> <= h for every (n, h)
+    in ``inequalities``, each n primitive over all the coordinates: first
+    the facets, sorted, then each equation e.x = c of the affine hull as the
+    opposite pair (e, c), (-e, -c).
     """
 
     scale: int
-    pivots: tuple[int, ...]
-    equations: tuple[tuple[tuple[int, ...], int], ...]
-    facets: tuple[tuple[tuple[int, ...], int], ...]
-    incidences: tuple[int, ...]
+    inequalities: tuple[tuple[tuple[int, ...], int], ...]
 
     def contains(self, Y: Sequence[int], m: int) -> bool:
         """Is Y/m in the hull?"""
         L = self.scale
-        for e, c in self.equations:
-            if sum(map(mul, e, Y)) * L != c * m:
-                return False
-        YP = [Y[c] for c in self.pivots]
-        for n, h in self.facets:
-            if sum(map(mul, n, YP)) * L > h * m:
+        for n, h in self.inequalities:
+            if sum(map(mul, n, Y)) * L > h * m:
                 return False
         return True
 
     def reach(self, As: Sequence, ma: int, Bs: Sequence, mb: int) -> tuple[int, int]:
         """Least t_ab, the largest t in [0, 1] with a + t(b - a) in the hull,
         over a = A/ma in it for A in As and b = B/mb for B in Bs, as
-        (numerator, positive denominator).  0 when some b leaves the affine
-        hull.  Else, as t_ab falls with <n, a> and with <n, b>, a facet
-        n.x <= h whose largest value hB over the b exceeds h bounds every t_ab
-        by (h - hA)/(hB - hA), hA the largest value over the a; the least of
-        those bounds, capped at 1.  A bound of 0 ends the sweep."""
+        (numerator, positive denominator).  As t_ab falls with <n, a> and
+        with <n, b>, an inequality n.x <= h whose largest value hB over the b
+        exceeds h bounds every t_ab by (h - hA)/(hB - hA), hA the largest
+        value over the a; the least of those bounds, capped at 1.  A bound of
+        0 ends the sweep; a b off the affine hull gives one, as it breaks one
+        side of an equation, where every a has slack 0."""
         L = self.scale
-        for e, c in self.equations:
-            if any(sum(map(mul, e, B)) * L != c * mb for B in Bs):
-                return 0, 1
-        AP, BP = ([[X[c] for c in self.pivots] for X in Xs] for Xs in (As, Bs))
         num, den = 1, 1
-        for n, h in self.facets:
-            nb = max([sum(map(mul, n, Y)) for Y in BP])
+        for n, h in self.inequalities:
+            nb = max([sum(map(mul, n, Y)) for Y in Bs])
             if nb * L > h * mb:
-                na = max([sum(map(mul, n, X)) for X in AP])
+                na = max([sum(map(mul, n, X)) for X in As])
                 # (h - hA)/(hB - hA) with hA = L na/ma and hB = L nb/mb
                 slack, rise = (h * ma - L * na) * mb, L * (nb * ma - na * mb)
                 if not slack:
@@ -314,28 +305,39 @@ def _chain(rows: Sequence[tuple], i: int, j: int) -> list[tuple]:
     return ring
 
 
-def _faces(rows: Sequence[tuple]) -> tuple[list[list[int]], list[int], list]:
-    """``_hull`` of a polytope's vertex rows, sorted and distinct, without a
-    double-description pass below affine rank 3: no facet at rank 0; at
-    rank 1 the two ends, -1 and +1 on the pivot coordinate; at rank 2 one
-    facet per edge (a, b) of the counterclockwise chain, whose outward
-    normal in the pivot coordinates (i, j) is (b_j - a_j, a_i - b_i)."""
+def _faces(rows: Sequence[tuple]) -> list[tuple[tuple[int, ...], int]]:
+    """The inequalities of ``_Facets`` for a polytope's vertex rows (sorted
+    and distinct): the facets in the pivot coordinates of
+    ``_affine_pivots``, lifted to every coordinate (0 off the pivots) and
+    sorted, then the equations of ``_kernel`` in opposite pairs.  Only from
+    affine rank 3 on does a double-description pass give the facets: there
+    is none at rank 0; at rank 1 the two ends, -1 and +1 on the pivot
+    coordinate; at rank 2 one facet per edge (a, b) of the counterclockwise
+    chain, whose outward normal in the pivot coordinates (i, j) is
+    (b_j - a_j, a_i - b_i), with value a_i b_j - a_j b_i at a and b."""
     elimination = _affine_pivots(rows)
     reduced, pivots, _ = elimination
+    d, facets = len(rows[0]), []
     if len(pivots) > 2:
-        return _hull(rows, elimination)
-    facets = []
-    if len(pivots) == 2:
+        facets = [(n, h) for n, h, _ in _hull(rows, elimination)[2]]
+    elif len(pivots) == 2:
         i, j = pivots
         ring = _chain(rows, i, j)
-        bits = {row: 1 << k for k, row in enumerate(rows)}
-        for a, b in zip(ring, ring[1:] + ring[:1]):
-            n = (b[j] - a[j], a[i] - b[i])
-            facets.append(_primitive(n, n[0] * a[i] + n[1] * a[j]) + (bits[a] | bits[b],))
+        facets = [_primitive((b[j] - a[j], a[i] - b[i]), a[i] * b[j] - a[j] * b[i])
+                  for a, b in zip(ring, ring[1:] + ring[:1])]
     elif pivots:
         (c,) = pivots
-        facets = [((-1,), -rows[0][c], 1), ((1,), rows[1][c], 2)]
-    return reduced, pivots, facets
+        facets = [((-1,), -rows[0][c]), ((1,), rows[1][c])]
+    out = []
+    for n, h in sorted(facets):
+        lifted = [0] * d
+        for c, x in zip(pivots, n):
+            lifted[c] = x
+        out.append((tuple(lifted), h))
+    for e in _kernel(reduced, pivots, d):
+        e, c = _primitive(e, sum(map(mul, e, rows[0])))
+        out += [(e, c), (tuple([-x for x in e]), -c)]
+    return out
 
 
 def hull_vertices(points: Iterable[Sequence], scale: int = 1) -> tuple[RatVec, ...]:
@@ -401,18 +403,12 @@ class RationalPolytope:
         return row, m
 
     def _facets(self) -> _Facets:
-        """The H-representation of the hull of the vertex rows, built on the
-        first query by ``_faces``, a ``_hull`` pass only from affine rank 3
-        on; a polytope that is never queried holds none."""
+        """The H-representation of the hull of the vertex rows as one list
+        of integer inequalities over every coordinate, built on the first
+        query by ``_faces``, a ``_hull`` pass only from affine rank 3 on; a
+        polytope that is never queried holds none."""
         if self._store is None:
-            rows = self.rows
-            reduced, pivots, facets = _faces(rows)
-            equations = [_primitive(e, sum(map(mul, e, rows[0])))
-                         for e in _kernel(reduced, pivots, len(rows[0]))]
-            facets.sort()
-            self._store = _Facets(self.scale, tuple(pivots), tuple(equations),
-                                  tuple([(n, h) for n, h, _ in facets]),
-                                  tuple([m for _, _, m in facets]))
+            self._store = _Facets(self.scale, tuple(_faces(self.rows)))
         return self._store
 
     def contains_point(self, y: Sequence) -> bool:

@@ -15,11 +15,12 @@ For a semistable pair the last two are one question.  With t_ab the reach
 of the segment from a vertex a of N(v) towards a vertex b of q*N(I) inside
 N(w), the pair is stable exactly when every t_ab is positive, and then the
 least margin is m = ceil(1 / min t_ab).  That least reach takes no pair:
-each facet n.x <= h of N(w) needs only the largest values of n on N(v) and
-q*N(I), so one pass over the facets, without an LP, decides stability and
-fixes m.  Only a zero walks the pairs: a stability LP runs at each pair of
-zero reach (elsewhere its optimum cannot be positive) until one gives the
-witness of an unstable pair.
+each inequality n.x <= h of N(w), a facet or one side of an affine-hull
+equation, needs only the largest values of n on N(v) and q*N(I), so one
+pass over them, without an LP, decides stability and fixes m.  Only a zero
+walks the pairs: a stability LP runs at each pair of zero reach (elsewhere
+its optimum cannot be positive) until one gives the witness of an unstable
+pair.
 
 In sl mode the geometry happens on the trace-zero projections of the
 integer weights, kept as integers N times over, while every weight
@@ -510,7 +511,7 @@ def _margin_or_witness(p: PairInstance) -> tuple[int | None, IntVec | None]:
     form the interval [0, t_ab].  (1 - 1/m) N(v) + (1/m) q N(I) is the hull
     of the points a + (1/m)(b - a), so it fits in N(w) exactly when
     1/m <= t_ab for every pair.  ``_Facets.reach`` of both vertex sets gives
-    t = min t_ab in one pass over the facets of N(w), and m = ceil(1 / t).
+    t = min t_ab in one pass over N(w)'s inequalities, and m = ceil(1 / t).
 
     The frame is stable exactly when every t_ab is positive.  t_ab = 0 means
     b - a leaves the tangent cone of N(w) at a, i.e. some lam in the normal

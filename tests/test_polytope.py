@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -117,24 +118,35 @@ def reference_vertices(points) -> tuple:
     return tuple(p for _, p in rows)
 
 
+def lifted_store(ints, scale, reduced, pivots, facets) -> tuple:
+    """Fields as in ``polytope._Facets`` of the hull of distinct integer
+    rows over ``scale`` from its facets (n, h) in the pivot coordinates of
+    an elimination (reduced, pivots): the sorted facets with each normal
+    lifted to every coordinate, 0 off the pivots, then each equation of the
+    affine hull as the pair of opposite rows."""
+    d = len(ints[0])
+    rows = []
+    for n, h in sorted(facets):
+        at = dict(zip(pivots, n))
+        rows.append((tuple(at.get(c, 0) for c in range(d)), h))
+    for e in _kernel(reduced, pivots, d):
+        e, c = _primitive(e, sum(map(mul, e, ints[0])))
+        rows += [(e, c), (tuple(-x for x in e), -c)]
+    return scale, tuple(rows)
+
+
 def reference_facets(vertices) -> tuple:
-    """(scale, pivots, equations, sorted facets, incidences) of the hull of
-    a vertex tuple by the enumeration, fields as in ``polytope._Facets``."""
+    """(scale, inequalities) of the hull of a vertex tuple by the
+    enumeration, fields as in ``polytope._Facets``."""
     ints, scale = _int_rows(vertices)
     reduced, pivots = _reference_pivots(ints)
-    equations = [_primitive(e, sum(map(mul, e, ints[0])))
-                 for e in _kernel(reduced, pivots, len(ints[0]))]
-    on = _facet_map(ints, pivots)
-    facets = sorted(on)
-    return (scale, tuple(pivots), tuple(equations), tuple(facets),
-            tuple(sum(1 << i for i in on[f]) for f in facets))
+    return lifted_store(ints, scale, reduced, pivots, _facet_map(ints, pivots))
 
 
 def assert_hull_pass_matches_enumeration(points, enumerate_points=True):
     """The hull pass against the enumeration: its facets and incidences on
     the points; the shared vertex tuple, in order; the integer vertex rows
-    and scale of the polytope; and its facet description, equations,
-    facets and incidences.
+    and scale of the polytope; and its facet description, row by row.
 
     Without ``enumerate_points`` the vertices are checked on the vertices
     alone, which costs C(v, r) subsets instead of C(n, r): each is a vertex
@@ -189,9 +201,12 @@ def _in_hull(points, y) -> bool:
     return reference_solve(linear_program(k, cons)).status == OPTIMAL
 
 
+@lru_cache(maxsize=None)
 def reference_reach(points, a, b) -> Fraction:
     """Largest t in [0, 1] with a + t*(b - a) in the hull of the points, by
-    one exact LP over convex weights on the points; a must be in the hull."""
+    one exact LP over convex weights on the points; a must be in the hull.
+    Points, a and b are tuples, and each distinct reach is solved once:
+    hypothesis draws the same hull and segment again across examples."""
     k = len(points)
     cons = _convex_weight_rows(k, k + 1)
     for c in range(len(a)):
@@ -218,7 +233,8 @@ def assert_facet_path_matches_lp(points, probes):
     probes inside towards all the probes against the least of those."""
     P = RationalPolytope(points)
     assert P.vertices == reference_hull(points)
-    probes = [tuple(Fraction(c) for c in y) for y in probes]
+    # each distinct probe once, in the order of first appearance
+    probes = list(dict.fromkeys(tuple(Fraction(c) for c in y) for y in probes))
     inside = [y for y in probes if P.contains_point(y)]
     for y in probes:
         assert (y in inside) == _in_hull(P.vertices, y), (P, y)
@@ -310,11 +326,14 @@ def test_minkowski_rejects_negative_coefficients():
 def test_contains_point_examples():
     tri = RationalPolytope([(1, 0), (0, 1), (-1, -1)])
     assert contains_point(tri, (0, 0))
+    # points off the affine hull, on either side of each of its equations
     seg = RationalPolytope([(1, 0), (0, 1)])
     assert not contains_point(seg, (1, 1))
+    assert not contains_point(seg, (0, 0))
     single = RationalPolytope([(2, 2)])
     assert contains_point(single, (2, 2))
     assert not contains_point(single, (2, 3))
+    assert not contains_point(single, (1, 2))
 
 
 def test_reach_needs_a_start_inside():
@@ -757,13 +776,8 @@ def test_low_rank_vertices_match_the_double_description_pass(case):
 def dd_store(P) -> tuple:
     """The facet description of P's vertex rows by the double-description
     pass at every affine rank, fields as in ``polytope._Facets``."""
-    rows = P.rows
-    reduced, pivots, facets = polytope._hull(rows)
-    equations = [_primitive(e, sum(map(mul, e, rows[0])))
-                 for e in _kernel(reduced, pivots, len(rows[0]))]
-    facets.sort()
-    return (P.scale, tuple(pivots), tuple(equations), tuple([(n, h) for n, h, _ in facets]),
-            tuple([mask for _, _, mask in facets]))
+    reduced, pivots, facets = polytope._hull(P.rows)
+    return lifted_store(P.rows, P.scale, reduced, pivots, [(n, h) for n, h, _ in facets])
 
 
 @pytest.mark.parametrize("seed, stores, passes", [(20260810, 200, 14), (11, 204, 28)])

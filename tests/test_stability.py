@@ -682,7 +682,7 @@ def test_margin_of_a_large_free_rank_4_frame_matches_the_pair_pass():
     p = PairInstance(WeightSupport(v, ctx), WeightSupport(w, ctx), 3,
                      RationalPolytope(identity_points("box", 4)))
     assert (len(p.hull_v.rows), len(p.q_identity.rows),
-            len(p.hull_w._facets().facets)) == (25, 16, 135)
+            len(p.hull_w._facets().inequalities)) == (25, 16, 135)
     assert reference_margin_or_witness(p) == (9, None)
     assert minimal_uniform_m(p) == 9
     assert included_at(p, 9) and not included_at(p, 8)
