@@ -167,42 +167,47 @@ class _Facets(NamedTuple):
     A point y lies in the hull exactly when <n, L*y> <= h for every (n, h)
     in ``inequalities``, each n primitive over all the coordinates: first
     the facets, sorted, then each equation e.x = c of the affine hull as the
-    opposite pair (e, c), (-e, -c).
+    opposite pair (e, c), (-e, -c).  ``violated`` names the first row that a
+    point breaks and ``reach`` the row of the least reach, by their index.
     """
 
     scale: int
     inequalities: tuple[tuple[tuple[int, ...], int], ...]
 
-    def contains(self, Y: Sequence[int], m: int) -> bool:
-        """Is Y/m in the hull?"""
-        L = self.scale
-        for n, h in self.inequalities:
+    def violated(self, Y: Sequence[int], m: int) -> int | None:
+        """Index of the first inequality that Y/m breaks, or None when Y/m
+        is in the hull."""
+        L, rows = self.scale, self.inequalities
+        for row in rows:
+            n, h = row
             if sum(map(mul, n, Y)) * L > h * m:
-                return False
-        return True
+                return rows.index(row)
+        return None
 
-    def reach(self, As: Sequence, ma: int, Bs: Sequence, mb: int) -> tuple[int, int]:
+    def reach(self, As: Sequence, ma: int, Bs: Sequence, mb: int) -> tuple[int, int, int | None]:
         """Least t_ab, the largest t in [0, 1] with a + t(b - a) in the hull,
         over a = A/ma in it for A in As and b = B/mb for B in Bs, as
-        (numerator, positive denominator).  As t_ab falls with <n, a> and
+        (numerator, positive denominator, row).  As t_ab falls with <n, a> and
         with <n, b>, an inequality n.x <= h whose largest value hB over the b
-        exceeds h bounds every t_ab by (h - hA)/(hB - hA), hA the largest
-        value over the a; the least of those bounds, capped at 1.  A bound of
+        exceeds h bounds every t_ab by (h - hA)/(hB - hA) < 1, hA the largest
+        value over the a; the least of those bounds, capped at 1, and the
+        index of the first row that attains it, None at the cap.  A bound of
         0 ends the sweep; a b off the affine hull gives one, as it breaks one
         side of an equation, where every a has slack 0."""
-        L = self.scale
-        num, den = 1, 1
-        for n, h in self.inequalities:
+        L, rows = self.scale, self.inequalities
+        num, den, best = 1, 1, None
+        for row in rows:
+            n, h = row
             nb = max([sum(map(mul, n, Y)) for Y in Bs])
             if nb * L > h * mb:
                 na = max([sum(map(mul, n, X)) for X in As])
                 # (h - hA)/(hB - hA) with hA = L na/ma and hB = L nb/mb
                 slack, rise = (h * ma - L * na) * mb, L * (nb * ma - na * mb)
                 if not slack:
-                    return 0, 1
+                    return 0, 1, rows.index(row)
                 if slack * den < num * rise:
-                    num, den = slack, rise
-        return num, den
+                    num, den, best = slack, rise, row
+        return num, den, None if best is None else rows.index(best)
 
 
 @lru_cache(maxsize=8192)
@@ -413,16 +418,16 @@ class RationalPolytope:
 
     def contains_point(self, y: Sequence) -> bool:
         """Exact membership, read off the polytope's facet description."""
-        return self._facets().contains(*self._row(y))
+        return self._facets().violated(*self._row(y)) is None
 
     def reach(self, a: Sequence, b: Sequence) -> Fraction:
         """Largest t in [0, 1] with a + t*(b - a) in the polytope, the facet
         store's reach over one pair; an a outside is an ``InputError``."""
         facets, (A, ma) = self._facets(), self._row(a)
-        if not facets.contains(A, ma):
+        if facets.violated(A, ma) is not None:
             raise InputError("reach needs a starting point inside the polytope")
         B, mb = self._row(b)
-        return Fraction(*facets.reach([A], ma, [B], mb))
+        return Fraction(*facets.reach([A], ma, [B], mb)[:2])
 
     def scaled(self, s) -> "RationalPolytope":
         """The polytope s*P for a rational s >= 0, without a hull pass: for
@@ -467,22 +472,23 @@ def minkowski_combine(P: RationalPolytope, Q: RationalPolytope,
     return RationalPolytope(combos, sf.denominator * tf.denominator * P.scale * Q.scale)
 
 
-def _first_outside(P: RationalPolytope, Q: RationalPolytope) -> int | None:
-    """Index of the first vertex row of Q (lexicographic order) not in P, if
-    any.  A vertex row of Q among P's is inside; P's facet description is
-    read only for the others."""
+def _first_outside(P: RationalPolytope, Q: RationalPolytope) -> tuple[int, int] | None:
+    """Indices of the first vertex row of Q (lexicographic order) not in P
+    and of the first row of P's facet store it breaks, if any.  A vertex row
+    of Q among P's is inside; P's facet description is read for the others."""
     if P.dim != Q.dim:
         raise InputError("polytopes of different dimension")
     for i, X in enumerate(Q.rows):
-        if (Q.scale != P.scale or X not in P.rows) and not P._facets().contains(X, Q.scale):
-            return i
+        if (Q.scale != P.scale or X not in P.rows) and (
+                row := P._facets().violated(X, Q.scale)) is not None:
+            return i, row
     return None
 
 
 def first_outside_vertex(P: RationalPolytope, Q: RationalPolytope) -> RatVec | None:
     """First vertex of Q (lexicographic order) not contained in P, if any."""
-    i = _first_outside(P, Q)
-    return None if i is None else Q.vertices[i]
+    outside = _first_outside(P, Q)
+    return None if outside is None else Q.vertices[outside[0]]
 
 
 def includes(P: RationalPolytope, Q: RationalPolytope) -> bool:

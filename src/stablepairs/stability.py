@@ -11,16 +11,17 @@ polytope geometry on the weight polytopes:
 * uniformly stable with margin m  <=>
                    (1 - 1/m) N(v) + (1/m) q N(I)  is contained in  N(w).
 
-For a semistable pair the last two are one question.  With t_ab the reach
-of the segment from a vertex a of N(v) towards a vertex b of q*N(I) inside
+For a semistable pair the last two are one question.  With t_ab the reach of
+the segment from a vertex a of N(v) towards a vertex b of q*N(I) inside
 N(w), the pair is stable exactly when every t_ab is positive, and then the
 least margin is m = ceil(1 / min t_ab).  That least reach takes no pair:
 each inequality n.x <= h of N(w), a facet or one side of an affine-hull
-equation, needs only the largest values of n on N(v) and q*N(I), so one
-pass over them, without an LP, decides stability and fixes m.  Only a zero
-walks the pairs: a stability LP runs at each pair of zero reach (elsewhere
-its optimum cannot be positive) until one gives the witness of an unstable
-pair.
+equation, needs only the largest values of n on N(v) and q*N(I), so one pass
+over them, without an LP, decides stability and fixes m.  Only a zero walks
+the pairs: a stability LP runs at each pair of zero reach (elsewhere its
+optimum cannot be positive) until one gives the witness of an unstable pair.
+Each query of N(w)'s facet store names the row that decides it: the first
+one that an escaped vertex of N(v) breaks, or the one of the least reach.
 
 In sl mode the geometry happens on the trace-zero projections of the
 integer weights, kept as integers N times over, while every weight
@@ -44,7 +45,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .lattice import (EQ, GEQ, LEQ, Constraint, InputError, IntVec, LatticeContext, ModeError,
                       _Record, dot, standard_simplex)
@@ -470,7 +471,7 @@ def is_semistable(p: PairInstance) -> tuple[bool, IntVec | None]:
     outside = _first_outside(p.hull_w, p.hull_v)
     if outside is None:
         return True, None
-    return False, _semistability_witness(p, p.hull_v.rows[outside])
+    return False, _semistability_witness(p, p.hull_v.rows[outside[0]])
 
 
 def _stability_witness(p: PairInstance, U: Sequence[int], R: Sequence[int]) -> IntVec | None:
@@ -502,16 +503,28 @@ def _stability_witness(p: PairInstance, U: Sequence[int], R: Sequence[int]) -> I
     return lam
 
 
-def _margin_or_witness(p: PairInstance) -> tuple[int | None, IntVec | None]:
-    """Decide stability of a semistable frame together with its margin:
-    (m, None) when stable, (None, lam) with a stability witness otherwise.
+class _Reach(NamedTuple):
+    """A semistable frame's least reach num/den, the index of the row of N(w)
+    attaining it, and if 0, the vertex rows (U, R) that gave the witness."""
+
+    num: int
+    den: int
+    row: int | None
+    pair: tuple[IntVec, IntVec] | None = None
+    witness: IntVec | None = None
+
+
+def _margin_or_witness(p: PairInstance) -> _Reach:
+    """Decide stability of a semistable frame together with its margin: a
+    positive least reach t when stable, with m = ceil(1 / t), and otherwise
+    a zero reach with a stability witness.
 
     For vertices a of N(v) and b of q*N(I), t_ab is the largest t in [0, 1]
     with a + t(b - a) in N(w); each a lies in the convex N(w), so those t
     form the interval [0, t_ab].  (1 - 1/m) N(v) + (1/m) q N(I) is the hull
     of the points a + (1/m)(b - a), so it fits in N(w) exactly when
     1/m <= t_ab for every pair.  ``_Facets.reach`` of both vertex sets gives
-    t = min t_ab in one pass over N(w)'s inequalities, and m = ceil(1 / t).
+    t = min t_ab and its row in one pass over N(w)'s inequalities.
 
     The frame is stable exactly when every t_ab is positive.  t_ab = 0 means
     b - a leaves the tangent cone of N(w) at a, i.e. some lam in the normal
@@ -529,13 +542,13 @@ def _margin_or_witness(p: PairInstance) -> tuple[int | None, IntVec | None]:
     """
     V, Q = p.hull_v, p.q_identity
     facets = p.hull_w._facets()
-    num, den = facets.reach(V.rows, V.scale, Q.rows, Q.scale)
-    if num:
-        return -(-den // num), None
+    least = _Reach(*facets.reach(V.rows, V.scale, Q.rows, Q.scale))
+    if least.num:
+        return least
     for A, B in product(V.rows, Q.rows):
         if not facets.reach([A], V.scale, [B], Q.scale)[0] and (
                 lam := _stability_witness(p, A, B)) is not None:
-            return None, lam
+            return least._replace(pair=(A, B), witness=lam)
     raise RuntimeError("internal: zero segment reach without a stability witness")
 
 
@@ -583,11 +596,11 @@ def verdict(family: FrameFamily) -> StabilityVerdict:
             ))
     margins = []
     for idx, frame in enumerate(family.frames):
-        m, wit = _margin_or_witness(frame)
-        if wit is not None:
+        least = _margin_or_witness(frame)
+        if least.witness is not None:
             return _shared(StabilityVerdict(
-                semistable=True, stable=False, witness=wit, frame_index=idx
+                semistable=True, stable=False, witness=least.witness, frame_index=idx
             ))
-        margins.append(m)
+        margins.append(-(-least.den // least.num))
     return _shared(
         StabilityVerdict(semistable=True, stable=True, uniform_m=max(margins)))

@@ -167,7 +167,7 @@ def assert_hull_pass_matches_enumeration(points, enumerate_points=True):
         ref = polytope._Facets(*reference_facets(verts))
         for p in points:
             (row,), m = _int_rows([tuple(Fraction(c) for c in p)])
-            assert ref.contains(row, m), p
+            assert ref.violated(row, m) is None, p
     P = RationalPolytope(points)
     assert P.vertices is verts
     rows, scale = _int_rows(verts)
@@ -190,8 +190,11 @@ def _convex_weight_rows(k: int, num_vars: int) -> list:
     return cons
 
 
+@lru_cache(maxsize=None)
 def _in_hull(points, y) -> bool:
-    """Exact test: is y a convex combination of the given points?"""
+    """Exact test: is y a convex combination of the given points?  Points
+    and y are tuples, and each distinct question is solved once, as in
+    ``reference_reach``."""
     if len(points) == 1:
         return points[0] == y
     k = len(points)
@@ -223,21 +226,45 @@ def reference_hull(points):
     uniq = sorted(set(tuple(Fraction(c) for c in p) for p in points))
     if len(uniq) <= 2:
         return tuple(uniq)
-    return tuple(p for i, p in enumerate(uniq) if not _in_hull(uniq[:i] + uniq[i + 1:], p))
+    return tuple(p for i, p in enumerate(uniq)
+                 if not _in_hull(tuple(uniq[:i] + uniq[i + 1:]), p))
+
+
+def broken_rows(store, Y, m) -> list[int]:
+    """Indices of the inequalities of a facet store that Y/m breaks."""
+    return [i for i, (n, h) in enumerate(store.inequalities)
+            if sum(map(mul, n, Y)) * store.scale > h * m]
+
+
+def assert_first_outside_names_a_broken_row(P, Q):
+    """``_first_outside(P, Q)`` against ``includes`` and membership: the
+    vertex it returns is the first of Q outside P, and the row it returns
+    is one of P's facet store that this vertex breaks."""
+    outside = polytope._first_outside(P, Q)
+    assert (outside is None) == includes(P, Q)
+    if outside is not None:
+        i, row = outside
+        assert [P.contains_point(v) for v in Q.vertices[:i + 1]] == [True] * i + [False]
+        assert row in broken_rows(P._facets(), Q.rows[i], Q.scale), (P, Q)
 
 
 def assert_facet_path_matches_lp(points, probes):
     """hull_vertices, contains_point and reach of the hull of the points
     against the LP references, at every probe, and from every probe inside
-    the hull towards every probe; and the facet store's reach from all the
-    probes inside towards all the probes against the least of those."""
+    the hull towards every probe; the facet store's reach from all the
+    probes inside towards all the probes against the least of those, and
+    the row it names; and the row that ``violated`` names at each probe."""
     P = RationalPolytope(points)
     assert P.vertices == reference_hull(points)
     # each distinct probe once, in the order of first appearance
     probes = list(dict.fromkeys(tuple(Fraction(c) for c in y) for y in probes))
     inside = [y for y in probes if P.contains_point(y)]
+    store = P._facets()
     for y in probes:
         assert (y in inside) == _in_hull(P.vertices, y), (P, y)
+        # the first broken row, and None only inside
+        (Y,), m = _int_rows([y])
+        assert store.violated(Y, m) == next(iter(broken_rows(store, Y, m)), None), (P, y)
     least = 1
     for a in inside:
         for b in probes:
@@ -248,8 +275,14 @@ def assert_facet_path_matches_lp(points, probes):
             least = min(least, want)
     if inside:
         rows, scale = _int_rows(inside + probes)
-        got = P._facets().reach(rows[:len(inside)], scale, rows[len(inside):], scale)
-        assert Fraction(*got) == least, (P, inside, probes)
+        As, Bs = rows[:len(inside)], rows[len(inside):]
+        num, den, row = store.reach(As, scale, Bs, scale)
+        assert Fraction(num, den) == least, (P, inside, probes)
+        # the row, taken alone, gives the ratio; no row bounds a reach of 1
+        assert (row is None) == (least == 1), (P, inside, probes)
+        if row is not None:
+            alone = polytope._Facets(store.scale, (store.inequalities[row],))
+            assert Fraction(*alone.reach(As, scale, Bs, scale)[:2]) == least
 
 
 def F(*xs):
@@ -355,10 +388,13 @@ def test_reach_over_point_sets_is_the_least_pair_reach():
     assert [square.reach(a, b) for a in As for b in Bs] == \
         [Fraction(3, 5), Fraction(1, 3), Fraction(1, 3), Fraction(3, 5)]
     store = square._facets()
-    assert Fraction(*store.reach(As, 1, Bs, 1)) == Fraction(1, 3)
-    assert Fraction(*store.reach(As[:1], 1, Bs, 1)) == Fraction(1, 3)
-    # every b inside: capped at 1
-    assert Fraction(*store.reach(As, 1, [(4, 4), (2, 0)], 1)) == 1
+    # (1, 3) towards (1, 6) leaves through y <= 4, the first of the two
+    # rows that attain 1/3
+    y_max = store.inequalities.index(((0, 1), 4))
+    assert store.reach(As, 1, Bs, 1) == (1, 3, y_max)
+    assert store.reach(As[:1], 1, Bs, 1) == (1, 3, y_max)
+    # every b inside: capped at 1, and no row bounds it
+    assert store.reach(As, 1, [(4, 4), (2, 0)], 1) == (1, 1, None)
 
 
 def test_reach_over_point_sets_is_zero_when_one_b_leaves_the_affine_hull():
@@ -370,8 +406,13 @@ def test_reach_over_point_sets_is_zero_when_one_b_leaves_the_affine_hull():
     for P, a, outside, off in ((segment, (2, 0), (8, 0), (2, 1)),
                                (triangle, (1, 1, 0), (7, 1, 0), (1, 1, 1))):
         store = P._facets()
-        assert Fraction(*store.reach([a], 1, [a, outside], 1)) == Fraction(1, 3)
-        assert Fraction(*store.reach([a], 1, [a, off, outside], 1)) == 0
+        assert Fraction(*store.reach([a], 1, [a, outside], 1)[:2]) == Fraction(1, 3)
+        num, den, row = store.reach([a], 1, [a, off, outside], 1)
+        assert (num, den) == (0, 1)
+        # the zero comes from the first row that off breaks, and a sits on it
+        assert row == broken_rows(store, off, 1)[0]
+        n, h = store.inequalities[row]
+        assert sum(map(mul, n, a)) == h
         assert P.reach(a, off) == 0
 
 
@@ -424,6 +465,8 @@ def test_includes_examples():
     outlier = RationalPolytope([(2, 0)])
     assert not includes(seg, outlier)
     assert first_outside_vertex(seg, outlier) == F(2, 0)
+    assert_first_outside_names_a_broken_row(seg, outlier)
+    assert_first_outside_names_a_broken_row(small, big)
 
     diamond = RationalPolytope([(1, 0), (-1, 0), (0, 1), (0, -1)])
     boundary_seg = RationalPolytope(
@@ -496,10 +539,10 @@ def test_scaled_matches_hull_of_scaled_vertices(points, s):
 def test_hull_keeps_exactly_the_extreme_points(points):
     kept = hull_vertices(points)
     for p in set(F(*p) for p in points) - set(kept):
-        assert _in_hull(kept, p)
+        assert _in_hull(tuple(kept), p)
     if len(kept) > 1:
         for i, v in enumerate(kept):
-            assert not _in_hull(kept[:i] + kept[i + 1:], v)
+            assert not _in_hull(tuple(kept[:i] + kept[i + 1:]), v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -520,6 +563,7 @@ def test_inclusion_iff_support_domination(pv, qv):
     P = RationalPolytope(pv)
     Q = RationalPolytope(qv)
     inc = includes(P, Q)
+    assert_first_outside_names_a_broken_row(P, Q)
     directions = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (2, -3),
                   (-5, 2)] + [tuple(v) for v in P.vertices + Q.vertices if any(v)]
     dominated = all(Q.support_value(x) <= P.support_value(x) for x in directions)

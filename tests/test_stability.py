@@ -5,6 +5,8 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -429,6 +431,10 @@ def test_semistability_witness_matches_reference_on_corpus(corpus):
         outside = first_outside_vertex(p.hull_w, p.hull_v)
         if outside is not None:
             failing += 1
+            # the row named with the escaped vertex is one that it breaks
+            i, row = polytope._first_outside(p.hull_w, p.hull_v)
+            n, h = p.hull_w._facets().inequalities[row]
+            assert sum(map(mul, n, p.hull_v.rows[i])) * p.hull_w.scale > h * p.hull_v.scale
             assert is_semistable(p) == (False, reference_semistability_witness(p, outside))
     assert failing == 119
     # on this sl(3) frame the least-l1 tie is broken by the row order, box
@@ -636,10 +642,10 @@ def reference_margin_or_witness(p):
     num, den = 1, 1  # the least reach so far, num/den
     for A in V.rows:
         reaches = [facets.reach([A], V.scale, [B], Q.scale) for B in Q.rows]
-        for B, (t, _) in zip(Q.rows, reaches):
+        for B, (t, _, _) in zip(Q.rows, reaches):
             if t == 0 and (lam := stability._stability_witness(p, A, B)) is not None:
                 return None, lam
-        for t, u in reaches:
+        for t, u, _ in reaches:
             if t == 0:
                 raise RuntimeError("internal: zero segment reach without a stability witness")
             if t * den < num * u:
@@ -783,10 +789,42 @@ def degenerate_families(draw):
             for v, w in supports]
 
 
+def minimality_holds(p) -> bool:
+    """On a stable frame with m > 1, check that the row of N(w) attaining
+    its least reach gives a direction lam at which the combination fits at
+    m but not at m - 1: lam = -n for the row's normal n, in sl mode
+    projected to trace zero as -(d*n - sum(n)*(1, ..., 1)), made primitive.
+    Return True there and False on any other frame."""
+    if not is_semistable(p)[0]:
+        return False
+    least = stability._margin_or_witness(p)
+    if least.witness is not None:
+        return False
+    m = -(-least.den // least.num)
+    if m == 1:
+        return False
+    n, _ = p.hull_w._facets().inequalities[least.row]
+    if p.context.mode == "sl":
+        n = [len(n) * x - sum(n) for x in n]
+    g = gcd(*n)
+    lam = tuple([-x // g for x in n])
+    assert check_tian0(p, m, lam), (p, m, lam)
+    assert not check_tian0(p, m - 1, lam), (p, m, lam)
+    return True
+
+
+def test_attaining_row_gives_the_minimality_direction_on_corpus(corpus):
+    # every stable frame with m > 1 of the default-seed corpus and the one
+    # at seed 11
+    assert [sum(map(minimality_holds, instances))
+            for instances in (corpus, build_corpus(11))] == [25, 18]
+
+
 @settings(max_examples=60, deadline=None)
 @given(nested_degenerate_instances())
 def test_verdict_matches_reference_scan_on_degenerate_supports(p):
     assert matches_reference(p)
+    minimality_holds(p)
 
 
 def test_family_verdict_follows_its_rule_over_single_frames():
