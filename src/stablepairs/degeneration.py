@@ -13,14 +13,15 @@ positive optimum scales to an integral witness; a nonpositive optimum rules
 out every direction, since achieving directions scale into the box.
 
 When every weight is kept, any nonzero direction in the solution subspace
-of the equalities achieves the target.  One LP per coordinate k maximizes
-lam_k; the feasible set is symmetric under lam -> -lam, so maximizing
--lam_k is positive exactly when maximizing lam_k is, and is not tried.  All
-of these programs go through ``stability._best_direction``, which drops the
-all-zero equality of a kept weight that repeats the base weight: it
-constrains nothing, and without it the simplex takes the same pivots.  Up
-to a plane (free rank <= 2, sl(<= 3)) that helper solves no LP but the
-least-l1 stage of an sl(3) tie.
+of the equalities achieves the target: with no slack variable, one LP per
+coordinate k in turn maximizes lam_k; the feasible set is symmetric under
+lam -> -lam, so maximizing -lam_k is positive exactly when maximizing lam_k
+is, and is not tried.  One loop poses every program on one row list and
+re-verifies the direction.  All go through ``stability._best_direction``,
+which drops the all-zero equality of a kept weight that repeats the base
+weight: it constrains nothing, and without it the simplex takes the same
+pivots.  Up to a plane (free rank <= 2, sl(<= 3)) that helper solves no LP
+but the least-l1 stage of an sl(3) tie.
 """
 
 from __future__ import annotations
@@ -72,21 +73,6 @@ def _achieves(prob: DegenerationProblem, lam: IntVec) -> bool:
     return {i for i, v in enumerate(pairings) if v == low} == prob.keep
 
 
-def _nonzero_annihilator(prob: DegenerationProblem,
-                         equalities: list) -> IntVec | None:
-    """Nonzero direction satisfying the kept equalities, if the solution
-    subspace is positive-dimensional: the first coordinate k whose maximum
-    of lam_k is positive gives it."""
-    d = prob.context.ambient_dim
-    for k in range(d):
-        objective = [0] * d
-        objective[k] = 1
-        lam = _best_direction(prob.context, equalities, objective, 1)
-        if lam is not None:
-            return lam
-    return None
-
-
 def find_degeneration(prob: DegenerationProblem) -> IntVec | None:
     """Primitive integral direction whose limit support is exactly the keep
     set, or None when no direction reaches it."""
@@ -99,23 +85,17 @@ def find_degeneration(prob: DegenerationProblem) -> IntVec | None:
     def diff_row(i: int) -> tuple[int, ...]:
         return tuple(map(sub, prob.weights[i], base))
 
-    kept_rows = [diff_row(j) for j in kept[1:]]
-
-    if not dropped:
-        equalities = [Constraint(row, EQ, 0, 1) for row in kept_rows]
-        lam = _nonzero_annihilator(prob, equalities)
-        if lam is None:
-            return None
-        if not _achieves(prob, lam):
-            raise RuntimeError("internal: annihilator direction missed the keep set")
-        return lam
-
-    # variables: the direction, then the least slack over the dropped weights
-    rows = [Constraint(row + (0,), EQ, 0, 1) for row in kept_rows]
+    # variables: the direction, then, when a weight is dropped, the least
+    # slack over the dropped weights
+    extra = (0,) if dropped else ()
+    rows = [Constraint(diff_row(j) + extra, EQ, 0, 1) for j in kept[1:]]
     rows += [Constraint(diff_row(i) + (-1,), GEQ, 0, 1) for i in dropped]
-    lam = _best_direction(ctx, rows, [0] * d + [1], 1)
-    if lam is None:
-        return None
-    if not _achieves(prob, lam):
-        raise RuntimeError("internal: degeneration direction failed re-verification")
-    return lam
+    objectives = ([[0] * d + [1]] if dropped
+                  else [[int(i == k) for i in range(d)] for k in range(d)])
+    for objective in objectives:
+        lam = _best_direction(ctx, rows, objective, 1)
+        if lam is not None:
+            if not _achieves(prob, lam):
+                raise RuntimeError("internal: degeneration direction failed re-verification")
+            return lam
+    return None

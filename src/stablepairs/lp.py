@@ -28,7 +28,8 @@ bounded (a run that finds otherwise raises RuntimeError); the first are
 feasible at the origin, so ``solve_min_l1`` starts its first stage there,
 with no phase 1.  At a positive optimum it minimizes the l1 norm on the
 optimal face in the same tableau, decides exactly whether the least-l1
-point is unique in the coordinates asked for, and runs the two-phase
+point is unique in the coordinates asked for, reading the ones that may
+move off the rows of the basic x+- columns, and runs the two-phase
 ``least_l1_stage`` (``solve`` on a larger program) only when it is not.
 """
 
@@ -317,33 +318,6 @@ def _point(tab: _Tableau) -> tuple[Fraction, ...]:
     return tuple([Fraction(v, common) for v in x])
 
 
-def _moves(tab: _Tableau, fixed: frozenset):
-    """For each nonbasic column of zero reduced cost outside ``fixed``, in
-    an optimal tableau, how raising it moves x = x+ - x-, one integer per
-    coordinate.  The mirror of a basic x+- column moves nothing, as x+ and
-    x- then rise together."""
-    n, zrow = tab.n, tab.zrow
-    skip = fixed.union(tab.basis)
-    # Every basic x+- column's row, brought to the lcm of their scales:
-    # the row's entry in column j times its factor is the drop per unit of
-    # j over that lcm, with the sign of the column's variable in x.
-    x_rows = [(i, b) for i, b in enumerate(tab.basis) if b < 2 * n]
-    common = lcm(*[tab.scales[i] for i, _ in x_rows])
-    x_rows = [(tab.rows[i], (1 if b < n else -1) * (common // tab.scales[i]), b % n)
-              for i, b in x_rows]
-    for j in range(tab.art_start):
-        if j in zrow or j in skip:
-            continue
-        move = [0] * n
-        if j < 2 * n:
-            move[j % n] = common if j < n else -common
-        for row, f, k in x_rows:
-            a = row.get(j)
-            if a:
-                move[k] -= f * a
-        yield move
-
-
 def _face_min_l1(tab: _Tableau, over: Sequence[int]) -> tuple[Fraction, ...] | None:
     """Minimize sum(|x_j|, j in over) on the optimal face of an optimal
     tableau, in place, and return a least-l1 point when the least-l1 set
@@ -358,14 +332,18 @@ def _face_min_l1(tab: _Tableau, over: Sequence[int]) -> tuple[Fraction, ...] | N
     program.
 
     Then the columns of positive reduced cost in this cost row are fixed
-    too, and each coordinate x_k in ``over`` that some free column moves
-    is maximized and minimized with Bland's rule over the free columns; a
-    pivot on a column of zero reduced cost leaves both cost rows as they
-    were, so every basis visited stays on the least-l1 set.  A coordinate
-    that no free column moves is constant on the set, as every feasible
-    direction is a nonnegative combination of the free columns'.  A column
-    that a degenerate row blocks may count as moving a coordinate that is
-    fixed, which the two runs tell.  The point is unique in ``over``
+    too.  Read off the rows once, before any run, a nonbasic free column
+    moves x_k when it has an entry in the row of a basic x+_k or x-_k, or,
+    where neither is basic, when it is x+_k or x-_k; the mirror of a basic
+    one has reduced cost 2 here, so never counts.  Each x_k in ``over`` so
+    moved is maximized and minimized with Bland's rule over the free
+    columns, basic ones too; a pivot on a column of zero reduced cost
+    leaves both cost rows as they were, so every basis visited stays on
+    the least-l1 set.  A coordinate that no free column moves is constant
+    on the set, as every feasible direction is a nonnegative combination
+    of the free columns'.  A column that a degenerate row blocks may count
+    as moving a coordinate that is fixed, which the two runs tell.  The
+    point is unique in ``over``
     exactly when no coordinate there moves, and then every least-l1 stage
     returns it there, whatever its pivot path; callers read no other
     coordinate.  The other coordinates are never maximized, so one that no
@@ -380,20 +358,20 @@ def _face_min_l1(tab: _Tableau, over: Sequence[int]) -> tuple[Fraction, ...] | N
     tab._reset_costs(costs)
     # -l1 is at most 0, so this program is bounded
     tab.run(set(range(width)).difference(fixed))
-    moves = [move for move in _moves(tab, fixed) if any([move[k] for k in over])]
-    if moves:
-        free = {j for j in range(width) if j not in tab.zrow and j not in fixed}
-        for k in over:
-            if not any(move[k] for move in moves):
-                continue
-            for sign in (1, -1):
-                costs = [0] * width
-                costs[k], costs[n + k] = sign, -sign
-                tab._reset_costs(costs)
-                start = Fraction(tab.zrow.get(width, 0), tab.zscale)
-                tab.run(free)
-                if Fraction(tab.zrow.get(width, 0), tab.zscale) != start:
-                    return None
+    free = {j for j in range(width) if j not in tab.zrow and j not in fixed}
+    nonbasic = free.difference(tab.basis)
+    x_rows = {b % n: row for b, row in zip(tab.basis, tab.rows) if b < 2 * n}
+    moving = [k for k in over if (not nonbasic.isdisjoint(x_rows[k]) if k in x_rows
+                                  else k in nonbasic or n + k in nonbasic)]
+    for k in moving:
+        for sign in (1, -1):
+            costs = [0] * width
+            costs[k], costs[n + k] = sign, -sign
+            tab._reset_costs(costs)
+            start = Fraction(tab.zrow.get(width, 0), tab.zscale)
+            tab.run(free)
+            if Fraction(tab.zrow.get(width, 0), tab.zscale) != start:
+                return None
     return _point(tab)
 
 

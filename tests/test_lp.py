@@ -361,14 +361,81 @@ def test_face_phase_answers_only_a_unique_least_l1_point():
     assert assert_min_l1_as_reference(prog, range(2)) == "least-l1"
 
 
+def reference_moves(tab, fixed):
+    """For each nonbasic column of zero reduced cost outside ``fixed``, in
+    an optimal tableau, how raising it moves x = x+ - x-, one integer per
+    coordinate, over the lcm of the scales of the basic x+- rows: the face
+    phase's first reading of which coordinates may move.  The mirror of a
+    basic x+- column moves nothing, as x+ and x- then rise together."""
+    n, zrow = tab.n, tab.zrow
+    skip = fixed.union(tab.basis)
+    # the row's entry in column j times its factor is the drop per unit of
+    # j over that lcm, with the sign of the column's variable in x
+    x_rows = [(i, b) for i, b in enumerate(tab.basis) if b < 2 * n]
+    common = lcm(*[tab.scales[i] for i, _ in x_rows])
+    x_rows = [(tab.rows[i], (1 if b < n else -1) * (common // tab.scales[i]), b % n)
+              for i, b in x_rows]
+    for j in range(tab.art_start):
+        if j in zrow or j in skip:
+            continue
+        move = [0] * n
+        if j < 2 * n:
+            move[j % n] = common if j < n else -common
+        for row, f, k in x_rows:
+            a = row.get(j)
+            if a:
+                move[k] -= f * a
+        yield move
+
+
+def face_phase_runs(prog, over):
+    """solve_min_l1(prog, over), and None when it does not reach the face
+    phase; else the coordinates that phase maximizes and minimizes, in
+    order, the ``reference_moves`` once the l1 run ends, and whether the
+    phase returned a point.
+    The runs are seen through ``_Tableau._reset_costs``: after the l1 run,
+    each run's cost row is +-(x+_k - x-_k)."""
+    seen = {}
+    face_min_l1 = lp._face_min_l1
+    run, reset_costs = lp._Tableau.run, lp._Tableau._reset_costs
+
+    def recording_face(tab, over):
+        fixed = frozenset([j for j, z in tab.zrow.items() if z > 0 and j < tab.art_start])
+        seen.update(tab=tab, fixed=fixed, runs=[])
+        seen["point"] = face_min_l1(tab, over)
+        return seen["point"]
+
+    def recording_run(tab, columns):
+        run(tab, columns)
+        if tab is seen.get("tab") and "moves" not in seen:  # the l1 run
+            seen["moves"] = list(reference_moves(tab, seen["fixed"]))
+
+    def recording_reset(tab, costs, art_cost=0):
+        if tab is seen.get("tab") and "moves" in seen:
+            seen["runs"].append(next(j for j, c in enumerate(costs) if c))
+        reset_costs(tab, costs, art_cost)
+
+    lp._face_min_l1 = recording_face
+    lp._Tableau.run, lp._Tableau._reset_costs = recording_run, recording_reset
+    try:
+        lp.solve_min_l1(prog, over)
+    finally:
+        lp._face_min_l1 = face_min_l1
+        lp._Tableau.run, lp._Tableau._reset_costs = run, reset_costs
+    if not seen:
+        return None
+    return list(dict.fromkeys(seen["runs"])), seen["moves"], seen["point"] is not None
+
+
 def test_exact_test_sees_past_a_degenerate_row():
     # max -x subject to |x| <= 1 and 0 <= y <= x + 1, over x alone.  The
     # optimum x = -1 pins y to 0, so the optimal set is the one point
     # (-1, 0).  Three rows are tight there, and the optimal basis keeps y
     # nonbasic with zero reduced cost: raising or lowering y would move the
     # point, but the rows y >= 0 and y <= x + 1, basic at 0, block it.  A
-    # column still moves x after the face phase; the exact test finds the
-    # point unique, so lp.solve never runs.
+    # column still moves the point after the l1 run, but in y alone, so the
+    # face phase maximizes no coordinate of over; it finds the point unique,
+    # so lp.solve never runs.
     box = [([1, 0], lp.LEQ, 1), ([1, 0], lp.GEQ, -1)]
     pinned = linear_program(2, box + [([1, -1], lp.GEQ, -1), ([0, 1], lp.GEQ, 0)],
                                [-1, 0])
@@ -380,21 +447,10 @@ def test_exact_test_sees_past_a_degenerate_row():
            ([0, 1, 0], lp.LEQ, 1), ([0, 1, 0], lp.GEQ, -1)]
     triangle = linear_program(3, box + [([0, 0, 1], lp.GEQ, 0), ([-1, -1, 1], lp.LEQ, 1)],
                                  [-1, 0, 0])
-    moves = lp._moves
     for prog, over in ((pinned, range(1)), (triangle, range(2))):
-        moved = []
-
-        def recording(tab, fixed):
-            found = list(moves(tab, fixed))
-            moved.append(any(map(any, found)))
-            return iter(found)
-
-        lp._moves = recording
-        try:
-            assert assert_min_l1_as_reference(prog, over) == "face"
-        finally:
-            lp._moves = moves
-        assert moved == [True]
+        runs, moves, unique = face_phase_runs(prog, over)
+        assert assert_min_l1_as_reference(prog, over) == "face"
+        assert (any(map(any, moves)), runs, unique) == (True, [], True)
         assert lp.solve_min_l1(prog, over).point == (-1,) + (0,) * (prog.num_vars - 1)
         assert coordinates_are_fixed(prog, over)
 
@@ -801,3 +857,35 @@ def test_face_phase_is_unique_exactly_when_every_coordinate_is_fixed():
 
     check()
     assert answers[True] and answers[False], answers
+
+
+def test_face_phase_runs_exactly_the_coordinates_a_reference_move_touches():
+    # The face phase reads off the rows which coordinates in over a free
+    # column moves, and maximizes and minimizes those in order, until one
+    # of them moves.  They are the coordinates that some move of the
+    # reference touches, on origin programs and on the LP-path programs of
+    # the corpus at two seeds: all of them when the point is unique, a
+    # prefix ending at the one that moves when it is not.
+    answers = Counter()
+
+    def check_case(prog, over):
+        face = face_phase_runs(prog, over)
+        if face is not None:
+            runs, moves, unique = face
+            touched = [k for k in over if any([move[k] for move in moves])]
+            assert runs == (touched if unique else touched[:len(runs)]), prog
+            assert unique or runs, prog
+            answers[unique, bool(runs)] += 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(origin_programs())
+    @example(TIED_FACE)
+    @example(SINGLE_ON_FACE)
+    def check(case):
+        check_case(*case)
+
+    check()
+    for seed in (20260810, 11):
+        for prog, over in record_direction_lps(build_corpus(seed))[0]:
+            check_case(prog, over)
+    assert answers[True, True] and answers[True, False] and answers[False, True], answers
